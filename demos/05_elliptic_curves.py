@@ -3,8 +3,10 @@
 Everything the multiplicative demos do carries over to a curve: reduction
 at a good prime is a group homomorphism onto E(F_v), point orders come from
 the curve's group order by exponent stripping, and the same local-global
-machinery detects dependence. Point counting is naive enumeration with a
-quadratic-residue table, cross-checked by the Hasse bound on every call.
+machinery detects dependence. Point counting is Shanks-Mestre (point
+orders by baby-step giant-step in the Hasse interval), with enumeration
+where the orders leave the count ambiguous, cross-checked by the Hasse
+bound on every call.
 """
 
 try:

@@ -3,9 +3,9 @@ searches, emit deterministic structured reports.
 
 Exit codes: 0 condition holds / certificate or witness found, 1 violated or
 refuted (a witness is in the report), 2 inconclusive (empty search, bounded
-search exhausted), 64 usage error, 70 internal error. Reports echo semantic
-inputs only (never worker counts), so identical configurations give
-byte-identical output at any parallelism.
+search exhausted, recover scan exhausted), 64 usage error, 70 internal
+error. Reports echo semantic inputs only (never worker counts), so identical
+configurations give byte-identical output at any parallelism.
 """
 
 from __future__ import annotations
@@ -349,7 +349,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.command == "recover":
         result = dependence.recover_exponent(pl["P"], pl["Q"], config.backend, config.scan)
         outcome = {"d": result.d, "detail": result.detail}
-        return (OK if result.d is not None else VIOLATED), _envelope(config, outcome)
+        code = {"found": OK, "refuted": VIOLATED, "inconclusive": INCONCLUSIVE}[result.status]
+        return code, _envelope(config, outcome)
     if config.command == "experiment":
         aggregate = experiments.run_suite(
             pl["suite"], pl["trials"], pl["seed"], config.scan, config.workers

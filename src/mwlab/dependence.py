@@ -45,10 +45,16 @@ class DetectionResult:
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Recovered exponent d with Q = d*P, or d = None with the reason."""
+    """Recovered exponent d with Q = d*P, or d = None with the reason.
+
+    status is "found" (d is set), "refuted" (a missing log, a CRT conflict,
+    or a lift that keeps failing exact verification) or "inconclusive" (the
+    scan ran out of primes first).
+    """
 
     d: int | None
     detail: str
+    status: str
 
 
 def member_mod(P, subgroup: SubgroupSpec, v: int) -> bool:
@@ -56,7 +62,8 @@ def member_mod(P, subgroup: SubgroupSpec, v: int) -> bool:
 
     Multiplicative: F_v* is cyclic, so membership in the subgroup generated
     by the L_j (whose order is lcm_j ord_v L_j) is exactly ord_v(P) dividing
-    that lcm. Elliptic: direct closure enumeration in E(F_v).
+    that lcm. Elliptic: Sylow subgroup by Sylow subgroup, see
+    `_elliptic_member_raw`.
     """
     backend = subgroup.backend
     if not backend.good_prime([P] + list(subgroup.generators), v):
@@ -65,8 +72,33 @@ def member_mod(P, subgroup: SubgroupSpec, v: int) -> bool:
         target = math.lcm(*(backend.order_mod(L, v) for L in subgroup.generators)) if subgroup.generators else 1
         return target % backend.order_mod(P, v) == 0
     raws = [backend.reduce_raw(L, v) for L in subgroup.generators]
-    closure = subgroup_closure_mod(backend, raws, v)
-    return backend.reduce_raw(P, v) in closure
+    return _elliptic_member_raw(backend, backend.reduce_raw(P, v), raws, v)
+
+
+def _elliptic_member_raw(backend, raw, raw_gens, v: int) -> bool:
+    """Is the reduced point raw in the subgroup H of E(F_v) generated by raw_gens?
+
+    raw lies in H exactly when, for every prime l | ord raw, its l-part lies
+    in the l-part of H; scaling by c = N / l^e (N = |E(F_v)|, e = v_l(N)) is
+    an automorphism of the l-Sylow subgroup, so c*raw and the c*L_j stand
+    for the l-parts. E(F_v) is Z/n1 x Z/n2 with n1 | n2 and n1 | v-1 (Weil pairing),
+    so the l-Sylow subgroup is cyclic unless l | v-1 and l^2 | N. In a cyclic
+    l-group, subgroups are ordered by size, so the l-valuations of the orders
+    decide; otherwise the l-parts, at most l^e points, are closed explicitly.
+    """
+    order = backend.raw_order(raw, v)
+    n = backend.group_order_mod(v)
+    gen_orders = [numth.factor(backend.raw_order(g, v)) for g in raw_gens]
+    for l, k in numth.factor(order).factors:
+        if k > max((f.exponent_of(l) for f in gen_orders), default=0):
+            return False
+        e = numth.factor(n).exponent_of(l)
+        if e >= 2 and (v - 1) % l == 0:
+            c = n // l**e
+            parts = [backend.raw_scale(c, g, v) for g in raw_gens]
+            if backend.raw_scale(c, raw, v) not in subgroup_closure_mod(backend, parts, v):
+                return False
+    return True
 
 
 def _detect_chunk(Ps, generators, backend, chunk):
@@ -297,10 +329,11 @@ def recover_exponent(P, Q, backend, scan: PrimeRange) -> RecoveryResult:
     At each good v the log of Q in <P mod v> pins d mod ord_v(P); logs are
     CRT-combined in ascending v until the modulus exceeds twice a height
     bound on |d|, then lifted to a signed integer and verified exactly.
-    A missing log or a CRT conflict at some v refutes Q in <P>.
+    A missing log or a CRT conflict at some v refutes Q in <P>; running out
+    of primes first is inconclusive.
     """
     if backend.is_identity(Q):
-        return RecoveryResult(0, "Q is the identity, d = 0")
+        return RecoveryResult(0, "Q is the identity, d = 0", "found")
     if _is_torsion(backend, P):
         raise ValueError("exponent recovery needs a nontorsion base point")
     height_bound = _height_bound(backend, P, Q)
@@ -313,7 +346,7 @@ def recover_exponent(P, Q, backend, scan: PrimeRange) -> RecoveryResult:
         e = backend.dlog_mod(P, Q, v)
         if e is None:
             return RecoveryResult(
-                None, f"Q is outside the cyclic group generated by P mod {v}"
+                None, f"Q is outside the cyclic group generated by P mod {v}", "refuted"
             )
         t = backend.order_mod(P, v)
         combined = numth.crt([(residue, modulus), (e, t)])
@@ -331,20 +364,23 @@ def recover_exponent(P, Q, backend, scan: PrimeRange) -> RecoveryResult:
                 None,
                 f"discrete logs conflict {where}: "
                 f"d = {e} (mod {t}) at {v} vs d = {residue} (mod {modulus})",
+                "refuted",
             )
         residue, modulus = combined
         logs.append((v, e, t))
         if modulus > 2 * height_bound:
             d = residue if residue <= modulus // 2 else residue - modulus
             if backend.scale(d, P) == Q:
-                return RecoveryResult(d, f"verified exactly with modulus {modulus}")
+                return RecoveryResult(d, f"verified exactly with modulus {modulus}", "found")
             failed_lifts += 1
             if failed_lifts >= 3:
                 return RecoveryResult(
-                    None, f"lift d = {d} (mod {modulus}) fails exact verification"
+                    None, f"lift d = {d} (mod {modulus}) fails exact verification", "refuted"
                 )
             height_bound *= 4  # heuristic bound too small; keep scanning
-    return RecoveryResult(None, f"scan exhausted at {scan.hi} without a verified lift")
+    return RecoveryResult(
+        None, f"scan exhausted at {scan.hi} without a verified lift", "inconclusive"
+    )
 
 
 def _is_torsion(backend, P) -> bool:

@@ -273,8 +273,90 @@ def _ec_mul_mod(curve: WeierstrassCurve, n: int, P, v: int):
     return acc
 
 
+# Primes below _MESTRE_FROM are counted by enumeration, which is cheaper
+# there (and at tiny v the Hasse interval is too wide for point orders to pin
+# N down). Shanks-Mestre gives up after _MESTRE_POINTS points.
+_MESTRE_FROM = 250
+_MESTRE_POINTS = 8
+
+
+def _ec_order_from_multiple(curve: WeierstrassCurve, P, m: int, v: int) -> int:
+    """Exact order of the raw point P, stripped from a multiple m of it."""
+    for q, _ in numth.factor(m).factors:
+        while m % q == 0 and _ec_mul_mod(curve, m // q, P, v) is None:
+            m //= q
+    return m
+
+
+def _ec_killing_multiple(curve: WeierstrassCurve, Q, k0: int, count: int, v: int):
+    """Some k in [k0, k0 + count) with k*Q = O, by baby-step giant-step, or
+    None when the range holds no such k."""
+    s = math.isqrt(count - 1) + 1  # s*s >= count
+    baby: dict = {}
+    R = None
+    for i in range(s):
+        baby.setdefault(R, i)
+        R = _ec_add_mod(curve, R, Q, v)
+    giant = _ec_neg_mod(curve, R, v)
+    # T = -(k0 + j*s)*Q; a hit T = i*Q means (k0 + j*s + i)*Q = O, and the
+    # least i per j makes the first hit the least k.
+    T = _ec_mul_mod(curve, -k0, Q, v)
+    for j in range(s):
+        if T in baby:
+            k = k0 + j * s + baby[T]
+            return k if k < k0 + count else None
+        T = _ec_add_mod(curve, T, giant, v)
+    return None
+
+
+def _shanks_mestre_order(curve: WeierstrassCurve, v: int) -> int | None:
+    """|E(F_v)| from point orders in the Hasse interval, or None when the
+    points tried leave more than one candidate.
+
+    Every point order divides N = |E(F_v)|, and N lies in
+    [v+1-floor(2 sqrt v), v+1+floor(2 sqrt v)]; once L, the lcm of the
+    orders found, has exactly one multiple in that interval, the multiple
+    is N. Points come from x = 0, 1, 2, ... in order, y from a modular
+    square root after completing the square, so v must be an odd prime of
+    good reduction.
+    """
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    w = math.isqrt(4 * v)
+    lo, hi = v + 1 - w, v + 1 + w
+    half = (v + 1) // 2
+    L, tried = 1, 0
+    for x in range(v):
+        u = (a1 * x + a3) % v
+        root = numth.sqrt_mod(4 * (x * x * x + a2 * x * x + a4 * x + a6) + u * u, v)
+        if root is None:
+            continue
+        P = (x, (root - u) * half % v)
+        # Only multiples of L can be N: search k*L in the interval.
+        k0 = -(-lo // L)
+        k = _ec_killing_multiple(curve, _ec_mul_mod(curve, L, P, v), k0, hi // L - k0 + 1, v)
+        if k is None:
+            return None
+        L = math.lcm(L, _ec_order_from_multiple(curve, P, k * L, v))
+        if hi // L - (lo - 1) // L == 1:
+            return hi // L * L
+        tried += 1
+        if tried == _MESTRE_POINTS:
+            return None
+    return None
+
+
 @lru_cache(maxsize=4096)
 def _curve_order_mod(coeffs: tuple[int, int, int, int, int], v: int) -> int:
+    """|E(F_v)| at a prime of good reduction: Shanks-Mestre, falling back to
+    enumeration at small v and wherever the point orders stay ambiguous."""
+    if v >= _MESTRE_FROM:
+        order = _shanks_mestre_order(WeierstrassCurve(*coeffs), v)
+        if order is not None:
+            return order
+    return _count_points_naive(coeffs, v)
+
+
+def _count_points_naive(coeffs: tuple[int, int, int, int, int], v: int) -> int:
     """|E(F_v)| by direct enumeration (quadratic-residue table for odd v)."""
     a1, a2, a3, a4, a6 = coeffs
     if v == 2:
@@ -376,14 +458,7 @@ class MultiplicativeGroup:
     def order_mod(self, P: MulPoint, v: int) -> int:
         if not self.good_prime([P], v):
             raise ValueError(f"{v} is a bad prime for {P!r}")
-        return self._raw_order(self.reduce_raw(P, v), v)
-
-    def _raw_order(self, raw: int, v: int) -> int:
-        order = v - 1
-        for q, _ in numth.factor(v - 1).factors:
-            while order % q == 0 and pow(raw, order // q, v) == 1:
-                order //= q
-        return order
+        return numth.multiplicative_order(self.reduce_raw(P, v), v)
 
     def raw_identity(self, v: int):
         return 1
@@ -482,14 +557,13 @@ class EllipticGroup:
     def order_mod(self, P: EcPoint, v: int) -> int:
         if not self.good_prime([P], v):
             raise ValueError(f"{v} is a bad prime for {P!r}")
-        raw = self.reduce_raw(P, v)
+        return self.raw_order(self.reduce_raw(P, v), v)
+
+    def raw_order(self, raw, v: int) -> int:
+        """Exact order of a reduced point, stripped from |E(F_v)|."""
         if raw is None:
             return 1
-        order = self.group_order_mod(v)
-        for q, _ in numth.factor(order).factors:
-            while order % q == 0 and _ec_mul_mod(self.curve, order // q, raw, v) is None:
-                order //= q
-        return order
+        return _ec_order_from_multiple(self.curve, raw, self.group_order_mod(v), v)
 
     def raw_identity(self, v: int):
         return None

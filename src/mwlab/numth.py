@@ -210,6 +210,38 @@ def multiplicative_order(a: int, p: int) -> int:
     return order
 
 
+def sqrt_mod(a: int, p: int) -> int | None:
+    """Some s with s*s == a (mod p) for an odd prime p, or None when a is a
+    non-residue. Tonelli-Shanks; the non-residue it needs is the least one,
+    so the answer is deterministic.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        # Least i with t^(2^i) == 1; then square c down to the matching root.
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c = r * b % p, b * b % p
+        t, s = t * c % p, i
+    return r
+
+
 def exact_valuation(l: int, k: int, n: int) -> bool:
     """True iff l**k exactly divides n (for k=0: true iff l does not divide n)."""
     if n < 1:

@@ -112,6 +112,17 @@ class TestRun:
         assert code == VIOLATED
         assert json.loads(out)["outcome"]["d"] is None
 
+    def test_recover_exit_codes(self, capsys):
+        # Running out of primes is inconclusive; a Q outside <P> is refuted.
+        code, out = run_cli(capsys, "recover", "--p", "2", "--q", "1024", "--primes", "3..7")
+        assert code == INCONCLUSIVE
+        assert json.loads(out)["outcome"] == {
+            "d": None, "detail": "scan exhausted at 7 without a verified lift"
+        }
+        code, out = run_cli(capsys, "recover", "--p", "2", "--q", "3", "--primes", "3..7")
+        assert code == VIOLATED
+        assert json.loads(out)["outcome"]["detail"].startswith("Q is outside")
+
     def test_find_primes(self, capsys):
         code, out = run_cli(
             capsys, "find-primes", "--points", "2,3", "--l", "5", "--ks", "1,0",

@@ -94,7 +94,7 @@ class TestMemberMod:
         for v in primes_in(PrimeRange(3, 100)):
             if 37 % v == 0:
                 continue
-            closure = subgroup_closure_mod(E, [E.reduce_raw(C37.mul(2, G), v)], E and v)
+            closure = subgroup_closure_mod(E, [E.reduce_raw(C37.mul(2, G), v)], v)
             assert E.group_order_mod(v) % len(closure) == 0
             member = member_mod(G, lam, v)
             assert member == (E.reduce_raw(G, v) in closure)
@@ -300,3 +300,12 @@ class TestRecover:
         P, Q = c.point(0, 0), c.point(1, 0)
         result = recover_exponent(P, Q, E, PrimeRange(3, 500))
         assert result.d is None
+        assert result.status == "refuted"
+
+    def test_status(self):
+        assert recover_exponent(MulPoint(2), MulPoint(1024), M, PrimeRange(3, 100)).status == "found"
+        assert recover_exponent(MulPoint(2), MulPoint(1), M, PrimeRange(3, 100)).status == "found"
+        assert recover_exponent(MulPoint(2), MulPoint(3), M, PrimeRange(3, 100)).status == "refuted"
+        exhausted = recover_exponent(MulPoint(2), MulPoint(1024), M, PrimeRange(3, 7))
+        assert (exhausted.d, exhausted.status) == (None, "inconclusive")
+        assert exhausted.detail.startswith("scan exhausted")
