@@ -21,7 +21,6 @@ from mwlab import (
     MulPoint,
     MultiplicativeGroup,
     PrimeRange,
-    order_mod,
     replay_step1,
     replay_step2_lcm,
 )
@@ -31,8 +30,8 @@ backend = MultiplicativeGroup()
 print("refuting the cover condition for P = 2 against Q = 3 (pattern prime l = 5):")
 w = replay_step1(MulPoint(2), [MulPoint(3)], 5, backend, PrimeRange(3, 1000))
 print(f"  witness v = {w.v}, n = {w.n}")
-print(f"  check: ord_{w.v}(2) = {order_mod(backend, MulPoint(2), w.v)}, "
-      f"ord_{w.v}(3) = {order_mod(backend, MulPoint(3), w.v)}")
+print(f"  check: ord_{w.v}(2) = {backend.order_mod(MulPoint(2), w.v)}, "
+      f"ord_{w.v}(3) = {backend.order_mod(MulPoint(3), w.v)}")
 print(f"  2^{w.n} mod {w.v} = {pow(2, w.n, w.v)},  3^{w.n} mod {w.v} = {pow(3, w.n, w.v)}")
 
 print()

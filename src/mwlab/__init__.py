@@ -24,14 +24,9 @@ from .mwgroup import (
     MultiplicativeGroup,
     ReducedPoint,
     WeierstrassCurve,
-    curve_arithmetic,
     curve_group_order,
     elliptic_independence_check,
-    good_prime,
     multiplicative_independence,
-    order_mod,
-    reduce_point,
-    torsion_elements,
     torsion_order_stability,
 )
 from .numth import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numth
-from ._parallel import map_chunks, split_chunks
+from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
 from .mwgroup import exponent_vector, rational_support, subgroup_closure_mod
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
@@ -101,32 +101,22 @@ def _elliptic_member_raw(backend, raw, raw_gens, v: int) -> bool:
     return True
 
 
-def _detect_chunk(Ps, generators, backend, chunk):
-    subgroup = SubgroupSpec(generators, backend)
-    bads, goods = [], 0
-    for v in chunk:
-        if not backend.good_prime(list(Ps) + list(generators), v):
-            bads.append(v)
-            continue
-        goods += 1
-        if any(member_mod(P, subgroup, v) for P in Ps):
-            continue
-        n = (
-            math.lcm(*(backend.order_mod(L, v) for L in generators))
-            if generators
-            else 1
-        )
-        orders = [backend.order_mod(P, v) for P in Ps]
-        w = Witness(
-            v=v,
-            n=n,
-            detail=(
-                f"no P_i lies in the reduced subgroup at {v}; n={n} kills every "
-                f"generator mod {v} while ord_v(P_i)={orders}"
-            ),
-        )
-        return {"witness": w, "bads": bads, "goods": goods}
-    return {"witness": None, "bads": bads, "goods": goods}
+def _detect_test(Ps, subgroup: SubgroupSpec, v):
+    backend, generators = subgroup.backend, subgroup.generators
+    if not backend.good_prime([*Ps, *generators], v):
+        return BAD_PRIME
+    if any(member_mod(P, subgroup, v) for P in Ps):
+        return None
+    n = math.lcm(*(backend.order_mod(L, v) for L in generators)) if generators else 1
+    orders = [backend.order_mod(P, v) for P in Ps]
+    return Witness(
+        v=v,
+        n=n,
+        detail=(
+            f"no P_i lies in the reduced subgroup at {v}; n={n} kills every "
+            f"generator mod {v} while ord_v(P_i)={orders}"
+        ),
+    )
 
 
 def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
@@ -143,9 +133,7 @@ def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
     primes = numth.primes_in(scan)
     chunks = split_chunks(primes, workers)
     results = map_chunks(
-        _detect_chunk,
-        [(tuple(Ps), subgroup.generators, backend, c) for c in chunks],
-        workers,
+        scan_chunk, [(_detect_test, (tuple(Ps), subgroup), c) for c in chunks], workers
     )
     report = merge_scan_results("detect", scan, results)
     if report.verdict == "violated":
@@ -334,9 +322,9 @@ def recover_exponent(P, Q, backend, scan: PrimeRange) -> RecoveryResult:
     """
     if backend.is_identity(Q):
         return RecoveryResult(0, "Q is the identity, d = 0", "found")
-    if _is_torsion(backend, P):
+    if backend.is_torsion(P):
         raise ValueError("exponent recovery needs a nontorsion base point")
-    height_bound = _height_bound(backend, P, Q)
+    height_bound = backend.height_bound(P, Q)
     residue, modulus = 0, 1
     logs: list[tuple[int, int, int]] = []
     failed_lifts = 0
@@ -381,19 +369,3 @@ def recover_exponent(P, Q, backend, scan: PrimeRange) -> RecoveryResult:
     return RecoveryResult(
         None, f"scan exhausted at {scan.hi} without a verified lift", "inconclusive"
     )
-
-
-def _is_torsion(backend, P) -> bool:
-    if backend.kind == "multiplicative":
-        return abs(P.value) == 1
-    return P in backend.torsion_elements()
-
-
-def _height_bound(backend, P, Q) -> int:
-    if backend.kind == "multiplicative":
-        top = max(Q.numerator, Q.denominator)
-        base = min(x for x in (P.numerator, P.denominator) if x > 1)
-        return math.ceil(math.log(top) / math.log(base)) + 1 if top > 1 else 1
-    hq = max(abs(Q.x.numerator).bit_length(), Q.x.denominator.bit_length())
-    hp = max(abs(P.x.numerator).bit_length(), P.x.denominator.bit_length(), 1)
-    return 8 + 4 * math.isqrt((hq + 1) // hp + 1)

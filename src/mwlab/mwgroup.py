@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import numth
-from ._parallel import map_chunks, split_chunks
+from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
 from .numth import PrimeRange
 from .reports import ConditionReport, Witness, merge_scan_results
 
@@ -426,6 +426,16 @@ class MultiplicativeGroup:
     def torsion_elements(self) -> tuple[MulPoint, ...]:
         return (MulPoint(1), MulPoint(-1))
 
+    def is_torsion(self, P: MulPoint) -> bool:
+        return abs(P.value) == 1
+
+    def height_bound(self, P: MulPoint, Q: MulPoint) -> int:
+        """Bound on |d| for Q = d*P with P nontorsion, from the sizes of the
+        numerators and denominators."""
+        top = max(Q.numerator, Q.denominator)
+        base = min(x for x in (P.numerator, P.denominator) if x > 1)
+        return math.ceil(math.log(top) / math.log(base)) + 1 if top > 1 else 1
+
     def torsion_order(self, T: MulPoint) -> int:
         if T.value == 1:
             return 1
@@ -612,6 +622,16 @@ class EllipticGroup:
             self._torsion = self._compute_torsion()
         return self._torsion
 
+    def is_torsion(self, P: EcPoint) -> bool:
+        return P in self.torsion_elements()
+
+    def height_bound(self, P: EcPoint, Q: EcPoint) -> int:
+        """Heuristic bound on |d| for Q = d*P from the naive heights of the
+        x-coordinates; exponent recovery grows it when a lift fails."""
+        hq = max(abs(Q.x.numerator).bit_length(), Q.x.denominator.bit_length())
+        hp = max(abs(P.x.numerator).bit_length(), P.x.denominator.bit_length(), 1)
+        return 8 + 4 * math.isqrt((hq + 1) // hp + 1)
+
     def torsion_order(self, T: EcPoint) -> int:
         acc = T
         for k in range(1, 25):
@@ -733,60 +753,18 @@ def _integer_cubic_roots(A: int, C: int) -> list[int]:
 # Module-level operation surface
 
 
-def good_prime(backend, points, v: int) -> bool:
-    """True when every point reduces into the finite group at v (and v avoids S / the discriminant)."""
-    return backend.good_prime(points, v)
-
-
-def reduce_point(backend, P, v: int) -> ReducedPoint:
-    """Image of P under the reduction map at a good prime v."""
-    return backend.reduce(P, v)
-
-
 def curve_group_order(curve: WeierstrassCurve, v: int) -> int:
     """|E(F_v)| at a prime of good reduction, Hasse-checked."""
     return EllipticGroup(curve).group_order_mod(v)
 
 
-def curve_arithmetic(curve: WeierstrassCurve, op: str, *args) -> EcPoint:
-    """Dispatch form of the exact group law: add(P, Q), negate(P),
-    scalar_mul(n, P). The curve methods are the primary surface; this exists
-    for callers that carry the operation name as data.
-    """
-    if op == "add":
-        return curve.add(*args)
-    if op == "negate":
-        return curve.neg(*args)
-    if op == "scalar_mul":
-        return curve.mul(*args)
-    raise ValueError(f"unknown curve operation {op!r}")
-
-
-def order_mod(backend, P, v: int) -> int:
-    """Exact order of P (mod v), from the ambient group order by exponent stripping."""
-    return backend.order_mod(P, v)
-
-
-def torsion_elements(backend):
-    return backend.torsion_elements()
-
-
-def _torsion_stability_chunk(backend, T, expected: int, chunk: list[int]):
-    bads, goods = [], 0
-    for v in chunk:
-        if not backend.good_prime([T], v):
-            bads.append(v)
-            continue
-        goods += 1
-        got = backend.order_mod(T, v)
-        if got != expected:
-            w = Witness(
-                v=v,
-                n=got,
-                detail=f"ord_v T = {got} but ord T = {expected}",
-            )
-            return {"witness": w, "bads": bads, "goods": goods}
-    return {"witness": None, "bads": bads, "goods": goods}
+def _torsion_stability_test(backend, T, expected: int, v: int):
+    if not backend.good_prime([T], v):
+        return BAD_PRIME
+    got = backend.order_mod(T, v)
+    if got == expected:
+        return None
+    return Witness(v=v, n=got, detail=f"ord_v T = {got} but ord T = {expected}")
 
 
 def torsion_order_stability(backend, T, scan: PrimeRange, workers: int = 1) -> ConditionReport:
@@ -799,7 +777,7 @@ def torsion_order_stability(backend, T, scan: PrimeRange, workers: int = 1) -> C
     primes = numth.primes_in(scan)
     chunks = split_chunks(primes, workers)
     results = map_chunks(
-        _torsion_stability_chunk, [(backend, T, expected, c) for c in chunks], workers
+        scan_chunk, [(_torsion_stability_test, (backend, T, expected), c) for c in chunks], workers
     )
     return merge_scan_results("torsion_stability", scan, results)
 

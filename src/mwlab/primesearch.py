@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 from . import numth
-from ._parallel import map_chunks, split_chunks
+from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
 from .numth import PrimeRange
 from .reports import Witness
+from .support import covers
 
 
 @dataclass(frozen=True)
@@ -68,20 +69,15 @@ def _verified_order(backend, P, v: int, order: int) -> bool:
     return True
 
 
-def _pattern_chunk(points, pattern, backend, max_hits, chunk):
-    hits = []
-    for v in chunk:
-        if not backend.good_prime(points, v):
-            continue
-        orders = tuple(backend.order_mod(P, v) for P in points)
-        if all(numth.exact_valuation(pattern.l, k, t) for k, t in zip(pattern.ks, orders)):
-            verified = all(
-                _verified_order(backend, P, v, t) for P, t in zip(points, orders)
-            )
-            hits.append(PatternHit(v=v, orders=orders, verified=verified))
-            if len(hits) >= max_hits:
-                break
-    return {"hits": hits}
+def _pattern_test(points, pattern, backend, v):
+    """The orders at v when they realize the pattern; shared by the hit
+    search and the density count."""
+    if not backend.good_prime(points, v):
+        return BAD_PRIME
+    orders = tuple(backend.order_mod(P, v) for P in points)
+    if all(numth.exact_valuation(pattern.l, k, t) for k, t in zip(pattern.ks, orders)):
+        return v, orders
+    return None
 
 
 def find_pattern_primes(points, pattern: ValuationPattern, backend, scan: PrimeRange,
@@ -99,33 +95,36 @@ def find_pattern_primes(points, pattern: ValuationPattern, backend, scan: PrimeR
         raise ValueError("max_hits must be positive")
     primes = numth.primes_in(scan)
     chunks = split_chunks(primes, workers)
+    args = (points, pattern, backend)
     results = map_chunks(
-        _pattern_chunk, [(points, pattern, backend, max_hits, c) for c in chunks], workers
+        scan_chunk, [(_pattern_test, args, c, max_hits) for c in chunks], workers
     )
-    hits: list[PatternHit] = []
-    for res in results:
-        for hit in res["hits"]:
-            hits.append(hit)
-            if len(hits) >= max_hits:
-                return hits
-    return hits
+    found = [hit for res in results for hit in res["hits"]][:max_hits]
+    # Certified after the merge: only the hits returned pay for it.
+    return [
+        PatternHit(
+            v=v,
+            orders=orders,
+            verified=all(_verified_order(backend, P, v, t) for P, t in zip(points, orders)),
+        )
+        for v, orders in found
+    ]
 
 
-def _replay1_chunk(P, Qs, l, backend, chunk):
-    for v in chunk:
-        if not backend.good_prime([P] + list(Qs), v):
-            continue
-        q_orders = [backend.order_mod(Q, v) for Q in Qs]
-        if any(t % l != 0 for t in q_orders):
-            continue
-        n = backend.order_mod(P, v)
-        if all(n % t != 0 for t in q_orders):
-            detail = (
-                f"ord_v(P)={n} with ord_v(Q_i)={q_orders}; n={n} kills P mod {v} "
-                f"and kills no Q_i ({l} divides every ord_v(Q_i))"
-            )
-            return {"witness": Witness(v=v, n=n, detail=detail), "bads": []}
-    return {"witness": None, "bads": []}
+def _replay1_test(P, Qs, l, backend, v):
+    if not backend.good_prime([P, *Qs], v):
+        return BAD_PRIME
+    q_orders = [backend.order_mod(Q, v) for Q in Qs]
+    if any(t % l != 0 for t in q_orders):
+        return None
+    n = backend.order_mod(P, v)
+    if covers(n, q_orders):
+        return None
+    detail = (
+        f"ord_v(P)={n} with ord_v(Q_i)={q_orders}; n={n} kills P mod {v} "
+        f"and kills no Q_i ({l} divides every ord_v(Q_i))"
+    )
+    return Witness(v=v, n=n, detail=detail)
 
 
 def replay_step1(P, Qs, l: int, backend, scan: PrimeRange, workers: int = 1) -> Witness | None:
@@ -139,7 +138,7 @@ def replay_step1(P, Qs, l: int, backend, scan: PrimeRange, workers: int = 1) -> 
     primes = numth.primes_in(scan)
     chunks = split_chunks(primes, workers)
     results = map_chunks(
-        _replay1_chunk, [(P, tuple(Qs), l, backend, c) for c in chunks], workers
+        scan_chunk, [(_replay1_test, (P, tuple(Qs), l, backend), c) for c in chunks], workers
     )
     for res in results:
         if res["witness"] is not None:
@@ -165,18 +164,6 @@ def replay_step2_lcm(orders, divisors) -> int:
     return math.lcm(*parts)
 
 
-def _density_chunk(points, pattern, backend, chunk):
-    hits, goods = 0, 0
-    for v in chunk:
-        if not backend.good_prime(points, v):
-            continue
-        goods += 1
-        orders = [backend.order_mod(P, v) for P in points]
-        if all(numth.exact_valuation(pattern.l, k, t) for k, t in zip(pattern.ks, orders)):
-            hits += 1
-    return {"hits": hits, "goods": goods}
-
-
 def pattern_density(points, pattern: ValuationPattern, backend, scan: PrimeRange,
                     workers: int = 1) -> DensityReport:
     """Hit frequency of the pattern over all good primes in the window.
@@ -189,10 +176,11 @@ def pattern_density(points, pattern: ValuationPattern, backend, scan: PrimeRange
         raise ValueError("one pattern exponent per point required")
     primes = numth.primes_in(scan)
     chunks = split_chunks(primes, workers)
+    args = (points, pattern, backend)
     results = map_chunks(
-        _density_chunk, [(points, pattern, backend, c) for c in chunks], workers
+        scan_chunk, [(_pattern_test, args, c, None) for c in chunks], workers
     )
-    hits = sum(r["hits"] for r in results)
+    hits = sum(len(r["hits"]) for r in results)
     goods = sum(r["goods"] for r in results)
     ratio = hits / goods if goods else 0.0
     return DensityReport(

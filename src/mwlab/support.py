@@ -12,15 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import numth
-from ._parallel import map_chunks, split_chunks
+from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
 from .numth import PrimeRange
-from .reports import (
-    CONDITION_IDS,
-    ConditionReport,
-    RelationCertificate,
-    Witness,
-    merge_scan_results,
-)
+from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
 
 
 @dataclass(frozen=True)
@@ -54,20 +48,33 @@ def support_union_at_n(xs, n: int, bound: int) -> SupportSet:
     return SupportSet(bound, frozenset(hits))
 
 
+def covers(order: int, orders) -> bool:
+    """One-sided cover: some entry of orders divides order, i.e. every n
+    killing the point of that order kills some point of the list."""
+    return any(order % t == 0 for t in orders)
+
+
+def two_sided_gap(a, b) -> tuple[int, int] | None:
+    """Two-sided cover of two order lists: every a_i is a multiple of some
+    b_j and every b_j a multiple of some a_i. None when it holds; otherwise
+    the least unmatched order n and its side (0 for a, 1 for b). At n a point
+    of that side is killed and none of the other side is.
+    """
+    unmatched_a = [ai for ai in a if not any(ai % bj == 0 for bj in b)]
+    unmatched_b = [bj for bj in b if not any(bj % ai == 0 for ai in a)]
+    if not (unmatched_a or unmatched_b):
+        return None
+    n = min(unmatched_a + unmatched_b)
+    return n, 0 if n in unmatched_a else 1
+
+
 def erdos_exact_at_prime(xs, ys, p: int) -> bool:
     """Exact test at p of: union supp(x^n - 1) = union supp(y^n - 1) for every n.
 
     With a_i = ord_p(x_i) and b_j = ord_p(y_j) the two n-sets agree iff every
     a_i is a multiple of some b_j and every b_j is a multiple of some a_i.
     """
-    for val in list(xs) + list(ys):
-        if val % p == 0:
-            raise ValueError(f"{p} divides {val}; bad prime for this test")
-    a = [numth.multiplicative_order(x, p) for x in xs]
-    b = [numth.multiplicative_order(y, p) for y in ys]
-    return all(any(ai % bj == 0 for bj in b) for ai in a) and all(
-        any(bj % ai == 0 for ai in a) for bj in b
-    )
+    return _at_prime(_erdos_test, tuple(xs), tuple(ys), p)
 
 
 def corrales_schoof_at_prime(x, y, p: int, backend) -> bool:
@@ -75,9 +82,7 @@ def corrales_schoof_at_prime(x, y, p: int, backend) -> bool:
 
     Equivalent to ord_p(y) | ord_p(x).
     """
-    if not backend.good_prime([x, y], p):
-        raise ValueError(f"{p} is a bad prime for these points")
-    return backend.order_mod(x, p) % backend.order_mod(y, p) == 0
+    return _at_prime(_cover_test, "corrales_schoof", x, (y,), backend, p)
 
 
 def divisibility_cover_at_prime(Ps, Qs, v: int, backend, mode: str) -> bool:
@@ -87,114 +92,87 @@ def divisibility_cover_at_prime(Ps, Qs, v: int, backend, mode: str) -> bool:
     n kills P mod v, n kills some Q_i. two_sided: every ord_v(P_i) is a
     multiple of some ord_v(Q_j) and vice versa.
     """
-    if not backend.good_prime(list(Ps) + list(Qs), v):
-        raise ValueError(f"{v} is a bad prime for these points")
-    p_orders = [backend.order_mod(P, v) for P in Ps]
-    q_orders = [backend.order_mod(Q, v) for Q in Qs]
     if mode == "one_sided":
-        if len(p_orders) != 1:
+        if len(Ps) != 1:
             raise ValueError("one_sided mode takes a single point P")
-        return any(p_orders[0] % t == 0 for t in q_orders)
+        return _at_prime(_cover_test, "thm2", Ps[0], tuple(Qs), backend, v)
     if mode == "two_sided":
-        return all(any(a % b == 0 for b in q_orders) for a in p_orders) and all(
-            any(b % a == 0 for a in p_orders) for b in q_orders
-        )
+        return _at_prime(_cor22_test, tuple(Ps), tuple(Qs), backend, v)
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _at_prime(test, *args) -> bool:
+    """A scan's per-prime test as a predicate: True when the condition holds
+    at the prime (the last argument), ValueError when that prime is bad."""
+    result = test(*args)
+    if result is BAD_PRIME:
+        raise ValueError(f"{args[-1]} is a bad prime for these points")
+    return result is None
+
+
 # ---------------------------------------------------------------------------
-# Scanning verifiers. Chunk workers are module level so worker processes can
-# pickle them; each returns {"witness": Witness|None, "bads": [...], "goods": n}.
+# Per-prime tests and scanning verifiers. Tests are module level so worker
+# processes can pickle them; each returns BAD_PRIME, None or a Witness.
 
 
-def _erdos_chunk(xs, ys, chunk):
-    bads, goods = [], 0
-    for p in chunk:
-        if any(val % p == 0 for val in xs) or any(val % p == 0 for val in ys):
-            bads.append(p)
-            continue
-        goods += 1
-        a = [numth.multiplicative_order(x, p) for x in xs]
-        b = [numth.multiplicative_order(y, p) for y in ys]
-        unmatched_a = [ai for ai in a if not any(ai % bj == 0 for bj in b)]
-        unmatched_b = [bj for bj in b if not any(bj % ai == 0 for ai in a)]
-        if unmatched_a or unmatched_b:
-            n = min(unmatched_a + unmatched_b)
-            side = "xs" if n in unmatched_a else "ys"
-            w = Witness(
-                v=p,
-                n=n,
-                detail=(
-                    f"orders xs={a} ys={b}; at n={n} the prime {p} lies in the "
-                    f"{side}-side support union only"
-                ),
-            )
-            return {"witness": w, "bads": bads, "goods": goods}
-    return {"witness": None, "bads": bads, "goods": goods}
+def _erdos_test(xs, ys, p):
+    # Raw ints, not points: bad means p divides an entry.
+    if any(val % p == 0 for val in xs) or any(val % p == 0 for val in ys):
+        return BAD_PRIME
+    a = [numth.multiplicative_order(x, p) for x in xs]
+    b = [numth.multiplicative_order(y, p) for y in ys]
+    gap = two_sided_gap(a, b)
+    if gap is None:
+        return None
+    n, side = gap
+    return Witness(
+        v=p,
+        n=n,
+        detail=(
+            f"orders xs={a} ys={b}; at n={n} the prime {p} lies in the "
+            f"{('xs', 'ys')[side]}-side support union only"
+        ),
+    )
 
 
-def _cs_chunk(x, y, backend, chunk):
-    bads, goods = [], 0
-    for p in chunk:
-        if not backend.good_prime([x, y], p):
-            bads.append(p)
-            continue
-        goods += 1
-        tx = backend.order_mod(x, p)
-        ty = backend.order_mod(y, p)
-        if tx % ty != 0:
-            w = Witness(
-                v=p,
-                n=tx,
-                detail=f"ord_v(x)={tx}, ord_v(y)={ty}; n={tx} kills x but not y",
-            )
-            return {"witness": w, "bads": bads, "goods": goods}
-    return {"witness": None, "bads": bads, "goods": goods}
+def _cover_test(condition_id, P, Qs, backend, v):
+    """corrales_schoof (one Q) and thm2: n = ord_v(P) kills P but no Q_i."""
+    if not backend.good_prime([P, *Qs], v):
+        return BAD_PRIME
+    tp = backend.order_mod(P, v)
+    tq = [backend.order_mod(Q, v) for Q in Qs]
+    if covers(tp, tq):
+        return None
+    if condition_id == "corrales_schoof":
+        detail = f"ord_v(x)={tp}, ord_v(y)={tq[0]}; n={tp} kills x but not y"
+    else:
+        detail = f"ord_v(P)={tp}, ord_v(Q_i)={tq}; n={tp} kills P but no Q_i"
+    return Witness(v=v, n=tp, detail=detail)
 
 
-def _thm2_chunk(P, Qs, backend, chunk):
-    bads, goods = [], 0
-    for v in chunk:
-        if not backend.good_prime([P] + list(Qs), v):
-            bads.append(v)
-            continue
-        goods += 1
-        tp = backend.order_mod(P, v)
-        tq = [backend.order_mod(Q, v) for Q in Qs]
-        if not any(tp % t == 0 for t in tq):
-            w = Witness(
-                v=v,
-                n=tp,
-                detail=f"ord_v(P)={tp}, ord_v(Q_i)={tq}; n={tp} kills P but no Q_i",
-            )
-            return {"witness": w, "bads": bads, "goods": goods}
-    return {"witness": None, "bads": bads, "goods": goods}
+def _cor22_test(Ps, Qs, backend, v):
+    if not backend.good_prime([*Ps, *Qs], v):
+        return BAD_PRIME
+    a = [backend.order_mod(P, v) for P in Ps]
+    b = [backend.order_mod(Q, v) for Q in Qs]
+    gap = two_sided_gap(a, b)
+    if gap is None:
+        return None
+    n, side = gap
+    return Witness(
+        v=v,
+        n=n,
+        detail=(
+            f"orders P={a} Q={b}; n={n} kills a point on the {('P', 'Q')[side]} side "
+            f"and none on the other"
+        ),
+    )
 
 
-def _cor22_chunk(Ps, Qs, backend, chunk):
-    bads, goods = [], 0
-    for v in chunk:
-        if not backend.good_prime(list(Ps) + list(Qs), v):
-            bads.append(v)
-            continue
-        goods += 1
-        a = [backend.order_mod(P, v) for P in Ps]
-        b = [backend.order_mod(Q, v) for Q in Qs]
-        unmatched_a = [ai for ai in a if not any(ai % bj == 0 for bj in b)]
-        unmatched_b = [bj for bj in b if not any(bj % ai == 0 for ai in a)]
-        if unmatched_a or unmatched_b:
-            n = min(unmatched_a + unmatched_b)
-            side = "P" if n in unmatched_a else "Q"
-            w = Witness(
-                v=v,
-                n=n,
-                detail=(
-                    f"orders P={a} Q={b}; n={n} kills a point on the {side} side "
-                    f"and none on the other"
-                ),
-            )
-            return {"witness": w, "bads": bads, "goods": goods}
-    return {"witness": None, "bads": bads, "goods": goods}
+def _scan(condition_id, test, args, scan: PrimeRange, workers: int) -> ConditionReport:
+    chunks = split_chunks(numth.primes_in(scan), workers)
+    results = map_chunks(scan_chunk, [(test, args, c) for c in chunks], workers)
+    return merge_scan_results(condition_id, scan, results)
 
 
 def scan_erdos_union(xs, ys, scan: PrimeRange, workers: int = 1) -> ConditionReport:
@@ -202,33 +180,20 @@ def scan_erdos_union(xs, ys, scan: PrimeRange, workers: int = 1) -> ConditionRep
     xs, ys = tuple(int(x) for x in xs), tuple(int(y) for y in ys)
     if any(v < 2 for v in xs + ys):
         raise ValueError("support-union condition takes natural numbers >= 2")
-    primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, workers)
-    results = map_chunks(_erdos_chunk, [(xs, ys, c) for c in chunks], workers)
-    return merge_scan_results("erdos_union", scan, results)
+    return _scan("erdos_union", _erdos_test, (xs, ys), scan, workers)
 
 
 def scan_corrales_schoof(x, y, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
-    primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, workers)
-    results = map_chunks(_cs_chunk, [(x, y, backend, c) for c in chunks], workers)
-    return merge_scan_results("corrales_schoof", scan, results)
+    args = ("corrales_schoof", x, (y,), backend)
+    return _scan("corrales_schoof", _cover_test, args, scan, workers)
 
 
 def scan_thm2(P, Qs, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
-    primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, workers)
-    results = map_chunks(_thm2_chunk, [(P, tuple(Qs), backend, c) for c in chunks], workers)
-    return merge_scan_results("thm2", scan, results)
+    return _scan("thm2", _cover_test, ("thm2", P, tuple(Qs), backend), scan, workers)
 
 
 def scan_cor22(Ps, Qs, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
-    primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, workers)
-    results = map_chunks(
-        _cor22_chunk, [(tuple(Ps), tuple(Qs), backend, c) for c in chunks], workers
-    )
-    return merge_scan_results("cor22", scan, results)
+    return _scan("cor22", _cor22_test, (tuple(Ps), tuple(Qs), backend), scan, workers)
 
 
 def scan_condition(condition_id: str, inputs: dict, scan: PrimeRange, backend=None, workers: int = 1) -> ConditionReport:

@@ -112,14 +112,6 @@ class TestGroupLaw:
             T = CXX.point(x, 0)
             assert CXX.mul(2, T) == EC_IDENTITY
 
-    def test_dispatch_form(self):
-        G = C37.point(0, 0)
-        assert mwgroup.curve_arithmetic(C37, "add", G, EC_IDENTITY) == G
-        assert mwgroup.curve_arithmetic(C37, "negate", G) == C37.neg(G)
-        assert mwgroup.curve_arithmetic(C37, "scalar_mul", 2, G) == C37.point(1, 0)
-        with pytest.raises(ValueError):
-            mwgroup.curve_arithmetic(C37, "divide", G)
-
     def test_int_coordinates_coerced(self):
         P = EcPoint(2, -3)
         assert isinstance(P.x, Fraction)
