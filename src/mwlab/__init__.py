@@ -22,7 +22,6 @@ from .mwgroup import (
     EllipticGroup,
     MulPoint,
     MultiplicativeGroup,
-    ReducedPoint,
     WeierstrassCurve,
     curve_group_order,
     elliptic_independence_check,

@@ -18,13 +18,11 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import dependence, experiments, mwgroup, primesearch, support
+from . import dependence, experiments, mwgroup, numth, primesearch, support
 from .numth import PrimeRange
 from .primesearch import ValuationPattern
 
 OK, VIOLATED, INCONCLUSIVE, USAGE_ERROR, INTERNAL_ERROR = 0, 1, 2, 64, 70
-
-DEFAULT_SCAN = {"multiplicative": (3, 10_000), "elliptic": (3, 2_000)}
 
 
 class UsageError(Exception):
@@ -43,7 +41,6 @@ class RunConfig:
     scan: PrimeRange | None
     fmt: str
     workers: int
-    n_cap: int | None
     verify: tuple[int, int] | None
     payload: dict
 
@@ -110,8 +107,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", dest="fmt", default="json",
                        choices=("json", "csv", "text"))
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--n-cap", type=int, default=None,
-                       help="display bound recorded in the report")
         p.add_argument("--verify", default=None,
                        help="v:n - recheck a reported witness instead of scanning")
 
@@ -166,11 +161,14 @@ def parse_args(argv: list[str]) -> RunConfig:
     backend = _parse_backend(ns.backend) if hasattr(ns, "backend") else mwgroup.MultiplicativeGroup()
     scan = _parse_scan(ns.primes) if ns.primes else None
     if scan is None and ns.command != "experiment":
-        lo, hi = DEFAULT_SCAN[backend.kind]
-        scan = PrimeRange(lo, hi)
+        scan = PrimeRange(*backend.default_scan)
     workers = ns.workers
     if workers is None:
-        workers = int(os.environ.get("MWLAB_WORKERS", "1"))
+        text = os.environ.get("MWLAB_WORKERS", "1")
+        try:
+            workers = int(text)
+        except ValueError as exc:
+            raise UsageError(f"bad MWLAB_WORKERS {text!r} (need an integer)") from exc
     if workers < 1:
         raise UsageError("--workers must be >= 1")
     verify = _parse_verify(ns.verify) if getattr(ns, "verify", None) else None
@@ -192,15 +190,23 @@ def parse_args(argv: list[str]) -> RunConfig:
             payload["pattern"] = ValuationPattern(
                 ns.l, tuple(int(k) for k in _split_points(ns.ks))
             )
+            if len(payload["pattern"].ks) != len(payload["points"]):
+                raise UsageError("--ks needs one exponent per entry of --points")
+            if ns.max_hits < 1:
+                raise UsageError("--max-hits must be >= 1")
             payload["max_hits"] = ns.max_hits
             payload["density"] = ns.density
         elif ns.command == "replay":
             payload["P"] = backend.parse_point(ns.p)
             payload["Qs"] = [backend.parse_point(t) for t in _split_points(ns.qs)]
+            if not numth.is_prime(ns.l):
+                raise UsageError(f"--l {ns.l} is not prime")
             payload["l"] = ns.l
         elif ns.command == "detect":
             payload["Ps"] = [backend.parse_point(t) for t in _split_points(ns.points)]
             payload["generators"] = [backend.parse_point(t) for t in _split_points(ns.lam)]
+            if ns.coeff_bound < 0:
+                raise UsageError("--coeff-bound must be >= 0")
             payload["coeff_bound"] = ns.coeff_bound
         elif ns.command == "recover":
             payload["P"] = backend.parse_point(ns.p)
@@ -220,7 +226,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         scan=scan,
         fmt=ns.fmt,
         workers=workers,
-        n_cap=ns.n_cap,
         verify=verify,
         payload=payload,
     )
@@ -290,14 +295,12 @@ def run(config: RunConfig) -> tuple[int, dict]:
     pl = config.payload
     if config.command == "support-check":
         report = support.scan_erdos_union(pl["xs"], pl["ys"], config.scan, config.workers)
-        report = _with_ncap(report, config.n_cap)
         code = OK if report.verdict == "holds_on_scan" else VIOLATED
         return code, _envelope(config, {"report": report.to_dict()})
     if config.command == "cs-check":
         report = support.scan_corrales_schoof(
             pl["x"], pl["y"], config.backend, config.scan, config.workers
         )
-        report = _with_ncap(report, config.n_cap)
         code = OK if report.verdict == "holds_on_scan" else VIOLATED
         return code, _envelope(config, {"report": report.to_dict()})
     if config.command == "find-primes":
@@ -336,14 +339,13 @@ def run(config: RunConfig) -> tuple[int, dict]:
         result = dependence.detect_dependence(
             pl["Ps"], subgroup, config.scan, config.workers, pl["coeff_bound"]
         )
-        report = _with_ncap(result.report, config.n_cap)
         outcome = {
-            "report": report.to_dict(),
+            "report": result.report.to_dict(),
             "certificate": result.certificate.to_dict() if result.certificate else None,
             "certified_index": result.certified_index,
             "note": result.note,
         }
-        if report.verdict == "violated":
+        if result.report.verdict == "violated":
             return VIOLATED, _envelope(config, outcome)
         return (OK if result.certificate else INCONCLUSIVE), _envelope(config, outcome)
     if config.command == "recover":
@@ -358,21 +360,6 @@ def run(config: RunConfig) -> tuple[int, dict]:
         code = OK if aggregate["anomalies"] == 0 else VIOLATED
         return code, _envelope(config, {"experiment": aggregate})
     raise UsageError(f"unknown command {config.command!r}")
-
-
-def _with_ncap(report, n_cap):
-    if n_cap is None:
-        return report
-    from .reports import ConditionReport
-
-    return ConditionReport(
-        condition_id=report.condition_id,
-        verdict=report.verdict,
-        scanned=report.scanned,
-        witness=report.witness,
-        skipped_primes=report.skipped_primes,
-        n_bound=n_cap,
-    )
 
 
 # ---------------------------------------------------------------------------

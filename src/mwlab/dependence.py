@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import numth
 from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
-from .mwgroup import exponent_vector, rational_support, subgroup_closure_mod
+from .mwgroup import bounded_combinations, exponent_vector, rational_support, subgroup_closure_mod
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
 from .support import verify_witness
@@ -58,42 +58,37 @@ class RecoveryResult:
 
 
 def member_mod(P, subgroup: SubgroupSpec, v: int) -> bool:
-    """Is the reduction of P at v inside the reduced subgroup?
-
-    Multiplicative: F_v* is cyclic, so membership in the subgroup generated
-    by the L_j (whose order is lcm_j ord_v L_j) is exactly ord_v(P) dividing
-    that lcm. Elliptic: Sylow subgroup by Sylow subgroup, see
-    `_elliptic_member_raw`.
-    """
+    """Is the reduction of P at v inside the reduced subgroup? See `_member_raw`."""
     backend = subgroup.backend
     if not backend.good_prime([P] + list(subgroup.generators), v):
         raise ValueError(f"{v} is a bad prime for these points")
-    if backend.kind == "multiplicative":
-        target = math.lcm(*(backend.order_mod(L, v) for L in subgroup.generators)) if subgroup.generators else 1
-        return target % backend.order_mod(P, v) == 0
     raws = [backend.reduce_raw(L, v) for L in subgroup.generators]
-    return _elliptic_member_raw(backend, backend.reduce_raw(P, v), raws, v)
+    return _member_raw(backend, backend.reduce_raw(P, v), raws, v)
 
 
-def _elliptic_member_raw(backend, raw, raw_gens, v: int) -> bool:
-    """Is the reduced point raw in the subgroup H of E(F_v) generated by raw_gens?
+def _member_raw(backend, raw, raw_gens, v: int) -> bool:
+    """Is the reduced point raw in the subgroup H of the reduced group G
+    generated by raw_gens?
 
     raw lies in H exactly when, for every prime l | ord raw, its l-part lies
-    in the l-part of H; scaling by c = N / l^e (N = |E(F_v)|, e = v_l(N)) is
-    an automorphism of the l-Sylow subgroup, so c*raw and the c*L_j stand
-    for the l-parts. E(F_v) is Z/n1 x Z/n2 with n1 | n2 and n1 | v-1 (Weil pairing),
-    so the l-Sylow subgroup is cyclic unless l | v-1 and l^2 | N. In a cyclic
-    l-group, subgroups are ordered by size, so the l-valuations of the orders
-    decide; otherwise the l-parts, at most l^e points, are closed explicitly.
+    in the l-part of H. Where the l-Sylow subgroup of G is cyclic, its
+    subgroups are ordered by size, so the l-valuations of the orders decide;
+    together over all l that is ord raw dividing lcm_j ord L_j. The l-Sylow
+    subgroup can be non-cyclic only when l divides the backend's
+    `noncyclic_bound` and l^2 divides N = |G|; there the l-parts, scaled by
+    c = N / l^e (e = v_l(N), an automorphism of the l-Sylow subgroup), are
+    closed explicitly.
     """
     order = backend.raw_order(raw, v)
+    if math.lcm(*(backend.raw_order(g, v) for g in raw_gens)) % order:
+        return False
+    suspects = math.gcd(backend.noncyclic_bound(v), order)
+    if suspects == 1:
+        return True
     n = backend.group_order_mod(v)
-    gen_orders = [numth.factor(backend.raw_order(g, v)) for g in raw_gens]
-    for l, k in numth.factor(order).factors:
-        if k > max((f.exponent_of(l) for f in gen_orders), default=0):
-            return False
+    for l, _ in numth.factor(suspects).factors:
         e = numth.factor(n).exponent_of(l)
-        if e >= 2 and (v - 1) % l == 0:
+        if e >= 2:
             c = n // l**e
             parts = [backend.raw_scale(c, g, v) for g in raw_gens]
             if backend.raw_scale(c, raw, v) not in subgroup_closure_mod(backend, parts, v):
@@ -272,38 +267,18 @@ def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> Relatio
     alpha*P = identity are not real memberships and are skipped.
     """
     backend = subgroup.backend
-    gens = list(subgroup.generators)
-    multiples = []
-    for L in gens:
-        table = {0: backend.identity()}
-        for k in range(1, bound + 1):
-            table[k] = backend.combine(table[k - 1], L)
-            table[-k] = backend.invert(table[k])
-        multiples.append(table)
-    lambda_vectors = [()]
-    for _ in gens:
-        lambda_vectors = [
-            vec + (k,) for vec in lambda_vectors for k in range(-bound, bound + 1)
-        ]
     span: dict = {}
-    for vec in lambda_vectors:
-        acc = backend.identity()
-        for table, k in zip(multiples, vec):
-            acc = backend.combine(acc, table[k])
-        span.setdefault(_freeze(acc), vec)
+    for vec, acc in bounded_combinations(backend, subgroup.generators, bound):
+        span.setdefault(acc, vec)
     acc = backend.identity()
     for alpha in range(1, bound + 1):
         acc = backend.combine(acc, P)
         if backend.is_identity(acc):
             continue
-        vec = span.get(_freeze(acc))
+        vec = span.get(acc)
         if vec is not None:
             return RelationCertificate(kind="membership", coefficients=(alpha, *vec))
     return None
-
-
-def _freeze(point):
-    return (point.x, point.y)
 
 
 # ---------------------------------------------------------------------------

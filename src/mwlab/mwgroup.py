@@ -288,19 +288,19 @@ def _ec_order_from_multiple(curve: WeierstrassCurve, P, m: int, v: int) -> int:
     return m
 
 
-def _ec_killing_multiple(curve: WeierstrassCurve, Q, k0: int, count: int, v: int):
-    """Some k in [k0, k0 + count) with k*Q = O, by baby-step giant-step, or
-    None when the range holds no such k."""
+def _ec_bsgs(curve: WeierstrassCurve, P, target, k0: int, count: int, v: int):
+    """Least k in [k0, k0 + count) with k*P = target on raw points, by
+    baby-step giant-step, or None when the range holds no such k."""
     s = math.isqrt(count - 1) + 1  # s*s >= count
     baby: dict = {}
     R = None
     for i in range(s):
         baby.setdefault(R, i)
-        R = _ec_add_mod(curve, R, Q, v)
+        R = _ec_add_mod(curve, R, P, v)
     giant = _ec_neg_mod(curve, R, v)
-    # T = -(k0 + j*s)*Q; a hit T = i*Q means (k0 + j*s + i)*Q = O, and the
-    # least i per j makes the first hit the least k.
-    T = _ec_mul_mod(curve, -k0, Q, v)
+    # T = target - (k0 + j*s)*P; a hit T = i*P means (k0 + j*s + i)*P =
+    # target, and the least i per j makes the first hit the least k.
+    T = _ec_add_mod(curve, target, _ec_mul_mod(curve, -k0, P, v), v)
     for j in range(s):
         if T in baby:
             k = k0 + j * s + baby[T]
@@ -333,7 +333,7 @@ def _shanks_mestre_order(curve: WeierstrassCurve, v: int) -> int | None:
         P = (x, (root - u) * half % v)
         # Only multiples of L can be N: search k*L in the interval.
         k0 = -(-lo // L)
-        k = _ec_killing_multiple(curve, _ec_mul_mod(curve, L, P, v), k0, hi // L - k0 + 1, v)
+        k = _ec_bsgs(curve, _ec_mul_mod(curve, L, P, v), None, k0, hi // L - k0 + 1, v)
         if k is None:
             return None
         L = math.lcm(L, _ec_order_from_multiple(curve, P, k * L, v))
@@ -385,18 +385,6 @@ def _count_points_naive(coeffs: tuple[int, int, int, int, int], v: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Reduction artifact
-
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    """Image of a point at a good prime: residue in F_v* or point over F_v."""
-
-    v: int
-    value: object  # int residue (multiplicative) | None or (x, y) ints (elliptic)
-
-
-# ---------------------------------------------------------------------------
 # Backends
 
 
@@ -404,6 +392,7 @@ class MultiplicativeGroup:
     """Q* written additively; S is a finite excluded prime set (the S-unit view)."""
 
     kind = "multiplicative"
+    default_scan = (3, 10_000)
 
     def __init__(self, excluded_primes=()):
         self.excluded = frozenset(int(p) for p in excluded_primes)
@@ -457,18 +446,21 @@ class MultiplicativeGroup:
             raise ValueError(f"{v} is a bad prime for {P!r}")
         return num * pow(den, -1, v) % v
 
-    def reduce(self, P: MulPoint, v: int) -> ReducedPoint:
-        if not self.good_prime([P], v):
-            raise ValueError(f"{v} is a bad prime for {P!r}")
-        return ReducedPoint(v, self.reduce_raw(P, v))
-
     def group_order_mod(self, v: int) -> int:
         return v - 1
+
+    def noncyclic_bound(self, v: int) -> int:
+        """F_v* is cyclic."""
+        return 1
 
     def order_mod(self, P: MulPoint, v: int) -> int:
         if not self.good_prime([P], v):
             raise ValueError(f"{v} is a bad prime for {P!r}")
-        return numth.multiplicative_order(self.reduce_raw(P, v), v)
+        return self.raw_order(self.reduce_raw(P, v), v)
+
+    def raw_order(self, raw, v: int) -> int:
+        """Exact order of a reduced residue in F_v*."""
+        return numth.multiplicative_order(raw, v)
 
     def raw_identity(self, v: int):
         return 1
@@ -511,6 +503,7 @@ class EllipticGroup:
     """E(Q) for a fixed long Weierstrass curve with integer coefficients."""
 
     kind = "elliptic"
+    default_scan = (3, 2_000)
 
     def __init__(self, curve: WeierstrassCurve):
         self.curve = curve
@@ -548,11 +541,6 @@ class EllipticGroup:
         y = P.y.numerator % v * pow(P.y.denominator % v, -1, v) % v
         return (x, y)
 
-    def reduce(self, P: EcPoint, v: int) -> ReducedPoint:
-        if not self.good_prime([P], v):
-            raise ValueError(f"{v} is a bad prime for {P!r}")
-        return ReducedPoint(v, self.reduce_raw(P, v))
-
     def group_order_mod(self, v: int) -> int:
         if self.curve.discriminant % v == 0:
             raise ValueError(f"{v} divides the discriminant")
@@ -563,6 +551,11 @@ class EllipticGroup:
         if abs(order - (v + 1)) > math.isqrt(4 * v):
             raise ArithmeticError(f"point count {order} violates the Hasse bound at {v}")
         return order
+
+    def noncyclic_bound(self, v: int) -> int:
+        """gcd(v-1, |E(F_v)|): E(F_v) is Z/n1 x Z/n2 with n1 | n2 and, by the
+        Weil pairing, n1 | v-1, so n1 divides this bound."""
+        return math.gcd(v - 1, self.group_order_mod(v))
 
     def order_mod(self, P: EcPoint, v: int) -> int:
         if not self.good_prime([P], v):
@@ -588,25 +581,9 @@ class EllipticGroup:
         return _ec_mul_mod(self.curve, n, raw, v)
 
     def dlog_mod(self, P: EcPoint, Q: EcPoint, v: int) -> int | None:
-        """Baby-step giant-step on E(F_v) inside the cyclic group <P mod v>."""
+        """Least e >= 0 with e*P = Q (mod v), or None when Q is outside <P>."""
         t = self.order_mod(P, v)
-        rawP = self.reduce_raw(P, v)
-        rawQ = self.reduce_raw(Q, v)
-        m = math.isqrt(t) + 1
-        table: dict = {}
-        e = None
-        for j in range(m):
-            table.setdefault(e, j)
-            e = _ec_add_mod(self.curve, e, rawP, v)
-        giant = _ec_mul_mod(self.curve, -m, rawP, v)
-        gamma = rawQ
-        for i in range(m + 1):
-            if gamma in table:
-                found = i * m + table[gamma]
-                if found < t:
-                    return found
-            gamma = _ec_add_mod(self.curve, gamma, giant, v)
-        return None
+        return _ec_bsgs(self.curve, self.reduce_raw(P, v), self.reduce_raw(Q, v), 0, t, v)
 
     # -- torsion ------------------------------------------------------------
 
@@ -855,27 +832,14 @@ def elliptic_independence_check(backend: EllipticGroup, points, bound: int = 10,
     surfaced; False means the points are definitely or almost certainly
     dependent.
     """
-    import itertools
-
     points = list(points)
-    multiples = []
-    for P in points:
-        table = {0: backend.identity()}
-        for n in range(1, bound + 1):
-            table[n] = backend.combine(table[n - 1], P)
-            table[-n] = backend.invert(table[n])
-        multiples.append(table)
-    vectors = [
-        vec
-        for vec in itertools.product(range(-bound, bound + 1), repeat=len(points))
-        if any(vec)
-    ]
-    for vec in vectors:
-        acc = backend.identity()
-        for n, table in zip(vec, multiples):
-            acc = backend.combine(acc, table[n])
+    vectors = []
+    for vec, acc in bounded_combinations(backend, points, bound):
+        if not any(vec):
+            continue
         if backend.is_identity(acc):
             return False
+        vectors.append(vec)
     good = []
     v = 3
     while len(good) < prime_count:
@@ -892,6 +856,27 @@ def elliptic_independence_check(backend: EllipticGroup, points, bound: int = 10,
         ):
             return False  # vanishes at every sampled prime: dependent in practice
     return True
+
+
+def bounded_combinations(backend, points, bound: int):
+    """Yield (vec, sum vec_i * P_i) for every vec in [-bound, bound]^s, in
+    itertools.product order, from one table of multiples per point."""
+    tables = []
+    for P in points:
+        multiples = [backend.identity()]
+        for _ in range(bound):
+            multiples.append(backend.combine(multiples[-1], P))
+        negatives = [backend.invert(M) for M in reversed(multiples[1:])]
+        tables.append(list(zip(range(-bound, bound + 1), negatives + multiples)))
+
+    def extend(vec, acc):
+        if len(vec) == len(tables):
+            yield vec, acc
+            return
+        for k, M in tables[len(vec)]:
+            yield from extend(vec + (k,), backend.combine(acc, M))
+
+    return extend((), backend.identity())
 
 
 def _raw_combination(backend, coefficients, raw_points, v: int):

@@ -45,7 +45,6 @@ class ConditionReport:
     scanned: tuple[int, int]
     witness: Witness | None
     skipped_primes: tuple[int, ...] = ()
-    n_bound: int | None = None
 
     def __post_init__(self):
         if self.condition_id not in CONDITION_IDS:
@@ -61,12 +60,12 @@ class ConditionReport:
             "verdict": self.verdict,
             "witness": self.witness.to_dict() if self.witness else None,
             "scanned": {"lo": self.scanned[0], "hi": self.scanned[1]},
-            "n_bound": self.n_bound,
+            "n_bound": None,  # retired field, kept so report bytes stay stable
             "skipped_primes": list(self.skipped_primes),
         }
 
 
-def merge_scan_results(condition_id: str, scan, results, n_bound=None) -> ConditionReport:
+def merge_scan_results(condition_id: str, scan, results) -> ConditionReport:
     """Combine per-chunk scan results into a chunk-count-independent report.
 
     `results` follow ascending chunk order; each is a dict with keys
@@ -90,7 +89,6 @@ def merge_scan_results(condition_id: str, scan, results, n_bound=None) -> Condit
         scanned=(scan.lo, scan.hi),
         witness=witness,
         skipped_primes=tuple(sorted(bads)),
-        n_bound=n_bound,
     )
 
 
@@ -99,18 +97,16 @@ class RelationCertificate:
     """Exact conclusion artifact; every certified identity re-verifies in B(Q).
 
     kind "membership": coefficients = (alpha, *lambdas), index names which
-    point; kind "exponent": coefficients = (d,); kind "match": coefficients =
-    (*sigma, *deltas) for a permutation with signs. residual_torsion is
-    reserved for identities carrying a torsion summand.
+    point; kind "match": coefficients = (*sigma, *deltas) for a permutation
+    with signs.
     """
 
     kind: str
     coefficients: tuple[int, ...]
     index: int | None = None
-    residual_torsion: object = None
 
     def __post_init__(self):
-        if self.kind not in ("membership", "exponent", "match"):
+        if self.kind not in ("membership", "match"):
             raise ValueError(f"unknown certificate kind {self.kind!r}")
 
     def to_dict(self) -> dict:
@@ -119,14 +115,9 @@ class RelationCertificate:
             out["index"] = self.index
             out["alpha"] = self.coefficients[0]
             out["lambdas"] = list(self.coefficients[1:])
-        elif self.kind == "exponent":
-            out["index"] = self.index
-            out["d"] = self.coefficients[0]
         else:
             half = len(self.coefficients) // 2
             out["sigma"] = list(self.coefficients[:half])
             out["deltas"] = list(self.coefficients[half:])
-        out["residual_torsion"] = (
-            None if self.residual_torsion is None else str(self.residual_torsion)
-        )
+        out["residual_torsion"] = None  # retired field, kept for stable bytes
         return out

@@ -88,6 +88,31 @@ class TestUsageErrors:
         code, _ = run_cli(capsys, "cs-check", "--x", "2", "--y", "4", "--backend", "weird")
         assert code == USAGE_ERROR
 
+    def test_non_integer_workers_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MWLAB_WORKERS", "abc")
+        code, _ = run_cli(capsys, "support-check", "--xs", "2", "--ys", "8")
+        assert code == USAGE_ERROR
+
+    def test_composite_replay_prime(self, capsys):
+        code, _ = run_cli(capsys, "replay", "--p", "2", "--qs", "3", "--l", "4")
+        assert code == USAGE_ERROR
+
+    def test_pattern_length_mismatch(self, capsys):
+        code, _ = run_cli(capsys, "find-primes", "--points", "2,3", "--l", "5", "--ks", "1")
+        assert code == USAGE_ERROR
+
+    def test_zero_max_hits(self, capsys):
+        code, _ = run_cli(
+            capsys, "find-primes", "--points", "2", "--l", "5", "--ks", "1", "--max-hits", "0"
+        )
+        assert code == USAGE_ERROR
+
+    def test_negative_coeff_bound(self, capsys):
+        code, _ = run_cli(
+            capsys, "detect", "--points", "360", "--lambda", "6,10", "--coeff-bound", "-1"
+        )
+        assert code == USAGE_ERROR
+
 
 class TestRun:
     def test_support_check_violation(self, capsys):
@@ -175,11 +200,6 @@ class TestRun:
             capsys, "detect", "--points", "7", "--lambda", "6,10", "--primes", "7..5000"
         )
         assert code == VIOLATED
-
-    def test_n_cap_recorded(self, capsys):
-        code, out = run_cli(capsys, "support-check", "--xs", "2", "--ys", "8",
-                            "--n-cap", "100")
-        assert json.loads(out)["outcome"]["report"]["n_bound"] == 100
 
     def test_experiment_zero_trials(self, capsys):
         code, out = run_cli(capsys, "experiment", "--suite", "erdos", "--trials", "0")

@@ -1,14 +1,16 @@
 """Fast paths against the slow exact oracles they replace: Shanks-Mestre
 point counts against enumeration, Sylow-local membership against subgroup
-closure, and the modular square root against a table of squares."""
+closure, elliptic discrete logs against enumeration of <P mod v>, and the
+modular square root against a table of squares."""
 
 import itertools
 
 import pytest
 
 from mwlab import dependence, mwgroup
-from mwlab.dependence import SubgroupSpec, _elliptic_member_raw, member_mod
+from mwlab.dependence import SubgroupSpec, _member_raw, member_mod
 from mwlab.mwgroup import (
+    EC_IDENTITY,
     EllipticGroup,
     WeierstrassCurve,
     _count_points_naive,
@@ -95,6 +97,33 @@ class TestPointCount:
         assert len(fallbacks) <= 0.05 * len(primes)
 
 
+class TestEllipticDlog:
+    @pytest.mark.parametrize("curve", [C37, C389], ids=["37a", "389a"])
+    def test_against_enumeration(self, curve):
+        # Pairs (P, Q) with Q in <P> (several multiples, the identity) and,
+        # at some primes, outside it: B is independent of A on 389a, and A
+        # lies in <2A mod v> only where ord_v A is odd.
+        E = EllipticGroup(curve)
+        A = curve.point(0, 0)
+        B = curve.point(1, 0) if curve == C389 else curve.neg(A)
+        pairs = [(A, EC_IDENTITY), (A, curve.mul(7, A)), (A, curve.neg(A)),
+                 (A, B), (curve.mul(2, A), A), (B, curve.add(curve.mul(3, B), A))]
+        answers = set()
+        for v in good_primes(curve, 3, 300):
+            for P, Q in pairs:
+                if not E.good_prime([P, Q], v):
+                    continue
+                rawP = E.reduce_raw(P, v)
+                index, R = {None: 0}, _ec_add_mod(curve, None, rawP, v)
+                while R is not None:
+                    index[R] = len(index)
+                    R = _ec_add_mod(curve, R, rawP, v)
+                expected = index.get(E.reduce_raw(Q, v))
+                assert E.dlog_mod(P, Q, v) == expected, (v, P, Q)
+                answers.add(None if expected is None else min(expected, 1))
+        assert answers == {None, 0, 1}
+
+
 class TestSylowMembership:
     def test_rank_two_curve_against_closure(self, monkeypatch):
         E = EllipticGroup(C389)
@@ -138,7 +167,7 @@ class TestSylowMembership:
                 for subset in itertools.combinations(gens, r):
                     closure = subgroup_closure_mod(E, list(subset), v)
                     for raw in targets:
-                        got = _elliptic_member_raw(E, raw, list(subset), v)
+                        got = _member_raw(E, raw, list(subset), v)
                         assert got == (raw in closure), (v, subset, raw)
                         answers.add(got)
         assert answers == {True, False}

@@ -139,21 +139,21 @@ class TestGoodPrimeAndReduce:
 
     def test_reduce_identity_to_identity(self):
         M = MultiplicativeGroup()
-        assert M.reduce(MulPoint(1), 13).value == 1
+        assert M.reduce_raw(MulPoint(1), 13) == 1
         E = EllipticGroup(C37)
-        assert E.reduce(EC_IDENTITY, 13).value is None
+        assert E.reduce_raw(EC_IDENTITY, 13) is None
 
     def test_reduce_known_values(self):
         M = MultiplicativeGroup()
-        assert M.reduce(MulPoint(Fraction(3, 2)), 5).value == 4
+        assert M.reduce_raw(MulPoint(Fraction(3, 2)), 5) == 4
         E = EllipticGroup(C37)
-        assert E.reduce(C37.point(0, 0), 5).value == (0, 0)
+        assert E.reduce_raw(C37.point(0, 0), 5) == (0, 0)
 
     def test_reduce_rejects_bad_prime(self):
+        assert MultiplicativeGroup().good_prime([MulPoint(Fraction(3, 2))], 2) is False
         with pytest.raises(ValueError):
-            MultiplicativeGroup().reduce(MulPoint(Fraction(3, 2)), 2)
-        with pytest.raises(ValueError):
-            EllipticGroup(C37).reduce(C37.point(0, 0), 37)
+            MultiplicativeGroup().reduce_raw(MulPoint(Fraction(3, 2)), 2)
+        assert EllipticGroup(C37).good_prime([C37.point(0, 0)], 37) is False
 
 
 class TestCurveOrder:
