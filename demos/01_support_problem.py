@@ -35,7 +35,7 @@ for m in (1, 15, 63, 2**10 - 1):
 print()
 print("supp(2^n - 1) for a few n, computed from orders (never forming 2^n - 1):")
 for n in (1, 4, 11, 2**40):
-    primes = sorted(support_union_at_n([2], n, 200).primes)
+    primes = sorted(support_union_at_n([2], n, 200))
     print(f"  n = {n}: primes up to 200 dividing 2^n - 1: {primes}")
 
 print()

@@ -23,7 +23,6 @@ from .mwgroup import (
     MulPoint,
     MultiplicativeGroup,
     WeierstrassCurve,
-    curve_group_order,
     elliptic_independence_check,
     multiplicative_independence,
     torsion_order_stability,
@@ -50,7 +49,6 @@ from .primesearch import (
 )
 from .reports import ConditionReport, RelationCertificate, Witness
 from .support import (
-    SupportSet,
     corrales_schoof_at_prime,
     divisibility_cover_at_prime,
     erdos_exact_at_prime,

@@ -91,9 +91,14 @@ def _parse_verify(text: str) -> tuple[int, int]:
         raise UsageError(f"bad --verify {text!r} (use v:n)")
     v, _, n = text.partition(":")
     try:
-        return int(v), int(n)
+        v, n = int(v), int(n)
     except ValueError as exc:
         raise UsageError(f"bad --verify {text!r}") from exc
+    if not numth.is_prime(v):
+        raise UsageError(f"--verify prime {v} is not prime")
+    if n < 1:
+        raise UsageError(f"--verify n must be >= 1, got {n}")
+    return v, n
 
 
 def _build_parser() -> _Parser:
@@ -269,20 +274,25 @@ def _run_verify(config: RunConfig) -> tuple[int, dict]:
     v, n = config.verify
     pl = config.payload
     if config.command == "support-check":
-        ok = support.verify_witness("erdos_union", {"xs": pl["xs"], "ys": pl["ys"]}, v, n)
+        points = [mwgroup.MulPoint(x) for x in pl["xs"] + pl["ys"]]
+        condition, inputs = "erdos_union", {"xs": pl["xs"], "ys": pl["ys"]}
     elif config.command == "cs-check":
-        ok = support.verify_witness(
-            "corrales_schoof", {"x": pl["x"], "y": pl["y"]}, v, n, backend=config.backend
-        )
+        points = [pl["x"], pl["y"]]
+        condition, inputs = "corrales_schoof", {"x": pl["x"], "y": pl["y"]}
     elif config.command == "replay":
-        ok = support.verify_witness(
-            "thm2", {"P": pl["P"], "Qs": pl["Qs"]}, v, n, backend=config.backend
-        )
+        points = [pl["P"], *pl["Qs"]]
+        condition, inputs = "thm2", {"P": pl["P"], "Qs": pl["Qs"]}
     elif config.command == "detect":
+        points = [*pl["Ps"], *pl["generators"]]
+    else:
+        raise UsageError(f"--verify does not apply to {config.command}")
+    if not config.backend.good_prime(points, v):
+        raise UsageError(f"--verify prime {v} is a bad prime for these points")
+    if config.command == "detect":
         subgroup = dependence.SubgroupSpec(tuple(pl["generators"]), config.backend)
         ok = dependence.verify_detect_witness(pl["Ps"], subgroup, v, n)
     else:
-        raise UsageError(f"--verify does not apply to {config.command}")
+        ok = support.verify_witness(condition, inputs, v, n, backend=config.backend)
     outcome = {"verify": {"v": v, "n": n, "reproduced": bool(ok)}}
     return (OK if ok else INTERNAL_ERROR), outcome
 

@@ -1,8 +1,8 @@
 """Linear-dependence detection through reduction maps: per-prime membership
 tests, a scanning detector, and exact conclusion certificates.
 
-The multiplicative backend has a genuine oracle (integer linear algebra on
-exponent vectors with a sign coordinate); the elliptic backend certifies by
+The multiplicative backend has a genuine oracle (the signed lattice of
+integer relations, `mwgroup.unit_relations`); the elliptic backend certifies by
 bounded coefficient search and reports exhaustion as inconclusive rather
 than refuting.
 """
@@ -10,12 +10,11 @@ than refuting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from . import numth
 from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
-from .mwgroup import bounded_combinations, exponent_vector, rational_support, subgroup_closure_mod
+from .mwgroup import bounded_combinations, subgroup_closure_mod, unit_relations
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
 from .support import verify_witness
@@ -134,26 +133,17 @@ def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
     if report.verdict == "violated":
         return DetectionResult(report, None, None, None)
     if backend.kind == "multiplicative":
-        for i, P in enumerate(Ps):
-            cert = exact_membership_multiplicative(P, subgroup)
-            if cert is not None:
-                cert = RelationCertificate(
-                    kind="membership", coefficients=cert.coefficients, index=i
-                )
-                return DetectionResult(report, cert, i, None)
-        return DetectionResult(
-            report, None, None, "hypothesis holds on scan but the exact oracle refutes every point"
-        )
+        certify = exact_membership_multiplicative
+        note = "hypothesis holds on scan but the exact oracle refutes every point"
+    else:
+        def certify(P, subgroup):
+            return _bounded_membership_search(P, subgroup, coeff_bound)
+        note = f"inconclusive (elliptic bounded search exhausted at |coefficients| <= {coeff_bound})"
     for i, P in enumerate(Ps):
-        cert = _bounded_membership_search(P, subgroup, coeff_bound)
+        cert = certify(P, subgroup)
         if cert is not None:
-            cert = RelationCertificate(
-                kind="membership", coefficients=cert.coefficients, index=i
-            )
-            return DetectionResult(report, cert, i, None)
-    return DetectionResult(
-        report, None, None, f"inconclusive (elliptic bounded search exhausted at |coefficients| <= {coeff_bound})"
-    )
+            return DetectionResult(report, replace(cert, index=i), i, None)
+    return DetectionResult(report, None, None, note)
 
 
 def verify_detect_witness(Ps, subgroup: SubgroupSpec, v: int, n: int) -> bool:
@@ -168,12 +158,14 @@ def verify_detect_witness(Ps, subgroup: SubgroupSpec, v: int, n: int) -> bool:
             backend=backend,
         )
     raws = [backend.reduce_raw(L, v) for L in subgroup.generators]
+    if not all(backend.raw_is_identity(backend.raw_scale(n, g, v), v) for g in raws):
+        return False
     closure = subgroup_closure_mod(backend, raws, v)
     return all(backend.reduce_raw(P, v) not in closure for P in Ps)
 
 
 # ---------------------------------------------------------------------------
-# Exact oracle on the exponent lattice (multiplicative backend)
+# Exact oracle on the relation lattice (multiplicative backend)
 
 
 def exact_membership_multiplicative(P, subgroup: SubgroupSpec) -> RelationCertificate | None:
@@ -181,79 +173,36 @@ def exact_membership_multiplicative(P, subgroup: SubgroupSpec) -> RelationCertif
     plus its expression in the generators; None when no power of P lands
     in the subgroup (other than the identity itself).
 
-    Solves the integer linear system on prime-exponent vectors and fixes the
-    torsion sign {1, -1} by a mod-2 coordinate. alpha with P^alpha = 1 is
+    A relation (e_1, ..., e_s, e) among L_1, ..., L_s, P from
+    `unit_relations` says P^(-e) = prod L_j^e_j, so the least alpha is the
+    gcd of the last coordinates of its basis. alpha with P^alpha = 1 is
     never certified: for nontorsion P it cannot occur, and for torsion P the
     interesting question is whether P itself (an odd power) is inside.
     """
-    gens = list(subgroup.generators)
     p_val = P.value
-    gen_vals = [L.value for L in gens]
+    gen_vals = [L.value for L in subgroup.generators]
     if p_val == 1:
         return None  # only trivial powers; nothing nontrivial to certify
-    primes = sorted(
-        set().union(rational_support(p_val), *(rational_support(g) for g in gen_vals))
-    )
-    s = len(gens)
-    e_p = exponent_vector(p_val, primes)
-    e_gen = [exponent_vector(g, primes) for g in gen_vals]
-    # Unknowns c = (lambda_1, ..., lambda_s, alpha); rows demand
-    # sum_j lambda_j e_j = alpha * e_P on every prime coordinate.
-    rows = [[e_gen[j][i] for j in range(s)] + [-e_p[i]] for i in range(len(primes))]
-    kernel = numth.integer_kernel(rows, s + 1)
-    if not kernel:
-        return None
-    # Smallest achievable positive alpha is the gcd of kernel alpha-coords.
     d, combo = 0, None
-    for b in kernel:
-        a = b[-1]
-        if a == 0:
+    for b in unit_relations([*gen_vals, p_val]):
+        if b[-1] == 0:
             continue
         if combo is None:
-            d, combo = a, list(b)
+            d, combo = b[-1], b
         else:
-            g, x, y = numth.xgcd(d, a)
+            d, x, y = numth.xgcd(d, b[-1])
             combo = [x * u + y * w for u, w in zip(combo, b)]
-            d = g
     if combo is None:
         return None
-    if d < 0:
-        d, combo = -d, [-c for c in combo]
-    # Lattice of alpha = 0 solutions, for adjusting the sign coordinate.
-    zero_basis = []
-    for b in kernel:
-        z = [u - (b[-1] // d) * w for u, w in zip(b, combo)]
-        if any(z):
-            zero_basis.append(z)
-
-    sign_p = 0 if p_val > 0 else 1
-    sign_gen = [0 if g > 0 else 1 for g in gen_vals]
-
-    def sign_gap(vec) -> int:
-        # alpha * s_P - sum lambda_j s_j mod 2: zero means the signs match.
-        return (vec[-1] * sign_p + sum(l * sg for l, sg in zip(vec[:-1], sign_gen))) % 2
-
-    for m in (1, 2):
-        alpha = m * d
-        if abs(p_val) == 1 and alpha % 2 == 0:
-            continue  # P^alpha would be the identity; not a real membership
-        base = [m * c for c in combo]
-        if sign_gap(base) == 0:
-            chosen = base
-        else:
-            fix = next((z for z in zero_basis if sign_gap(z) == 1), None)
-            if fix is None:
-                continue
-            chosen = [u + w for u, w in zip(base, fix)]
-        lambdas = chosen[:-1]
-        check = Fraction(1)
-        for g, l in zip(gen_vals, lambdas):
-            check *= g**l
-        assert check == p_val**alpha, "membership certificate failed re-verification"
-        return RelationCertificate(
-            kind="membership", coefficients=(alpha, *lambdas)
-        )
-    return None
+    if d > 0:
+        combo = [-c for c in combo]  # make the exponent of P equal to -alpha
+    alpha = abs(d)
+    if abs(p_val) == 1 and alpha % 2 == 0:
+        return None  # P^alpha would be the identity; not a real membership
+    lambdas = combo[:-1]
+    check = math.prod(g**l for g, l in zip(gen_vals, lambdas))
+    assert check == p_val**alpha, "membership certificate failed re-verification"
+    return RelationCertificate(kind="membership", coefficients=(alpha, *lambdas))
 
 
 # ---------------------------------------------------------------------------

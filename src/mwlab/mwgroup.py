@@ -35,10 +35,6 @@ class MulPoint:
         object.__setattr__(self, "value", f)
 
     @property
-    def sign(self) -> int:
-        return 1 if self.value > 0 else -1
-
-    @property
     def numerator(self) -> int:
         return abs(self.value.numerator)
 
@@ -730,11 +726,6 @@ def _integer_cubic_roots(A: int, C: int) -> list[int]:
 # Module-level operation surface
 
 
-def curve_group_order(curve: WeierstrassCurve, v: int) -> int:
-    """|E(F_v)| at a prime of good reduction, Hasse-checked."""
-    return EllipticGroup(curve).group_order_mod(v)
-
-
 def _torsion_stability_test(backend, T, expected: int, v: int):
     if not backend.good_prime([T], v):
         return BAD_PRIME
@@ -759,65 +750,47 @@ def torsion_order_stability(backend, T, scan: PrimeRange, workers: int = 1) -> C
     return merge_scan_results("torsion_stability", scan, results)
 
 
-def exponent_vector(value: Fraction, primes: list[int]) -> list[int]:
-    """Exponents of `primes` in a nonzero rational (negative for denominator primes)."""
-    out = []
-    num, den = abs(value.numerator), value.denominator
-    for p in primes:
-        e = 0
-        while num % p == 0:
-            num //= p
-            e += 1
-        while den % p == 0:
-            den //= p
-            e -= 1
-        out.append(e)
-    return out
+def unit_relations(values) -> list[list[int]]:
+    """Basis of the lattice {e : prod values[i]**e[i] == 1} of a list of
+    nonzero rationals, the sign included.
 
+    The integer kernel of the prime-exponent matrix holds the vectors whose
+    product is +1 or -1; the product is -1 exactly when the exponents on the
+    negative entries have an odd sum. The +1 vectors have index at most 2 in
+    that kernel, so they are spanned by the even kernel vectors, each odd one
+    minus the first odd one (the pivot), and twice the pivot.
+    """
+    values = [Fraction(x) for x in values]
+    if any(x == 0 for x in values):
+        raise ValueError("0 is not a point of the multiplicative group")
+    parts = [(numth.factor(abs(x.numerator)), numth.factor(x.denominator)) for x in values]
+    primes = sorted({p for pair in parts for f in pair for p in f.primes})
+    rows = [[num.exponent_of(p) - den.exponent_of(p) for num, den in parts] for p in primes]
+    kernel = numth.integer_kernel(rows, len(values))
 
-def rational_support(value: Fraction) -> set[int]:
-    """Primes dividing numerator or denominator."""
-    out = set(numth.factor(abs(value.numerator)).primes)
-    out.update(numth.factor(value.denominator).primes)
-    return out
+    def odd(vec) -> bool:
+        return sum(e for x, e in zip(values, vec) if x < 0) % 2 == 1
+
+    evens = [b for b in kernel if not odd(b)]
+    odds = [b for b in kernel if odd(b)]
+    if not odds:
+        return evens
+    pivot = odds[0]
+    return evens + [[u - w for u, w in zip(b, pivot)] for b in odds[1:]] + [[2 * u for u in pivot]]
 
 
 def multiplicative_independence(points) -> tuple[int, ...] | None:
     """None when the rationals are multiplicatively independent, else a
-    nonzero integer vector (e_1, ..., e_t) with prod x_i**e_i == 1.
-
-    Works on the exponent lattice over the union of prime supports; a kernel
-    vector of the exponent matrix multiplies to +1 or -1, and the torsion
-    coordinate {1, -1} is fixed exactly by combining or doubling.
-    """
+    nonzero integer vector (e_1, ..., e_t) with prod x_i**e_i == 1: the first
+    vector of `unit_relations`, its first nonzero entry made positive."""
     values = [P.value if isinstance(P, MulPoint) else Fraction(P) for P in points]
-    if any(val == 0 for val in values):
-        raise ValueError("0 is not a point of the multiplicative group")
-    primes = sorted(set().union(set(), *(rational_support(val) for val in values)))
-    vectors = [exponent_vector(val, primes) for val in values]
-    rows = [[vectors[j][i] for j in range(len(values))] for i in range(len(primes))]
-    basis = numth.integer_kernel(rows, len(values))
+    basis = unit_relations(values)
     if not basis:
         return None
-
-    def product_sign(vec) -> int:
-        acc = Fraction(1)
-        for val, e in zip(values, vec):
-            acc *= val**e
-        assert acc in (1, -1), "kernel vector does not multiply to a unit"
-        return 1 if acc == 1 else -1
-
-    positives = [b for b in basis if product_sign(b) == 1]
-    if positives:
-        rel = positives[0]
-    elif len(basis) >= 2:
-        rel = [a + b for a, b in zip(basis[0], basis[1])]
-    else:
-        rel = [2 * c for c in basis[0]]
-    assert product_sign(rel) == 1
-    first = next(c for c in rel if c)
-    if first < 0:
+    rel = basis[0]
+    if next(c for c in rel if c) < 0:
         rel = [-c for c in rel]
+    assert math.prod(x**e for x, e in zip(values, rel)) == 1, "relation failed re-verification"
     return tuple(rel)
 
 

@@ -9,20 +9,10 @@ bound only the prime, never n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import numth
 from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Primes up to a bound dividing the target value."""
-
-    modulus_bound: int
-    primes: frozenset[int]
 
 
 def support_of(m: int) -> set[int]:
@@ -32,7 +22,7 @@ def support_of(m: int) -> set[int]:
     return set(numth.factor(m).primes)
 
 
-def support_union_at_n(xs, n: int, bound: int) -> SupportSet:
+def support_union_at_n(xs, n: int, bound: int) -> frozenset[int]:
     """{p <= bound : p | x^n - 1 for some x}, without forming x^n - 1.
 
     p | x^n - 1 iff p does not divide x and ord_p(x) | n.
@@ -45,7 +35,7 @@ def support_union_at_n(xs, n: int, bound: int) -> SupportSet:
             if x % p != 0 and n % numth.multiplicative_order(x, p) == 0:
                 hits.add(p)
                 break
-    return SupportSet(bound, frozenset(hits))
+    return frozenset(hits)
 
 
 def covers(order: int, orders) -> bool:

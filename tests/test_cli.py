@@ -237,6 +237,35 @@ class TestVerifyMode:
         assert code == INTERNAL_ERROR
         assert json.loads(out)["outcome"]["verify"]["reproduced"] is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("support-check", "--xs", "2", "--ys", "8", "--verify", "9:2"),  # composite v
+            ("support-check", "--xs", "2", "--ys", "8", "--verify", "0:1"),  # v = 0
+            ("cs-check", "--x", "2", "--y", "4", "--verify", "2:1"),  # bad prime
+            ("support-check", "--xs", "2", "--ys", "8", "--verify", "7:0"),  # n < 1
+            ("detect", "--backend", "ec:0,0,1,-1,0", "--points", "(0,0)",
+             "--lambda", "(1,-1)", "--primes", "3..300", "--verify", "5:-4"),  # n < 1
+        ],
+        ids=["composite", "zero", "bad-prime", "n-zero", "n-negative"],
+    )
+    def test_rejects_invalid_witness_input(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == USAGE_ERROR
+        assert out == ""
+
+    def test_elliptic_witness_checks_n(self, capsys):
+        base = ("detect", "--backend", "ec:0,0,1,-1,0", "--points", "(0,0)",
+                "--lambda", "(1,-1)", "--primes", "3..300")
+        code, out = run_cli(capsys, *base)
+        w = json.loads(out)["outcome"]["report"]["witness"]
+        assert (w["v"], w["n"]) == (5, 4)
+        assert run_cli(capsys, *base, "--verify", "5:4")[0] == OK
+        for n in (1, 3, 7):
+            code, out = run_cli(capsys, *base, "--verify", f"5:{n}")
+            assert code == INTERNAL_ERROR
+            assert json.loads(out)["outcome"]["verify"]["reproduced"] is False
+
     def test_emitted_witness_reverifies_via_flag(self, capsys):
         code, out = run_cli(capsys, "support-check", "--xs", "6", "--ys", "12")
         w = json.loads(out)["outcome"]["report"]["witness"]

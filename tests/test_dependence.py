@@ -143,6 +143,22 @@ class TestExactMembership:
         cert = exact_membership_multiplicative(MulPoint(Fraction(9, 4)), lam)
         assert cert.coefficients == (1, 2, 0)
 
+    @pytest.mark.parametrize(
+        "gens", [(-2, 2), (4, 8), (-1,), (Fraction(2, 3), Fraction(3, 2)), (-4, 6)], ids=str
+    )
+    def test_alpha_is_least_on_signed_and_dependent_generators(self, gens):
+        points = [1, -1, 2, -2, 4, -4, 8, -8, 16, 64, Fraction(1, 2), Fraction(-1, 8),
+                  3, 6, Fraction(9, 4), Fraction(-3, 2), Fraction(2, 3), Fraction(4, 9)]
+        lam = SubgroupSpec(tuple(MulPoint(g) for g in gens), M)
+        for x in points:
+            cert = exact_membership_multiplicative(MulPoint(x), lam)
+            brute = brute_membership(x, gens, alpha_bound=6, lam_bound=6)
+            if brute is None:
+                assert cert is None or cert.coefficients[0] > 6 or max(
+                    abs(l) for l in cert.coefficients[1:]) > 6, (x, gens, cert)
+            else:
+                assert cert is not None and cert.coefficients[0] == brute[0], (x, gens, cert)
+
     def test_against_brute_force(self):
         rng = random.Random(31)
         small = [2, 3, 5, 7, 11]
@@ -231,6 +247,16 @@ class TestDetect:
         assert result.report.verdict == "violated"
         w = result.report.witness
         assert verify_detect_witness([G], lam, w.v, w.n)
+
+    def test_elliptic_witness_needs_n_killing_every_generator(self):
+        # (0,0) is outside <(1,-1)> mod 5, and ord_5 (1,-1) = 4.
+        E = EllipticGroup(C37)
+        lam = SubgroupSpec((C37.point(1, -1),), E)
+        Ps = [C37.point(0, 0)]
+        assert verify_detect_witness(Ps, lam, 5, 4)
+        assert verify_detect_witness(Ps, lam, 5, 8)
+        for n in (1, 2, 3, 7):
+            assert not verify_detect_witness(Ps, lam, 5, n)
 
     def test_elliptic_bounded_search_exhaustion(self):
         E = EllipticGroup(C37)

@@ -13,9 +13,9 @@ from mwlab.mwgroup import (
     MulPoint,
     MultiplicativeGroup,
     WeierstrassCurve,
-    curve_group_order,
     multiplicative_independence,
     torsion_order_stability,
+    unit_relations,
 )
 from mwlab.numth import PrimeRange, primes_in
 
@@ -33,6 +33,47 @@ def brute_curve_order(curve, v):
             if lhs == rhs:
                 count += 1
     return count
+
+
+def product(values, vec):
+    acc = Fraction(1)
+    for val, e in zip(values, vec):
+        acc *= Fraction(val) ** e
+    return acc
+
+
+def in_integer_span(basis, target):
+    """Oracle: solve sum c_i basis_i = target over Q by Gauss-Jordan
+    elimination and accept when the solution exists and is integral. The
+    basis must be linearly independent, so the solution is unique."""
+    k = len(basis)
+    rows = [[Fraction(b[i]) for b in basis] + [Fraction(x)] for i, x in enumerate(target)]
+    for c in range(k):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        assert piv is not None, "basis vectors are linearly dependent"
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    if any(row[-1] != 0 for row in rows[k:]):
+        return False
+    return all(rows[i][-1].denominator == 1 for i in range(k))
+
+
+# Signed and dependent inputs, where the sign of a kernel vector matters.
+RELATION_INPUTS = [
+    (-2, 2),
+    (4, 8),
+    (-1,),
+    (Fraction(2, 3), Fraction(3, 2)),
+    (-1, -1),
+    (2, 3),
+    (-4, 2, -8),
+    (-8, -2, Fraction(1, 4)),
+    (6, -10, 15, Fraction(-2, 3)),
+]
 
 
 def brute_relation_exists(values, bound=5):
@@ -158,8 +199,8 @@ class TestGoodPrimeAndReduce:
 
 class TestCurveOrder:
     def test_known_values(self):
-        assert curve_group_order(C37, 2) == 5
-        assert curve_group_order(C37, 3) == 7
+        assert EllipticGroup(C37).group_order_mod(2) == 5
+        assert EllipticGroup(C37).group_order_mod(3) == 7
 
     def test_against_enumeration_oracle(self):
         E = EllipticGroup(C37)
@@ -422,6 +463,41 @@ class TestIndependence:
                 for val, e in zip(values, rel):
                     acc *= val**e
                 assert acc == 1 and any(rel)
+
+
+class TestUnitRelations:
+    def test_known_values(self):
+        assert unit_relations([-1]) == [[2]]
+        assert unit_relations([2, 3]) == []
+        assert unit_relations([-2, 2]) == [[-2, 2]]
+
+    @pytest.mark.parametrize("values", RELATION_INPUTS, ids=str)
+    def test_basis_multiplies_to_one(self, values):
+        for vec in unit_relations(values):
+            assert any(vec) and product(values, vec) == 1
+
+    @pytest.mark.parametrize("values", RELATION_INPUTS, ids=str)
+    def test_small_relations_lie_in_span(self, values):
+        basis = unit_relations(values)
+        for vec in itertools.product(range(-3, 4), repeat=len(values)):
+            if product(values, vec) == 1:
+                assert in_integer_span(basis, vec), (values, vec, basis)
+
+    def test_random_against_box_search(self):
+        rng = random.Random(17)
+        small = [2, 3, 5]
+        for _ in range(40):
+            values = []
+            for _ in range(rng.randint(1, 3)):
+                val = Fraction(rng.choice((1, -1)))
+                for p in rng.sample(small, rng.randint(0, 2)):
+                    val *= Fraction(p) ** rng.randint(-2, 2)
+                values.append(val)
+            basis = unit_relations(values)
+            assert all(product(values, vec) == 1 for vec in basis)
+            for vec in itertools.product(range(-3, 4), repeat=len(values)):
+                if product(values, vec) == 1:
+                    assert in_integer_span(basis, vec), (values, vec, basis)
 
 
 class TestEllipticIndependenceCheck:
