@@ -19,6 +19,7 @@ chunks run in-process, with identical output.
 from __future__ import annotations
 
 import atexit
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -83,8 +84,11 @@ def map_chunks(fn, tasks: list[tuple], workers: int) -> list:
         if pool is None:
             import multiprocessing as mp
 
+            # Chunks are split by `workers`; the pool itself never forks more
+            # processes than there are CPUs.
             pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=mp.get_context("fork")
+                max_workers=min(workers, os.cpu_count() or 1),
+                mp_context=mp.get_context("fork"),
             )
             _POOLS[workers] = pool
         futures = [pool.submit(fn, *t) for t in tasks]

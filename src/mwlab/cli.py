@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import dependence, experiments, mwgroup, numth, primesearch, support
 from .numth import PrimeRange
@@ -101,7 +102,10 @@ def _parse_verify(text: str) -> tuple[int, int]:
     return v, n
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: `_Parser.error` raises,
+    so parsing leaves no state behind in it."""
     parser = _Parser(prog="mwlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

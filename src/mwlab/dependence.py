@@ -72,16 +72,22 @@ def _member_raw(backend, raw, raw_gens, v: int) -> bool:
     raw lies in H exactly when, for every prime l | ord raw, its l-part lies
     in the l-part of H. Where the l-Sylow subgroup of G is cyclic, its
     subgroups are ordered by size, so the l-valuations of the orders decide;
-    together over all l that is ord raw dividing lcm_j ord L_j. The l-Sylow
-    subgroup can be non-cyclic only when l divides the backend's
-    `noncyclic_bound` and l^2 divides N = |G|; there the l-parts, scaled by
-    c = N / l^e (e = v_l(N), an automorphism of the l-Sylow subgroup), are
-    closed explicitly.
+    together over all l that is ord raw dividing m = lcm_j ord L_j, i.e.
+    m * raw = 0. The l-Sylow subgroup can be non-cyclic only when l divides
+    the backend's `noncyclic_bound` and l^2 divides N = |G|; there the
+    l-parts, scaled by c = N / l^e (e = v_l(N), an automorphism of the
+    l-Sylow subgroup), are closed explicitly. Where no such l divides m
+    (always for Q*), the one scalar multiple m * raw decides and ord raw is
+    never computed.
     """
+    m = math.lcm(*(backend.raw_order(g, v) for g in raw_gens))
+    bound = math.gcd(backend.noncyclic_bound(v), m)
+    if bound == 1:
+        return backend.raw_is_identity(backend.raw_scale(m, raw, v), v)
     order = backend.raw_order(raw, v)
-    if math.lcm(*(backend.raw_order(g, v) for g in raw_gens)) % order:
+    if m % order:
         return False
-    suspects = math.gcd(backend.noncyclic_bound(v), order)
+    suspects = math.gcd(bound, order)
     if suspects == 1:
         return True
     n = backend.group_order_mod(v)

@@ -859,12 +859,12 @@ def _raw_combination(backend, coefficients, raw_points, v: int):
     return acc
 
 
-def subgroup_closure_mod(backend: EllipticGroup, raw_gens, v: int) -> set:
-    """All F_v-points of the subgroup generated by reduced generators.
+def subgroup_closure_mod(backend, raw_gens, v: int) -> set:
+    """All elements of the reduced group generated by reduced generators.
 
-    Built coset by coset; the result size always divides |E(F_v)|.
+    Built coset by coset; the result size always divides the group order.
     """
-    closure = {None}
+    closure = {backend.raw_identity(v)}
     for g in raw_gens:
         if g in closure:
             continue
@@ -875,7 +875,7 @@ def subgroup_closure_mod(backend: EllipticGroup, raw_gens, v: int) -> set:
             k += 1
             acc = backend.raw_combine(acc, g, v)
         cosets = set(closure)
-        step = None
+        step = backend.raw_identity(v)
         for _ in range(1, k):
             step = backend.raw_combine(step, g, v)
             cosets.update(backend.raw_combine(h, step, v) for h in closure)

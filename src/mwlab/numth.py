@@ -15,6 +15,10 @@ from functools import lru_cache
 # takes over beyond it.
 _TRIAL_BOUND = 10**6
 
+# Widest scan window: sieving allocates one byte per integer of the window,
+# so wider windows are refused rather than exhausting memory.
+_MAX_WINDOW = 10**8
+
 # Witness set giving deterministic Miller-Rabin for all n < 3.3 * 10**24,
 # well past 64 bits.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -65,6 +69,11 @@ class PrimeRange:
             raise ValueError(f"prime range must start at 2 or above, got {self.lo}")
         if self.hi < self.lo:
             raise ValueError(f"inverted prime range [{self.lo}, {self.hi}]")
+        if self.hi - self.lo + 1 > _MAX_WINDOW:
+            raise ValueError(
+                f"prime range [{self.lo}, {self.hi}] is wider than the limit of "
+                f"{_MAX_WINDOW} integers"
+            )
 
     def __iter__(self):
         return iter(primes_in(self))
@@ -167,6 +176,9 @@ def _rho_split(n: int) -> int:
 def factor(n: int) -> Factorization:
     """Exact factorization: trial division to 10**6, Pollard rho beyond.
 
+    When trial division stops because d*d exceeds the cofactor, the cofactor
+    is 1 or prime and is recorded without a primality test; only a cofactor
+    above 10**12 with no factor up to 10**6 meets Miller-Rabin and rho.
     Raises ValueError for n <= 0. factor(1) has no factors.
     """
     if n <= 0:
@@ -183,12 +195,16 @@ def factor(n: int) -> Factorization:
             found[d] = found.get(d, 0) + 1
             n //= d
         d += 2
-    # Remaining cofactor is 1, prime, or a product of primes > 10**6.
-    stack = [n] if n > 1 else []
+    if d * d > n:
+        # Trial division passed sqrt(n): the cofactor is 1 or prime.
+        if n > 1:
+            found[n] = 1
+        return Factorization(value, tuple(sorted(found.items())))
+    # The cofactor has no prime factor up to 10**6: prime, or a product of
+    # such primes.
+    stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue

@@ -109,8 +109,9 @@ def _erdos_test(xs, ys, p):
     # Raw ints, not points: bad means p divides an entry.
     if any(val % p == 0 for val in xs) or any(val % p == 0 for val in ys):
         return BAD_PRIME
-    a = [numth.multiplicative_order(x, p) for x in xs]
-    b = [numth.multiplicative_order(y, p) for y in ys]
+    orders = {x: numth.multiplicative_order(x, p) for x in {*xs, *ys}}
+    a = [orders[x] for x in xs]
+    b = [orders[y] for y in ys]
     gap = two_sided_gap(a, b)
     if gap is None:
         return None

@@ -54,6 +54,15 @@ class TestParse:
         config = parse_args(["cs-check", "--x", "2", "--y", "4", "--backend", "S={3,5}"])
         assert config.backend.excluded == frozenset({3, 5})
 
+    def test_reused_parser_keeps_no_state(self):
+        argv = ["find-primes", "--points", "2,3", "--l", "3", "--ks", "0,0",
+                "--density", "--primes", "3..500", "--format", "csv"]
+        first = parse_args(argv)
+        with pytest.raises(cli.UsageError):
+            parse_args(["find-primes", "--points", "2", "--l", "3", "--max-hits", "x"])
+        assert parse_args(argv) == first
+        assert cli._build_parser() is cli._build_parser()
+
     def test_workers_env(self, monkeypatch):
         monkeypatch.setenv("MWLAB_WORKERS", "4")
         config = parse_args(["recover", "--p", "2", "--q", "4"])
@@ -83,6 +92,12 @@ class TestUsageErrors:
     def test_inverted_range(self, capsys):
         code, _ = run_cli(capsys, "support-check", "--xs", "2", "--ys", "3", "--primes", "9..3")
         assert code == USAGE_ERROR
+
+    def test_window_wider_than_the_limit(self, capsys):
+        code = cli.main(["support-check", "--xs", "2", "--ys", "3",
+                         "--primes", "10000000000..10200000000"])
+        assert code == USAGE_ERROR
+        assert "limit of 100000000 integers" in capsys.readouterr().err
 
     def test_bad_backend(self, capsys):
         code, _ = run_cli(capsys, "cs-check", "--x", "2", "--y", "4", "--backend", "weird")

@@ -1,9 +1,12 @@
 """Fast paths against the slow exact oracles they replace: Shanks-Mestre
-point counts against enumeration, Sylow-local membership against subgroup
-closure, elliptic discrete logs against enumeration of <P mod v>, and the
-modular square root against a table of squares."""
+point counts against enumeration, Sylow-local membership (and Q*
+membership by one exponentiation) against subgroup closure, elliptic
+discrete logs against enumeration of <P mod v>, and the modular square
+root against a table of squares."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +15,8 @@ from mwlab.dependence import SubgroupSpec, _member_raw, member_mod
 from mwlab.mwgroup import (
     EC_IDENTITY,
     EllipticGroup,
+    MulPoint,
+    MultiplicativeGroup,
     WeierstrassCurve,
     _count_points_naive,
     _curve_order_mod,
@@ -172,6 +177,45 @@ class TestSylowMembership:
                         answers.add(got)
         assert answers == {True, False}
         assert closures["n"] > 0
+
+
+class TestCyclicMembership:
+    def test_qstar_against_closure(self, monkeypatch):
+        # F_v* is cyclic: membership is one exponentiation by the lcm of
+        # the generator orders, and no order of the target is computed.
+        M = MultiplicativeGroup()
+        rng = random.Random(53)
+        gen_sets = [(2,), (3, 5), (2, 3), (-1, 7), (4, 6, 10), (Fraction(2, 3),)]
+        while len(gen_sets) < 10:
+            gen_sets.append(tuple(rng.choice([-1, 1]) * rng.randint(2, 30)
+                                  for _ in range(rng.randint(1, 3))))
+        targets = [MulPoint(x) for x in (-1, 6, 12, 15, Fraction(3, 2), Fraction(5, 7),
+                                          *(rng.randint(2, 60) for _ in range(6)))]
+        closures = _count_closures(monkeypatch)
+        orders = []
+
+        def counted_order(raw, v):
+            orders.append(raw)
+            return MultiplicativeGroup.raw_order(M, raw, v)
+
+        monkeypatch.setattr(M, "raw_order", counted_order)
+        answers = set()
+        for gens in gen_sets:
+            points = [MulPoint(g) for g in gens]
+            for v in primes_in(PrimeRange(3, 2000)):
+                if not M.good_prime(points + targets, v):
+                    continue
+                raws = [M.reduce_raw(L, v) for L in points]
+                closure = subgroup_closure_mod(M, raws, v)
+                for P in targets:
+                    raw = M.reduce_raw(P, v)
+                    orders.clear()
+                    got = _member_raw(M, raw, raws, v)
+                    assert got == (raw in closure), (gens, P, v)
+                    assert len(orders) == len(raws)  # generators only
+                    answers.add(got)
+        assert answers == {True, False}
+        assert closures["n"] == 0
 
 
 def _count_closures(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,20 @@ def trial_division_primes(lo, hi):
         if all(n % d for d in range(2, math.isqrt(n) + 1)):
             out.append(n)
     return out
+
+
+def naive_factor(n):
+    """Oracle: prime-power factors by trial division over every d >= 2."""
+    out, d = [], 2
+    while n > 1:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return tuple(out)
 
 
 def brute_order(a, p):
@@ -73,6 +88,44 @@ class TestFactor:
         assert acc == n
         assert list(f.primes) == sorted(f.primes)
 
+    def test_against_naive_trial_division(self):
+        for n in range(1, 20_001):
+            assert factor(n).factors == naive_factor(n), n
+
+    @pytest.mark.parametrize("n, factors", [
+        (999_983, ((999_983, 1),)),
+        (1_000_003, ((1_000_003, 1),)),
+        (1_000_003**2, ((1_000_003, 2),)),
+        (999_983 * 1_000_003, ((999_983, 1), (1_000_003, 1))),
+        (999_999_999_989, ((999_999_999_989, 1),)),
+        (2 * 1_000_003 * 1_000_033, ((2, 1), (1_000_003, 1), (1_000_033, 1))),
+    ])
+    def test_at_the_trial_bound(self, n, factors):
+        # Uncached: each case runs the trial division and the cofactor rule.
+        f = numth.factor.__wrapped__(n)
+        assert f.factors == factors
+        assert math.prod(p**e for p, e in f.factors) == n
+        assert all(is_prime(p) for p in f.primes)
+
+    def test_cofactor_below_the_trial_square_needs_no_primality_test(self, monkeypatch):
+        calls = []
+        inner = numth.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return inner(n)
+
+        monkeypatch.setattr(numth, "is_prime", counted)
+        rng = random.Random(17)
+        below = [999_983, 1_000_003, 999_983 * 1_000_003, 999_999_999_989,
+                 *range(1, 3000), *(rng.randrange(1, 10**12) for _ in range(200))]
+        for n in below:
+            numth.factor.__wrapped__(n)
+        assert calls == []
+        # Above 10**12 with no factor up to 10**6, Miller-Rabin still runs.
+        numth.factor.__wrapped__(1_000_003**2)
+        assert calls
+
     def test_invalid_factorization_rejected(self):
         with pytest.raises(ValueError):
             Factorization(6, ((3, 1), (2, 1)))
@@ -99,6 +152,14 @@ class TestPrimes:
             PrimeRange(1, 10)
         with pytest.raises(ValueError):
             PrimeRange(11, 5)
+
+    def test_window_width_limit(self):
+        # Construction only: iterating would sieve 10**8 integers.
+        assert PrimeRange(2, 10**8 + 1).hi == 10**8 + 1
+        with pytest.raises(ValueError, match="limit of 100000000 integers"):
+            PrimeRange(2, 10**8 + 2)
+        with pytest.raises(ValueError, match="limit"):
+            PrimeRange(10**10, 10**10 + 2 * 10**8)
 
     def test_is_prime_against_sieve(self):
         flags = set(trial_division_primes(2, 5000))

@@ -70,3 +70,19 @@ class TestMapChunksFailures:
         monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
         assert map_chunks(pow, [(2, 3), (3, 2)], 2) == [8, 9]
         assert _parallel._BROKEN is True
+
+    def test_pool_size_is_capped_at_the_cpu_count(self, monkeypatch):
+        # The recorder starts no process: it notes the requested size and
+        # refuses, so the chunks run in-process.
+        sizes = []
+
+        def recorder(*args, max_workers, **kwargs):
+            sizes.append(max_workers)
+            raise OSError("recorded, not started")
+
+        monkeypatch.setattr(_parallel, "_BROKEN", False)
+        monkeypatch.setattr(_parallel, "_POOLS", {})
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recorder)
+        tasks = [(2, 3), (3, 2), (5, 2)]
+        assert map_chunks(pow, tasks, 10**5) == [pow(*t) for t in tasks]
+        assert sizes and sizes[0] <= (os.cpu_count() or 1)

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from mwlab import support
+from mwlab._parallel import BAD_PRIME
 from mwlab.mwgroup import MulPoint, MultiplicativeGroup
 from mwlab.numth import PrimeRange, factor, multiplicative_order, primes_in
+from mwlab.reports import Witness
 from mwlab.support import (
     corrales_schoof_at_prime,
     divisibility_cover_at_prime,
@@ -44,6 +46,27 @@ def brute_erdos_at_prime(xs, ys, p, n_bound):
         if in_x != in_y:
             return False
     return True
+
+
+def erdos_test_per_entry(xs, ys, p):
+    """Oracle for support._erdos_test: one order per list entry, repeats
+    included, and the same witness."""
+    if any(val % p == 0 for val in (*xs, *ys)):
+        return BAD_PRIME
+    a = [multiplicative_order(x, p) for x in xs]
+    b = [multiplicative_order(y, p) for y in ys]
+    gap = support.two_sided_gap(a, b)
+    if gap is None:
+        return None
+    n, side = gap
+    return Witness(
+        v=p,
+        n=n,
+        detail=(
+            f"orders xs={a} ys={b}; at n={n} the prime {p} lies in the "
+            f"{('xs', 'ys')[side]}-side support union only"
+        ),
+    )
 
 
 class TestSupportOf:
@@ -89,6 +112,22 @@ class TestErdosExact:
     def test_rejects_bad_prime(self):
         with pytest.raises(ValueError):
             erdos_exact_at_prime([7], [2], 7)
+
+    def test_one_order_per_base_matches_per_entry_orders(self):
+        rng = random.Random(41)
+        pairs = [([2, 3, 5], [5, 3, 2]), ([2, 2], [4]), ([3], [3, 9, 3])]
+        while len(pairs) < 12:
+            xs = [rng.randint(2, 12) for _ in range(rng.randint(1, 4))]
+            ys = [rng.randint(2, 12) for _ in range(rng.randint(1, 4))]
+            if len(set(xs + ys)) < len(xs + ys):  # some base repeats
+                pairs.append((xs, ys))
+        kinds = set()
+        for p in primes_in(PrimeRange(2, 3000)):
+            for xs, ys in pairs:
+                want = erdos_test_per_entry(xs, ys, p)
+                assert support._erdos_test(tuple(xs), tuple(ys), p) == want, (xs, ys, p)
+                kinds.add(type(want))
+        assert kinds == {type(BAD_PRIME), type(None), Witness}
 
     def test_against_brute_force(self):
         rng = random.Random(3)
