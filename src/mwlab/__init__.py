@@ -49,10 +49,6 @@ from .primesearch import (
 )
 from .reports import ConditionReport, RelationCertificate, Witness
 from .support import (
-    corrales_schoof_at_prime,
-    divisibility_cover_at_prime,
-    erdos_exact_at_prime,
-    scan_condition,
     scan_cor22,
     scan_corrales_schoof,
     scan_erdos_union,

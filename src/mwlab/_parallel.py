@@ -10,10 +10,11 @@ module-level test, which returns BAD_PRIME, None (nothing at v) or a hit
 Scans split their prime list into contiguous ascending chunks, run
 `scan_chunk` on each through `map_chunks`, and merge the results so that
 the report is a pure function of the inputs, never of the chunk count.
-Worker pools are persistent (one per worker count) and fork based. An
-exception raised by a test propagates once, as it would serially; only a
-pool that cannot start, or one whose worker process died, makes the same
-chunks run in-process, with identical output.
+Worker pools are persistent (one per pool size: the worker count capped at
+the CPU count) and fork based. An exception raised by a test propagates
+once, as it would serially; only a pool that cannot start, or one whose
+worker process died, makes the same chunks run in-process, with identical
+output.
 """
 
 from __future__ import annotations
@@ -79,18 +80,16 @@ def map_chunks(fn, tasks: list[tuple], workers: int) -> list:
     global _BROKEN
     if workers <= 1 or len(tasks) <= 1 or _BROKEN:
         return [fn(*t) for t in tasks]
+    # Chunks are split by `workers`; the pool itself never forks more
+    # processes than there are CPUs, and one pool serves each capped size.
+    size = min(workers, os.cpu_count() or 1)
     try:
-        pool = _POOLS.get(workers)
+        pool = _POOLS.get(size)
         if pool is None:
             import multiprocessing as mp
 
-            # Chunks are split by `workers`; the pool itself never forks more
-            # processes than there are CPUs.
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, os.cpu_count() or 1),
-                mp_context=mp.get_context("fork"),
-            )
-            _POOLS[workers] = pool
+            pool = ProcessPoolExecutor(max_workers=size, mp_context=mp.get_context("fork"))
+            _POOLS[size] = pool
         futures = [pool.submit(fn, *t) for t in tasks]
     except (ImportError, OSError, RuntimeError, ValueError):
         # No usable process pool here (restricted sandbox, missing fork):
@@ -103,7 +102,7 @@ def map_chunks(fn, tasks: list[tuple], workers: int) -> list:
     except BrokenProcessPool:
         # A worker process died; the pool cannot be reused.
         _BROKEN = True
-        _POOLS.pop(workers).shutdown(cancel_futures=True)
+        _POOLS.pop(size).shutdown(cancel_futures=True)
         return [fn(*t) for t in tasks]
     finally:
         for f in futures:

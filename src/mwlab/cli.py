@@ -66,14 +66,17 @@ def _split_points(text: str) -> list[str]:
 
 def _parse_backend(text: str):
     t = text.strip()
-    if t in ("mul", "multiplicative", "qstar"):
-        return mwgroup.MultiplicativeGroup()
-    if t.startswith("S={") and t.endswith("}"):
-        inner = t[3:-1].strip()
-        primes = [int(p) for p in inner.split(",") if p.strip()] if inner else []
-        return mwgroup.MultiplicativeGroup(primes)
-    if t.startswith("ec:"):
-        return mwgroup.EllipticGroup(mwgroup.WeierstrassCurve.parse(t))
+    try:
+        if t in ("mul", "multiplicative", "qstar"):
+            return mwgroup.MultiplicativeGroup()
+        if t.startswith("S={") and t.endswith("}"):
+            inner = t[3:-1].strip()
+            primes = [int(p) for p in inner.split(",") if p.strip()] if inner else []
+            return mwgroup.MultiplicativeGroup(primes)
+        if t.startswith("ec:"):
+            return mwgroup.EllipticGroup(mwgroup.WeierstrassCurve.parse(t))
+    except ValueError as exc:
+        raise UsageError(f"bad --backend {text!r}: {exc}") from exc
     raise UsageError(f"bad --backend {text!r} (use mul, S={{p1,p2}}, or ec:a1,a2,a3,a4,a6)")
 
 

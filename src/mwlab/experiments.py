@@ -13,8 +13,8 @@ import random
 from . import support
 from .dependence import SubgroupSpec, detect_dependence, exact_membership_multiplicative
 from .mwgroup import MulPoint, MultiplicativeGroup, multiplicative_independence
-from .numth import PrimeRange, multiplicative_order
-from .support import corrales_schoof_at_prime, scan_erdos_union
+from .numth import PrimeRange, multiplicative_order, primes_in
+from .support import scan_corrales_schoof, scan_erdos_union
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -123,8 +123,6 @@ def _cs_brute_force(x: int, y: int, p: int) -> bool:
 
 def cs_suite(trials: int, seed: int, p_max: int = 1000) -> dict:
     """Order divisibility against the literal for-all-n implication."""
-    from .numth import primes_in
-
     rng = random.Random(seed)
     backend = MultiplicativeGroup()
     small_primes = primes_in(PrimeRange(3, p_max))
@@ -137,7 +135,8 @@ def cs_suite(trials: int, seed: int, p_max: int = 1000) -> dict:
             p = rng.choice(small_primes)
             if x % p != 0 and y % p != 0:
                 break
-        fast = corrales_schoof_at_prime(MulPoint(x), MulPoint(y), p, backend)
+        report = scan_corrales_schoof(MulPoint(x), MulPoint(y), backend, PrimeRange(p, p))
+        fast = report.witness is None
         slow = _cs_brute_force(x, y, p)
         agree = fast == slow
         agreements += agree

@@ -794,41 +794,19 @@ def multiplicative_independence(points) -> tuple[int, ...] | None:
     return tuple(rel)
 
 
-def elliptic_independence_check(backend: EllipticGroup, points, bound: int = 10,
-                                prime_count: int = 20) -> bool:
-    """Probabilistic cross-check of an independence assertion.
+def elliptic_independence_check(backend: EllipticGroup, points, bound: int = 10) -> bool:
+    """Exact cross-check of an independence assertion.
 
     Independence of elliptic points is accepted as a user assertion (no
     height-pairing machinery here); this check hunts for small integer
-    relations sum n_i * P_i = identity with |n_i| <= bound, exactly and then
-    against reductions at `prime_count` good primes. True means no relation
-    surfaced; False means the points are definitely or almost certainly
-    dependent.
+    relations sum n_i * P_i = identity with |n_i| <= bound in exact
+    arithmetic. True means no such relation exists; False means the points
+    are dependent.
     """
-    points = list(points)
-    vectors = []
-    for vec, acc in bounded_combinations(backend, points, bound):
-        if not any(vec):
-            continue
-        if backend.is_identity(acc):
-            return False
-        vectors.append(vec)
-    good = []
-    v = 3
-    while len(good) < prime_count:
-        if numth.is_prime(v) and backend.good_prime(points, v):
-            good.append(v)
-        v += 2
-    raws = {v: [backend.reduce_raw(P, v) for P in points] for v in good}
-    for vec in vectors:
-        if all(
-            backend.raw_is_identity(
-                _raw_combination(backend, vec, raws[v], v), v
-            )
-            for v in good
-        ):
-            return False  # vanishes at every sampled prime: dependent in practice
-    return True
+    return not any(
+        any(vec) and backend.is_identity(acc)
+        for vec, acc in bounded_combinations(backend, points, bound)
+    )
 
 
 def bounded_combinations(backend, points, bound: int):
@@ -850,13 +828,6 @@ def bounded_combinations(backend, points, bound: int):
             yield from extend(vec + (k,), backend.combine(acc, M))
 
     return extend((), backend.identity())
-
-
-def _raw_combination(backend, coefficients, raw_points, v: int):
-    acc = backend.raw_identity(v)
-    for n, raw in zip(coefficients, raw_points):
-        acc = backend.raw_combine(acc, backend.raw_scale(n, raw, v), v)
-    return acc
 
 
 def subgroup_closure_mod(backend, raw_gens, v: int) -> set:

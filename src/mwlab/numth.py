@@ -7,6 +7,7 @@ group orders (p-1 or a curve order), never cryptographic composites.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,7 +60,7 @@ class Factorization:
 
 @dataclass(frozen=True)
 class PrimeRange:
-    """Closed prime scan window [lo, hi]; iterating yields the primes in it."""
+    """Closed prime scan window [lo, hi]; `primes_in` lists the primes in it."""
 
     lo: int
     hi: int
@@ -74,9 +75,6 @@ class PrimeRange:
                 f"prime range [{self.lo}, {self.hi}] is wider than the limit of "
                 f"{_MAX_WINDOW} integers"
             )
-
-    def __iter__(self):
-        return iter(primes_in(self))
 
 
 def _sieve(limit: int) -> bytearray:
@@ -93,22 +91,19 @@ def _sieve(limit: int) -> bytearray:
 
 
 def primes_in(window: PrimeRange) -> list[int]:
-    """Exactly the primes p with lo <= p <= hi, ascending."""
+    """Exactly the primes p with lo <= p <= hi, ascending.
+
+    Segmented sieve: only the window itself and the primes up to sqrt(hi)
+    are ever flagged, whatever lo is.
+    """
     lo, hi = window.lo, window.hi
-    if hi <= 4_000_000:
-        flags = _sieve(hi)
-        return [p for p in range(lo, hi + 1) if flags[p]]
-    # Segmented sieve for windows with a large upper bound.
     base_flags = _sieve(math.isqrt(hi))
-    base = [p for p in range(2, len(base_flags)) if base_flags[p]]
-    size = hi - lo + 1
-    flags = bytearray(b"\x01") * size
-    for p in base:
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start > hi:
-            continue
-        flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-    return [lo + i for i in range(size) if flags[i] and lo + i >= 2]
+    flags = bytearray(b"\x01") * (hi - lo + 1)
+    for p in itertools.compress(range(len(base_flags)), base_flags):
+        start = max(p * p, -(-lo // p) * p)
+        if start <= hi:
+            flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
+    return list(itertools.compress(range(lo, hi + 1), flags))
 
 
 def is_prime(n: int) -> bool:

@@ -58,54 +58,14 @@ def two_sided_gap(a, b) -> tuple[int, int] | None:
     return n, 0 if n in unmatched_a else 1
 
 
-def erdos_exact_at_prime(xs, ys, p: int) -> bool:
-    """Exact test at p of: union supp(x^n - 1) = union supp(y^n - 1) for every n.
-
-    With a_i = ord_p(x_i) and b_j = ord_p(y_j) the two n-sets agree iff every
-    a_i is a multiple of some b_j and every b_j is a multiple of some a_i.
-    """
-    return _at_prime(_erdos_test, tuple(xs), tuple(ys), p)
-
-
-def corrales_schoof_at_prime(x, y, p: int, backend) -> bool:
-    """Exact test at p of: y^n = 1 (mod p) whenever x^n = 1 (mod p), all n.
-
-    Equivalent to ord_p(y) | ord_p(x).
-    """
-    return _at_prime(_cover_test, "corrales_schoof", x, (y,), backend, p)
-
-
-def divisibility_cover_at_prime(Ps, Qs, v: int, backend, mode: str) -> bool:
-    """Order-divisibility reduction of the vanishing-cover conditions at v.
-
-    one_sided (Ps = [P]): some ord_v(Q_i) divides ord_v(P), i.e. whenever
-    n kills P mod v, n kills some Q_i. two_sided: every ord_v(P_i) is a
-    multiple of some ord_v(Q_j) and vice versa.
-    """
-    if mode == "one_sided":
-        if len(Ps) != 1:
-            raise ValueError("one_sided mode takes a single point P")
-        return _at_prime(_cover_test, "thm2", Ps[0], tuple(Qs), backend, v)
-    if mode == "two_sided":
-        return _at_prime(_cor22_test, tuple(Ps), tuple(Qs), backend, v)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _at_prime(test, *args) -> bool:
-    """A scan's per-prime test as a predicate: True when the condition holds
-    at the prime (the last argument), ValueError when that prime is bad."""
-    result = test(*args)
-    if result is BAD_PRIME:
-        raise ValueError(f"{args[-1]} is a bad prime for these points")
-    return result is None
-
-
 # ---------------------------------------------------------------------------
 # Per-prime tests and scanning verifiers. Tests are module level so worker
 # processes can pickle them; each returns BAD_PRIME, None or a Witness.
 
 
 def _erdos_test(xs, ys, p):
+    """erdos_union: the n-sets of the two support unions agree at p iff every
+    ord_p(x_i) is a multiple of some ord_p(y_j) and vice versa."""
     # Raw ints, not points: bad means p divides an entry.
     if any(val % p == 0 for val in xs) or any(val % p == 0 for val in ys):
         return BAD_PRIME
@@ -142,6 +102,7 @@ def _cover_test(condition_id, P, Qs, backend, v):
 
 
 def _cor22_test(Ps, Qs, backend, v):
+    """cor22: the two-sided cover of the order lists of Ps and Qs."""
     if not backend.good_prime([*Ps, *Qs], v):
         return BAD_PRIME
     a = [backend.order_mod(P, v) for P in Ps]
@@ -185,21 +146,6 @@ def scan_thm2(P, Qs, backend, scan: PrimeRange, workers: int = 1) -> ConditionRe
 
 def scan_cor22(Ps, Qs, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
     return _scan("cor22", _cor22_test, (tuple(Ps), tuple(Qs), backend), scan, workers)
-
-
-def scan_condition(condition_id: str, inputs: dict, scan: PrimeRange, backend=None, workers: int = 1) -> ConditionReport:
-    """Dispatch a condition scan by id; see the scan_* functions for inputs."""
-    if condition_id == "erdos_union":
-        return scan_erdos_union(inputs["xs"], inputs["ys"], scan, workers)
-    if condition_id == "corrales_schoof":
-        return scan_corrales_schoof(inputs["x"], inputs["y"], backend, scan, workers)
-    if condition_id == "thm2":
-        return scan_thm2(inputs["P"], inputs["Qs"], backend, scan, workers)
-    if condition_id == "cor22":
-        return scan_cor22(inputs["Ps"], inputs["Qs"], backend, scan, workers)
-    if condition_id == "detect":
-        raise ValueError("detect scans live in mwlab.dependence.detect_dependence")
-    raise ValueError(f"unknown condition {condition_id!r}")
 
 
 def verify_witness(condition_id: str, inputs: dict, v: int, n: int, backend=None) -> bool:

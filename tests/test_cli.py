@@ -103,6 +103,15 @@ class TestUsageErrors:
         code, _ = run_cli(capsys, "cs-check", "--x", "2", "--y", "4", "--backend", "weird")
         assert code == USAGE_ERROR
 
+    @pytest.mark.parametrize(
+        "backend", ["S={2,x}", "ec:1,2,3", "ec:0,0,0,0,0", "ec:a,0,0,0,0"],
+        ids=["s-set-entry", "too-few-coefficients", "singular-curve", "non-integer-coefficient"],
+    )
+    def test_malformed_backend(self, capsys, backend):
+        code = cli.main(["cs-check", "--x", "2", "--y", "4", "--backend", backend])
+        assert code == USAGE_ERROR
+        assert "bad --backend" in capsys.readouterr().err
+
     def test_non_integer_workers_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MWLAB_WORKERS", "abc")
         code, _ = run_cli(capsys, "support-check", "--xs", "2", "--ys", "8")

@@ -514,9 +514,7 @@ class TestEllipticIndependenceCheck:
         # rank-2 curve: (0,0) and (1,0) are independent generators
         c = WeierstrassCurve(0, 1, 1, -2, 0)
         E = EllipticGroup(c)
-        assert mwgroup.elliptic_independence_check(
-            E, [c.point(0, 0), c.point(1, 0)], bound=4, prime_count=12
-        ) is True
+        assert mwgroup.elliptic_independence_check(E, [c.point(0, 0), c.point(1, 0)], bound=4) is True
 
     def test_single_nontorsion_passes(self):
         E = EllipticGroup(C37)

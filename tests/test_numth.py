@@ -147,6 +147,19 @@ class TestPrimes:
         lo, hi = 5_000_000, 5_000_200
         assert primes_in(PrimeRange(lo, hi)) == trial_division_primes(lo, hi)
 
+    def test_against_is_prime(self):
+        # Windows that start above 2: tiny, mid-range and seeded random ones,
+        # and one whose lower end is far above its base primes.
+        rng = random.Random(5)
+        windows = [(3, 3), (4, 4), (3, 5000), (49, 49), (1000, 3000), (3_999_000, 4_001_000)]
+        for _ in range(20):
+            lo = rng.randint(3, 4_000_000)
+            windows.append((lo, lo + rng.randint(0, 3000)))
+        windows.append((10**10, 10**10 + 10**5))
+        for lo, hi in windows:
+            want = [n for n in range(lo, hi + 1) if is_prime(n)]
+            assert primes_in(PrimeRange(lo, hi)) == want, (lo, hi)
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             PrimeRange(1, 10)
@@ -154,7 +167,7 @@ class TestPrimes:
             PrimeRange(11, 5)
 
     def test_window_width_limit(self):
-        # Construction only: iterating would sieve 10**8 integers.
+        # Construction only: primes_in would sieve 10**8 integers.
         assert PrimeRange(2, 10**8 + 1).hi == 10**8 + 1
         with pytest.raises(ValueError, match="limit of 100000000 integers"):
             PrimeRange(2, 10**8 + 2)

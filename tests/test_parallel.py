@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -59,7 +60,7 @@ class TestMapChunksFailures:
         monkeypatch.setattr(_parallel, "_BROKEN", False)
         assert map_chunks(_dies_in_worker, [(2,), (3,)], 3) == [4, 9]
         assert _parallel._BROKEN is True
-        assert 3 not in _parallel._POOLS
+        assert min(3, os.cpu_count() or 1) not in _parallel._POOLS
 
     def test_pool_that_cannot_start_falls_back(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -86,3 +87,27 @@ class TestMapChunksFailures:
         tasks = [(2, 3), (3, 2), (5, 2)]
         assert map_chunks(pow, tasks, 10**5) == [pow(*t) for t in tasks]
         assert sizes and sizes[0] <= (os.cpu_count() or 1)
+
+    def test_one_pool_per_capped_size(self, monkeypatch):
+        # An inline executor stands in for the process pool: it records each
+        # pool built and runs tasks in-process.
+        built = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers, mp_context=None):
+                built.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(_parallel, "_BROKEN", False)
+        monkeypatch.setattr(_parallel, "_POOLS", {})
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        tasks = [(2, 3), (3, 2), (5, 2), (7, 2)]
+        assert map_chunks(pow, tasks, 3) == [pow(*t) for t in tasks]
+        assert map_chunks(pow, tasks, 4) == [pow(*t) for t in tasks]
+        assert built == [2]
+        assert list(_parallel._POOLS) == [2]

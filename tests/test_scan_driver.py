@@ -18,7 +18,7 @@ import pytest
 from mwlab import (
     EllipticGroup, MulPoint, MultiplicativeGroup, PrimeRange, SubgroupSpec, ValuationPattern,
     WeierstrassCurve, detect_dependence, find_pattern_primes, pattern_density, replay_step1,
-    scan_condition, scan_erdos_union, torsion_order_stability,
+    scan_cor22, scan_corrales_schoof, scan_erdos_union, scan_thm2, torsion_order_stability,
 )
 
 M = MultiplicativeGroup()
@@ -35,14 +35,8 @@ def e(backend, *texts):
     return [backend.parse_point(t) for t in texts]
 
 
-def cond(cid, backend, lo, hi, **inputs):
-    def run(workers):
-        return scan_condition(cid, inputs, PrimeRange(lo, hi), backend, workers).to_dict()
-    return run
-
-
-def erdos(xs, ys, lo, hi):
-    return lambda w: scan_erdos_union(xs, ys, PrimeRange(lo, hi), w).to_dict()
+def cond(scan, *inputs, lo, hi):
+    return lambda w: scan(*inputs, PrimeRange(lo, hi), w).to_dict()
 
 
 def detect(backend, Ps, gens, lo, hi):
@@ -83,25 +77,29 @@ def density(backend, points, l, ks, lo, hi):
 
 
 CASES = {
-    "erdos_union-violated": erdos([2, 13], [8, 13], 3, 200),
-    "erdos_union-holds": erdos([6, 10], [10, 6], 3, 60),
-    "corrales_schoof-mul-violated": cond("corrales_schoof", M, 3, 100, x=m(36)[0], y=m(6)[0]),
-    "corrales_schoof-mul-holds": cond("corrales_schoof", M, 3, 100, x=m(6)[0], y=m(36)[0]),
+    "erdos_union-violated": cond(scan_erdos_union, [2, 13], [8, 13], lo=3, hi=200),
+    "erdos_union-holds": cond(scan_erdos_union, [6, 10], [10, 6], lo=3, hi=60),
+    "corrales_schoof-mul-violated": cond(scan_corrales_schoof, m(36)[0], m(6)[0], M, lo=3, hi=100),
+    "corrales_schoof-mul-holds": cond(scan_corrales_schoof, m(6)[0], m(36)[0], M, lo=3, hi=100),
     "corrales_schoof-ec-violated": cond(
-        "corrales_schoof", E37, 3, 300, x=e(E37, "(1,0)")[0], y=e(E37, "(0,0)")[0]
+        scan_corrales_schoof, e(E37, "(1,0)")[0], e(E37, "(0,0)")[0], E37, lo=3, hi=300
     ),
     "corrales_schoof-ec-holds": cond(
-        "corrales_schoof", E37, 3, 300, x=e(E37, "(0,0)")[0], y=e(E37, "(1,0)")[0]
+        scan_corrales_schoof, e(E37, "(0,0)")[0], e(E37, "(1,0)")[0], E37, lo=3, hi=300
     ),
-    "thm2-mul-violated": cond("thm2", M, 3, 100, P=m(2)[0], Qs=m(3, 5)),
-    "thm2-mul-holds": cond("thm2", M, 3, 100, P=m(6)[0], Qs=m(5, 36)),
-    "thm2-ec-violated": cond("thm2", E2, 3, 300, P=e(E2, "(-2,-1)")[0], Qs=e(E2, "(0,0)", "(1,0)")),
-    "thm2-ec-holds": cond("thm2", E37, 3, 300, P=e(E37, "(0,0)")[0], Qs=e(E37, "(1,0)", "(0,-1)")),
-    "cor22-mul-violated": cond("cor22", M, 3, 100, Ps=m(2, 3), Qs=m(4, 5)),
-    "cor22-mul-holds": cond("cor22", M, 3, 100, Ps=m(6, "1/10"), Qs=m(10, "1/6")),
-    "cor22-ec-violated": cond("cor22", E2, 3, 300, Ps=e(E2, "(0,0)"), Qs=e(E2, "(1,0)")),
+    "thm2-mul-violated": cond(scan_thm2, m(2)[0], m(3, 5), M, lo=3, hi=100),
+    "thm2-mul-holds": cond(scan_thm2, m(6)[0], m(5, 36), M, lo=3, hi=100),
+    "thm2-ec-violated": cond(
+        scan_thm2, e(E2, "(-2,-1)")[0], e(E2, "(0,0)", "(1,0)"), E2, lo=3, hi=300
+    ),
+    "thm2-ec-holds": cond(
+        scan_thm2, e(E37, "(0,0)")[0], e(E37, "(1,0)", "(0,-1)"), E37, lo=3, hi=300
+    ),
+    "cor22-mul-violated": cond(scan_cor22, m(2, 3), m(4, 5), M, lo=3, hi=100),
+    "cor22-mul-holds": cond(scan_cor22, m(6, "1/10"), m(10, "1/6"), M, lo=3, hi=100),
+    "cor22-ec-violated": cond(scan_cor22, e(E2, "(0,0)"), e(E2, "(1,0)"), E2, lo=3, hi=300),
     "cor22-ec-holds": cond(
-        "cor22", E37, 3, 300, Ps=e(E37, "(0,0)", "(0,-1)"), Qs=e(E37, "(0,-1)", "(0,0)")
+        scan_cor22, e(E37, "(0,0)", "(0,-1)"), e(E37, "(0,-1)", "(0,0)"), E37, lo=3, hi=300
     ),
     "detect-mul-violated": detect(M, m(7), m(2, 3), 3, 200),
     "detect-mul-holds": detect(M, m(360), m(6, 10), 3, 200),

@@ -11,10 +11,6 @@ from mwlab.mwgroup import MulPoint, MultiplicativeGroup
 from mwlab.numth import PrimeRange, factor, multiplicative_order, primes_in
 from mwlab.reports import Witness
 from mwlab.support import (
-    corrales_schoof_at_prime,
-    divisibility_cover_at_prime,
-    erdos_exact_at_prime,
-    scan_condition,
     scan_cor22,
     scan_corrales_schoof,
     scan_erdos_union,
@@ -101,17 +97,13 @@ class TestSupportUnion:
 
 class TestErdosExact:
     def test_identical_lists(self):
-        assert erdos_exact_at_prime([2, 3], [2, 3], 7) is True
+        assert support._erdos_test((2, 3), (2, 3), 7) is None
 
     def test_power_tuple_counterexample(self):
-        assert erdos_exact_at_prime([2], [8], 7) is False
+        assert support._erdos_test((2,), (8,), 7) is not None
 
     def test_permutation_invariance(self):
-        assert erdos_exact_at_prime([2, 3], [3, 2], 11) is True
-
-    def test_rejects_bad_prime(self):
-        with pytest.raises(ValueError):
-            erdos_exact_at_prime([7], [2], 7)
+        assert support._erdos_test((2, 3), (3, 2), 11) is None
 
     def test_one_order_per_base_matches_per_entry_orders(self):
         rng = random.Random(41)
@@ -140,16 +132,27 @@ class TestErdosExact:
                 continue
             orders = [multiplicative_order(v, p) for v in xs + ys]
             bound = 2 * math.lcm(*orders)
-            assert erdos_exact_at_prime(xs, ys, p) == brute_erdos_at_prime(
-                xs, ys, p, bound
-            )
+            holds = support._erdos_test(tuple(xs), tuple(ys), p) is None
+            assert holds == brute_erdos_at_prime(xs, ys, p, bound)
+
+
+def cs_holds(x, y, p):
+    return support._cover_test("corrales_schoof", MulPoint(x), (MulPoint(y),), M, p) is None
+
+
+def thm2_holds(P, Qs, v):
+    return support._cover_test("thm2", P, tuple(Qs), M, v) is None
+
+
+def cor22_holds(Ps, Qs, v):
+    return support._cor22_test(tuple(Ps), tuple(Qs), M, v) is None
 
 
 class TestCorralesSchoof:
     def test_known_values(self):
-        assert corrales_schoof_at_prime(MulPoint(2), MulPoint(4), 7, M) is True
-        assert corrales_schoof_at_prime(MulPoint(2), MulPoint(8), 7, M) is True
-        assert corrales_schoof_at_prime(MulPoint(8), MulPoint(2), 7, M) is False
+        assert cs_holds(2, 4, 7) is True
+        assert cs_holds(2, 8, 7) is True
+        assert cs_holds(8, 2, 7) is False
 
     def test_against_literal_implication(self):
         rng = random.Random(17)
@@ -167,16 +170,16 @@ class TestCorralesSchoof:
                 if xn == 1 and yn != 1:
                     literal = False
                     break
-            assert corrales_schoof_at_prime(MulPoint(x), MulPoint(y), p, M) == literal
+            assert cs_holds(x, y, p) == literal
 
 
 class TestDivisibilityCover:
     def test_self_cover(self):
-        assert divisibility_cover_at_prime([MulPoint(2)], [MulPoint(2)], 11, M, "one_sided")
+        assert thm2_holds(MulPoint(2), [MulPoint(2)], 11)
 
     def test_known_values(self):
-        assert divisibility_cover_at_prime([MulPoint(2)], [MulPoint(9)], 7, M, "one_sided")
-        assert not divisibility_cover_at_prime([MulPoint(8)], [MulPoint(2)], 7, M, "one_sided")
+        assert thm2_holds(MulPoint(2), [MulPoint(9)], 7)
+        assert not thm2_holds(MulPoint(8), [MulPoint(2)], 7)
 
     def test_two_sided_symmetry(self):
         rng = random.Random(23)
@@ -187,17 +190,7 @@ class TestDivisibilityCover:
             v = rng.choice(primes)
             if not M.good_prime(Ps + Qs, v):
                 continue
-            assert divisibility_cover_at_prime(
-                Ps, Qs, v, M, "two_sided"
-            ) == divisibility_cover_at_prime(Qs, Ps, v, M, "two_sided")
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            divisibility_cover_at_prime([MulPoint(2)], [MulPoint(3)], 7, M, "sideways")
-        with pytest.raises(ValueError):
-            divisibility_cover_at_prime(
-                [MulPoint(2), MulPoint(3)], [MulPoint(5)], 7, M, "one_sided"
-            )
+            assert cor22_holds(Ps, Qs, v) == cor22_holds(Qs, Ps, v)
 
 
 class TestScans:
@@ -267,16 +260,6 @@ class TestScans:
             report.witness.n,
             backend=M,
         )
-
-    def test_dispatcher(self):
-        report = scan_condition(
-            "erdos_union", {"xs": [2], "ys": [8]}, PrimeRange(3, 100)
-        )
-        assert report.condition_id == "erdos_union"
-        with pytest.raises(ValueError):
-            scan_condition("detect", {}, PrimeRange(3, 100))
-        with pytest.raises(ValueError):
-            scan_condition("nope", {}, PrimeRange(3, 100))
 
     def test_scan_rejects_bad_entries(self):
         with pytest.raises(ValueError):
