@@ -10,11 +10,15 @@ module-level test, which returns BAD_PRIME, None (nothing at v) or a hit
 Scans split their prime list into contiguous ascending chunks, run
 `scan_chunk` on each through `map_chunks`, and merge the results so that
 the report is a pure function of the inputs, never of the chunk count.
-Worker pools are persistent (one per pool size: the worker count capped at
-the CPU count) and fork based. An exception raised by a test propagates
-once, as it would serially; only a pool that cannot start, or one whose
-worker process died, makes the same chunks run in-process, with identical
-output.
+With more than one worker, the first HEAD primes form a head chunk that
+runs in-process before anything is dispatched: a witness there (or the
+hit limit) ends the scan with no pool round trip, and a window of at most
+HEAD primes never reaches the pool. Only the rest of the window is split
+across the workers. Worker pools are persistent (one per pool size: the
+worker count capped at the CPU count) and fork based. An exception raised
+by a test propagates once, as it would serially; only a pool that cannot
+start, or one whose worker process died, makes the dispatched chunks run
+in-process, with identical output.
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ _BROKEN = False
 
 BAD_PRIME = object()
 
+# Primes a scan tests in-process before it dispatches the rest of its
+# window: a false hypothesis is usually refuted within the first few good
+# primes, so most scans never pay a pool round trip.
+HEAD = 64
+
 
 def _shutdown():
     for pool in _POOLS.values():
@@ -40,12 +49,18 @@ atexit.register(_shutdown)
 
 
 def split_chunks(items: list, parts: int) -> list[list]:
-    """Split into at most `parts` contiguous chunks of near-equal size."""
-    if not items:
-        return [[]]
-    parts = max(1, min(parts, len(items)))
-    base, extra = divmod(len(items), parts)
-    chunks, start = [], 0
+    """Split into contiguous ascending chunks.
+
+    With parts > 1 the first HEAD items form a head chunk and the rest is
+    split into at most `parts` chunks of near-equal size; a list of at most
+    HEAD items, or parts <= 1, gives one chunk.
+    """
+    if parts <= 1 or len(items) <= HEAD:
+        return [items]
+    rest = len(items) - HEAD
+    parts = min(parts, rest)
+    base, extra = divmod(rest, parts)
+    chunks, start = [items[:HEAD]], HEAD
     for i in range(parts):
         n = base + (1 if i < extra else 0)
         chunks.append(items[start : start + n])
@@ -76,10 +91,24 @@ def scan_chunk(test, args: tuple, chunk: list[int], limit: int | None = 1) -> di
 
 
 def map_chunks(fn, tasks: list[tuple], workers: int) -> list:
-    """Apply a module-level function over task tuples, preserving task order."""
-    global _BROKEN
+    """Apply a module-level function over task tuples, preserving task order.
+
+    For `scan_chunk` tasks the first task is split_chunks' head: it runs
+    in-process, and the rest go to the pool only if the head ran to its
+    end. When the head stops, its result is the only one returned.
+    """
     if workers <= 1 or len(tasks) <= 1 or _BROKEN:
         return [fn(*t) for t in tasks]
+    if fn is not scan_chunk:
+        return _pool_map(fn, tasks, workers)
+    head = scan_chunk(*tasks[0])
+    if head["witness"] is not None:
+        return [head]
+    return [head, *_pool_map(fn, tasks[1:], workers)]
+
+
+def _pool_map(fn, tasks: list[tuple], workers: int) -> list:
+    global _BROKEN
     # Chunks are split by `workers`; the pool itself never forks more
     # processes than there are CPUs, and one pool serves each capped size.
     size = min(workers, os.cpu_count() or 1)

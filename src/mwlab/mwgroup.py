@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import numth
 from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
@@ -148,8 +148,9 @@ class WeierstrassCurve:
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         return b2, b4, b6, b8
 
-    @property
+    @cached_property
     def discriminant(self) -> int:
+        # Cached: good_prime reads it at every prime of a scan.
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
@@ -392,6 +393,9 @@ class MultiplicativeGroup:
 
     def __init__(self, excluded_primes=()):
         self.excluded = frozenset(int(p) for p in excluded_primes)
+        for p in sorted(self.excluded):
+            if not numth.is_prime(p):
+                raise ValueError(f"S entry {p} is not prime")
 
     def identity(self) -> MulPoint:
         return MulPoint(1)

@@ -20,6 +20,9 @@ _TRIAL_BOUND = 10**6
 # so wider windows are refused rather than exhausting memory.
 _MAX_WINDOW = 10**8
 
+# Widest window primes_in keeps in its cache of recent windows.
+_CACHED_WINDOW = 10**6
+
 # Witness set giving deterministic Miller-Rabin for all n < 3.3 * 10**24,
 # well past 64 bits.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -91,12 +94,26 @@ def _sieve(limit: int) -> bytearray:
 
 
 def primes_in(window: PrimeRange) -> list[int]:
-    """Exactly the primes p with lo <= p <= hi, ascending.
+    """Exactly the primes p with lo <= p <= hi, ascending, as a new list.
 
-    Segmented sieve: only the window itself and the primes up to sqrt(hi)
-    are ever flagged, whatever lo is.
+    The last few windows of at most _CACHED_WINDOW integers are kept, so a
+    process that scans a window again does not sieve it again; wider
+    windows are sieved each time rather than held in memory.
     """
     lo, hi = window.lo, window.hi
+    if hi - lo + 1 > _CACHED_WINDOW:
+        return _sieve_window(lo, hi)
+    return list(_recent_window(lo, hi))
+
+
+@lru_cache(maxsize=8)
+def _recent_window(lo: int, hi: int) -> tuple[int, ...]:
+    return tuple(_sieve_window(lo, hi))
+
+
+def _sieve_window(lo: int, hi: int) -> list[int]:
+    """Segmented sieve: only the window itself and the primes up to sqrt(hi)
+    are ever flagged, whatever lo is."""
     base_flags = _sieve(math.isqrt(hi))
     flags = bytearray(b"\x01") * (hi - lo + 1)
     for p in itertools.compress(range(len(base_flags)), base_flags):

@@ -38,7 +38,8 @@ class TestParse:
         assert len(config.payload["Ps"]) == 1
         assert len(config.payload["generators"]) == 1
 
-    def test_recover_defaults(self):
+    def test_recover_defaults(self, monkeypatch):
+        monkeypatch.delenv("MWLAB_WORKERS", raising=False)
         config = parse_args(["recover", "--p", "2", "--q", "1024"])
         assert (config.scan.lo, config.scan.hi) == (3, 10_000)
         assert config.fmt == "json"
@@ -104,8 +105,10 @@ class TestUsageErrors:
         assert code == USAGE_ERROR
 
     @pytest.mark.parametrize(
-        "backend", ["S={2,x}", "ec:1,2,3", "ec:0,0,0,0,0", "ec:a,0,0,0,0"],
-        ids=["s-set-entry", "too-few-coefficients", "singular-curve", "non-integer-coefficient"],
+        "backend",
+        ["S={2,x}", "S={4}", "S={1}", "S={-3}", "ec:1,2,3", "ec:0,0,0,0,0", "ec:a,0,0,0,0"],
+        ids=["s-set-entry", "s-set-composite", "s-set-one", "s-set-negative",
+             "too-few-coefficients", "singular-curve", "non-integer-coefficient"],
     )
     def test_malformed_backend(self, capsys, backend):
         code = cli.main(["cs-check", "--x", "2", "--y", "4", "--backend", backend])

@@ -160,6 +160,26 @@ class TestPrimes:
             want = [n for n in range(lo, hi + 1) if is_prime(n)]
             assert primes_in(PrimeRange(lo, hi)) == want, (lo, hi)
 
+    def test_recent_windows_are_cached(self):
+        numth._recent_window.cache_clear()
+        windows = [(3, 10_000), (10**6, 10**6 + 5000), (3, 10_000), (10**10, 10**10 + 2000)]
+        for lo, hi in windows + windows:
+            first, again = primes_in(PrimeRange(lo, hi)), primes_in(PrimeRange(lo, hi))
+            assert first == again == numth._sieve_window(lo, hi)
+            # Each call hands out its own list.
+            first.append(0)
+            assert primes_in(PrimeRange(lo, hi)) == again
+        assert numth._recent_window.cache_info().currsize == 3
+
+    def test_wide_window_is_not_cached(self):
+        numth._recent_window.cache_clear()
+        lo = 10**12
+        primes_in(PrimeRange(lo, lo + 10**6 - 1))
+        assert numth._recent_window.cache_info().currsize == 1
+        wide = PrimeRange(lo, lo + 10**6)
+        assert primes_in(wide) == primes_in(wide)
+        assert numth._recent_window.cache_info().currsize == 1
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             PrimeRange(1, 10)

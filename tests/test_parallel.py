@@ -3,8 +3,13 @@ from concurrent.futures import Future
 
 import pytest
 
+from mwlab import (
+    MulPoint, MultiplicativeGroup, PrimeRange, ValuationPattern, find_pattern_primes,
+    pattern_density, primes_in, scan_erdos_union,
+)
 from mwlab import _parallel
-from mwlab._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
+from mwlab._parallel import BAD_PRIME, HEAD, map_chunks, scan_chunk, split_chunks
+from mwlab.reports import Witness, merge_scan_results
 
 _PARENT = os.getpid()
 _CALLS: list[int] = []
@@ -25,6 +30,19 @@ def _dies_in_worker(x):
     return x * x
 
 
+def _witness_at(target, bad, v):
+    """A witness at v == target, BAD_PRIME at v in bad, nothing otherwise."""
+    if v in bad:
+        return BAD_PRIME
+    return Witness(v=v, n=1, detail=f"hit at {v}") if v == target else None
+
+
+def _fails_in_head(v):
+    _CALLS.append(v)
+    if v == 11:
+        raise TaskFailed(f"test failed at {v}")
+
+
 def _odd_test(bad, v):
     """Hit at odd v, BAD_PRIME at v in bad, nothing otherwise."""
     if v in bad:
@@ -42,7 +60,14 @@ class TestScanChunk:
         assert res == {"witness": None, "hits": [3, 5], "bads": [2], "goods": 3}
 
     def test_split_is_contiguous(self):
-        assert split_chunks(list(range(7)), 3) == [[0, 1, 2], [3, 4], [5, 6]]
+        # A head of HEAD items, then the rest in near-equal chunks.
+        items = list(range(200))
+        chunks = split_chunks(items, 3)
+        assert [len(c) for c in chunks] == [HEAD, 46, 45, 45]
+        assert [x for c in chunks for x in c] == items
+        assert split_chunks(items[: HEAD + 2], 5) == [items[:HEAD], [HEAD], [HEAD + 1]]
+        assert split_chunks(items, 1) == [items]
+        assert split_chunks(items[:HEAD], 4) == [items[:HEAD]]
         assert split_chunks([], 4) == [[]]
 
 
@@ -111,3 +136,76 @@ class TestMapChunksFailures:
         assert map_chunks(pow, tasks, 4) == [pow(*t) for t in tasks]
         assert built == [2]
         assert list(_parallel._POOLS) == [2]
+
+
+class NoPool:
+    """Stands in for ProcessPoolExecutor where no pool may be built."""
+
+    def __init__(self, *args, **kwargs):
+        pytest.fail("a process pool was built")
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    monkeypatch.setattr(_parallel, "_BROKEN", False)
+    monkeypatch.setattr(_parallel, "_POOLS", {})
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", NoPool)
+
+
+class TestSerialHead:
+    def test_head_witness_builds_no_pool(self, no_pool):
+        scan = PrimeRange(3, 10**4)
+        report = scan_erdos_union([2, 13], [8, 13], scan, workers=2)
+        assert report.witness.v == 7
+        assert report == scan_erdos_union([2, 13], [8, 13], scan, workers=1)
+
+    def test_short_window_builds_no_pool(self, no_pool):
+        primes = primes_in(PrimeRange(3, 313))
+        assert len(primes) == HEAD
+        tasks = [(_witness_at, (None, {5}), c) for c in split_chunks(primes, 2)]
+        assert map_chunks(scan_chunk, tasks, 2) == [scan_chunk(*tasks[0])]
+
+    @pytest.mark.parametrize("index", [HEAD - 2, HEAD - 1, HEAD, None],
+                             ids=["63rd", "64th", "65th", "none"])
+    def test_witness_around_the_head_edge(self, index):
+        primes = primes_in(PrimeRange(3, 2000))
+        target = None if index is None else primes[index]
+        # Bad primes inside the head, at its edge and past every witness.
+        bad = {primes[3], primes[HEAD - 3], primes[HEAD + 1], primes[200]}
+
+        def report(workers):
+            tasks = [(_witness_at, (target, bad), c) for c in split_chunks(primes, workers)]
+            results = map_chunks(scan_chunk, tasks, workers)
+            return merge_scan_results("torsion_stability", PrimeRange(3, 2000), results).to_dict()
+
+        serial = report(1)
+        assert serial["verdict"] == ("holds_on_scan" if index is None else "violated")
+        assert report(2) == serial
+        assert report(5) == serial
+
+    @pytest.mark.parametrize("max_hits", [3, 6, 7, 100])
+    def test_pattern_hits_straddling_the_head(self, max_hits):
+        # Six of the 13 hits in 3..1000 lie among its first HEAD primes.
+        points = [MulPoint(2), MulPoint(3)]
+        pattern, scan, M = ValuationPattern(3, (1, 0)), PrimeRange(3, 1000), MultiplicativeGroup()
+        serial = find_pattern_primes(points, pattern, M, scan, max_hits, 1)
+        assert len(serial) == min(max_hits, 13)
+        for workers in (2, 5):
+            assert find_pattern_primes(points, pattern, M, scan, max_hits, workers) == serial
+
+    def test_density_counts_the_head(self):
+        points = [MulPoint(2), MulPoint(3)]
+        pattern, scan, M = ValuationPattern(3, (1, 0)), PrimeRange(3, 1000), MultiplicativeGroup()
+        serial = pattern_density(points, pattern, M, scan, 1)
+        assert serial.hits == 13
+        for workers in (2, 5):
+            assert pattern_density(points, pattern, M, scan, workers) == serial
+
+    def test_head_error_propagates_once(self, no_pool):
+        _CALLS.clear()
+        primes = primes_in(PrimeRange(3, 2000))
+        tasks = [(_fails_in_head, (), c) for c in split_chunks(primes, 2)]
+        with pytest.raises(TaskFailed):
+            map_chunks(scan_chunk, tasks, 2)
+        assert _CALLS == [3, 5, 7, 11]
+        assert _parallel._BROKEN is False
