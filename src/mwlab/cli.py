@@ -119,8 +119,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", dest="fmt", default="json",
                        choices=("json", "csv", "text"))
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--verify", default=None,
-                       help="v:n - recheck a reported witness instead of scanning")
 
     p = sub.add_parser("support-check", help="support-union condition on natural numbers")
     p.add_argument("--xs", required=True)
@@ -165,6 +163,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     common(p, backend=False)
 
+    # Only the commands whose reports carry a witness can recheck one.
+    for name in ("support-check", "cs-check", "replay", "detect"):
+        sub.choices[name].add_argument(
+            "--verify", default=None, help="v:n - recheck a reported witness instead of scanning"
+        )
     return parser
 
 
@@ -289,10 +292,8 @@ def _run_verify(config: RunConfig) -> tuple[int, dict]:
     elif config.command == "replay":
         points = [pl["P"], *pl["Qs"]]
         condition, inputs = "thm2", {"P": pl["P"], "Qs": pl["Qs"]}
-    elif config.command == "detect":
+    else:  # detect
         points = [*pl["Ps"], *pl["generators"]]
-    else:
-        raise UsageError(f"--verify does not apply to {config.command}")
     if not config.backend.good_prime(points, v):
         raise UsageError(f"--verify prime {v} is a bad prime for these points")
     if config.command == "detect":

@@ -218,22 +218,30 @@ def exact_membership_multiplicative(P, subgroup: SubgroupSpec) -> RelationCertif
 def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> RelationCertificate | None:
     """Search alpha in [1, bound], |lambda_j| <= bound for alpha*P = sum lambda_j L_j.
 
+    The least such alpha wins, with the first lambda in product order. Only
+    the targets alpha*P are stored, each under its least alpha, and one walk
+    over the combinations stops once it meets the least alpha of all.
     Exhaustion is inconclusive, never a refutation. Certificates with
     alpha*P = identity are not real memberships and are skipped.
     """
     backend = subgroup.backend
-    span: dict = {}
-    for vec, acc in bounded_combinations(backend, subgroup.generators, bound):
-        span.setdefault(acc, vec)
+    targets: dict = {}
     acc = backend.identity()
     for alpha in range(1, bound + 1):
         acc = backend.combine(acc, P)
-        if backend.is_identity(acc):
-            continue
-        vec = span.get(acc)
-        if vec is not None:
-            return RelationCertificate(kind="membership", coefficients=(alpha, *vec))
-    return None
+        if not backend.is_identity(acc):
+            targets.setdefault(acc, alpha)
+    if not targets:
+        return None
+    least = min(targets.values())
+    best = None
+    for vec, acc in bounded_combinations(backend, subgroup.generators, bound):
+        alpha = targets.get(acc)
+        if alpha is not None and (best is None or alpha < best[0]):
+            best = (alpha, *vec)
+            if alpha == least:
+                break
+    return None if best is None else RelationCertificate(kind="membership", coefficients=best)
 
 
 # ---------------------------------------------------------------------------

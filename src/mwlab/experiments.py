@@ -18,6 +18,9 @@ from .support import scan_corrales_schoof, scan_erdos_union
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+# The cs suite draws its single-prime scans from the primes 3.._CS_P_MAX.
+_CS_P_MAX = 1000
+
 
 def _random_entry(rng: random.Random) -> int:
     value = 1
@@ -121,11 +124,11 @@ def _cs_brute_force(x: int, y: int, p: int) -> bool:
     return True
 
 
-def cs_suite(trials: int, seed: int, p_max: int = 1000) -> dict:
+def cs_suite(trials: int, seed: int) -> dict:
     """Order divisibility against the literal for-all-n implication."""
     rng = random.Random(seed)
     backend = MultiplicativeGroup()
-    small_primes = primes_in(PrimeRange(3, p_max))
+    small_primes = primes_in(PrimeRange(3, _CS_P_MAX))
     rows = []
     agreements = 0
     for _ in range(trials):
@@ -145,7 +148,7 @@ def cs_suite(trials: int, seed: int, p_max: int = 1000) -> dict:
         "suite": "cs",
         "trials": trials,
         "seed": seed,
-        "p_max": p_max,
+        "p_max": _CS_P_MAX,
         "agreements": agreements,
         "anomalies": trials - agreements,
         "rows": rows,
@@ -265,23 +268,16 @@ def ec_detect_suite(trials: int, seed: int, scan: PrimeRange | None = None,
             for Lj, lj in zip(subgroup.generators, lambdas):
                 combo = backend.combine(combo, backend.scale(lj, Lj))
             cert_ok = backend.scale(alpha, P) == combo
-        bad = False
-        if kind == "member" and (
-            result.report.verdict != "holds_on_scan" or cert_ok is not True
-        ):
-            bad = True
-        if kind == "stretch" and result.report.verdict == "holds_on_scan":
-            if result.certificate is None:
-                bad = True
-            else:
-                bad = cert_ok is not True
-        if kind == "independent" and cert_ok is True:
-            bad = True  # a verified certificate would contradict independence
-        if cert_ok is False:
-            bad = True
-        if result.report.verdict == "holds_on_scan" and result.certificate is None:
-            if kind == "independent":
-                unresolved += 1
+        # A certificate is only sought when the scan holds, so a failed one
+        # (cert_ok False) always comes with a holding scan.
+        holds = result.report.verdict == "holds_on_scan"
+        if kind == "member":
+            bad = not holds or cert_ok is not True
+        elif kind == "stretch":
+            bad = holds and cert_ok is not True
+        else:  # independent: no certificate, verified or failed, may appear
+            bad = cert_ok is not None
+            unresolved += holds and cert_ok is None
         anomalies += bad
         rows.append(
             {

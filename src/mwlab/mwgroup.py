@@ -507,7 +507,6 @@ class EllipticGroup:
 
     def __init__(self, curve: WeierstrassCurve):
         self.curve = curve
-        self._torsion: tuple[EcPoint, ...] | None = None
 
     def identity(self) -> EcPoint:
         return EC_IDENTITY
@@ -595,12 +594,10 @@ class EllipticGroup:
         Y^2 = X^3 - 27*c4*X - 54*c6 whose Y = 0 or Y^2 divides its
         discriminant, mapped back and confirmed by finite order.
         """
-        if self._torsion is None:
-            self._torsion = self._compute_torsion()
         return self._torsion
 
     def is_torsion(self, P: EcPoint) -> bool:
-        return P in self.torsion_elements()
+        return P in self._torsion
 
     def height_bound(self, P: EcPoint, Q: EcPoint) -> int:
         """Heuristic bound on |d| for Q = d*P from the naive heights of the
@@ -617,7 +614,9 @@ class EllipticGroup:
             acc = self.curve.add(acc, T)
         raise ValueError(f"{T!r} is not torsion (no order up to 24)")
 
-    def _compute_torsion(self) -> tuple[EcPoint, ...]:
+    @cached_property
+    def _torsion(self) -> tuple[EcPoint, ...]:
+        """`torsion_elements`, computed once per group."""
         disc = self.curve.discriminant
         good = []
         v = 2
@@ -691,17 +690,8 @@ class EllipticGroup:
     def __repr__(self):
         return f"EllipticGroup({self.curve.encode()!r})"
 
-    def __getstate__(self):
-        return self.curve
-
-    def __setstate__(self, state):
-        self.curve = state
-        self._torsion = None
-
 
 def _divisors(n: int) -> list[int]:
-    if n == 1:
-        return [1]
     out = [1]
     for p, e in numth.factor(n).factors:
         out = [d * p**k for d in out for k in range(e + 1)]

@@ -80,19 +80,6 @@ class PrimeRange:
             )
 
 
-def _sieve(limit: int) -> bytearray:
-    """Byte-per-number sieve of Eratosthenes up to limit inclusive."""
-    if limit < 2:
-        return bytearray(limit + 1)
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return flags
-
-
 def primes_in(window: PrimeRange) -> list[int]:
     """Exactly the primes p with lo <= p <= hi, ascending, as a new list.
 
@@ -112,11 +99,12 @@ def _recent_window(lo: int, hi: int) -> tuple[int, ...]:
 
 
 def _sieve_window(lo: int, hi: int) -> list[int]:
-    """Segmented sieve: only the window itself and the primes up to sqrt(hi)
-    are ever flagged, whatever lo is."""
-    base_flags = _sieve(math.isqrt(hi))
+    """Segmented sieve: only the window itself is flagged, by the primes up
+    to sqrt(hi), which come from sieving the window 2..isqrt(hi) the same
+    way (no base primes at all once isqrt(hi) < 2)."""
+    root = math.isqrt(hi)
     flags = bytearray(b"\x01") * (hi - lo + 1)
-    for p in itertools.compress(range(len(base_flags)), base_flags):
+    for p in _sieve_window(2, root) if root >= 2 else ():
         start = max(p * p, -(-lo // p) * p)
         if start <= hi:
             flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
@@ -127,10 +115,9 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (witness set valid far past 64 bits)."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
+    if n in _MR_WITNESSES:
         return True
-    if any(n % p == 0 for p in small):
+    if any(n % p == 0 for p in _MR_WITNESSES):
         return False
     d = n - 1
     r = 0

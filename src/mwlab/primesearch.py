@@ -80,6 +80,12 @@ def _pattern_test(points, pattern, backend, v):
     return None
 
 
+def _scan(test, args, scan: PrimeRange, workers: int, limit: int | None = 1) -> list[dict]:
+    """The chunk results of one scan of the window, in ascending order."""
+    chunks = split_chunks(numth.primes_in(scan), workers)
+    return map_chunks(scan_chunk, [(test, args, c, limit) for c in chunks], workers)
+
+
 def find_pattern_primes(points, pattern: ValuationPattern, backend, scan: PrimeRange,
                         max_hits: int = 10, workers: int = 1) -> list[PatternHit]:
     """Up to max_hits good primes in the window realizing the exact pattern,
@@ -93,12 +99,7 @@ def find_pattern_primes(points, pattern: ValuationPattern, backend, scan: PrimeR
         raise ValueError("one pattern exponent per point required")
     if max_hits < 1:
         raise ValueError("max_hits must be positive")
-    primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, workers)
-    args = (points, pattern, backend)
-    results = map_chunks(
-        scan_chunk, [(_pattern_test, args, c, max_hits) for c in chunks], workers
-    )
+    results = _scan(_pattern_test, (points, pattern, backend), scan, workers, max_hits)
     found = [hit for res in results for hit in res["hits"]][:max_hits]
     # Certified after the merge: only the hits returned pay for it.
     return [
@@ -135,11 +136,7 @@ def replay_step1(P, Qs, l: int, backend, scan: PrimeRange, workers: int = 1) -> 
     """
     if not numth.is_prime(l):
         raise ValueError(f"{l} is not prime")
-    primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, workers)
-    results = map_chunks(
-        scan_chunk, [(_replay1_test, (P, tuple(Qs), l, backend), c) for c in chunks], workers
-    )
+    results = _scan(_replay1_test, (P, tuple(Qs), l, backend), scan, workers)
     for res in results:
         if res["witness"] is not None:
             return res["witness"]
@@ -174,12 +171,7 @@ def pattern_density(points, pattern: ValuationPattern, backend, scan: PrimeRange
     points = list(points)
     if len(points) != len(pattern.ks):
         raise ValueError("one pattern exponent per point required")
-    primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, workers)
-    args = (points, pattern, backend)
-    results = map_chunks(
-        scan_chunk, [(_pattern_test, args, c, None) for c in chunks], workers
-    )
+    results = _scan(_pattern_test, (points, pattern, backend), scan, workers, None)
     hits = sum(len(r["hits"]) for r in results)
     goods = sum(r["goods"] for r in results)
     ratio = hits / goods if goods else 0.0

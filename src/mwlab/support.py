@@ -188,41 +188,26 @@ def verify_conclusion_match(xs, ys) -> RelationCertificate | None:
     """Match {x_i} with {delta_i * y_sigma(i)}, deltas in {-1, 1}; None if no
     perfect matching exists. Signs act by inversion: delta = -1 pairs x with
     1/y. Exact rational comparison throughout.
+
+    "x = y or x = 1/y" is an equivalence, so taking the first free match for
+    each x in turn never blocks a later x: greedy matching is exact.
     """
     xs = list(xs)
     ys = list(ys)
     if len(xs) != len(ys):
         raise ValueError("conclusion match takes lists of equal length")
-    t = len(xs)
-    options: list[list[tuple[int, int]]] = []
+    used = [False] * len(ys)
+    sigma, deltas = [], []
     for x in xs:
-        row = []
-        for j, y in enumerate(ys):
-            if x.value == y.value:
-                row.append((j, 1))
-            if x.value == 1 / y.value and x.value != y.value:
-                row.append((j, -1))
-        options.append(row)
-
-    used = [False] * t
-    sigma = [0] * t
-    deltas = [0] * t
-
-    def assign(i: int) -> bool:
-        if i == t:
-            return True
-        for j, delta in options[i]:
-            if used[j]:
-                continue
-            used[j] = True
-            sigma[i], deltas[i] = j, delta
-            if assign(i + 1):
-                return True
-            used[j] = False
-        return False
-
-    if not assign(0):
-        return None
+        j = next(
+            (j for j, y in enumerate(ys) if not used[j] and x.value in (y.value, 1 / y.value)),
+            None,
+        )
+        if j is None:
+            return None
+        used[j] = True
+        sigma.append(j)
+        deltas.append(1 if x.value == ys[j].value else -1)
     return RelationCertificate(
         kind="match", coefficients=tuple(sigma) + tuple(deltas)
     )

@@ -88,7 +88,7 @@ def test_criterion_2_erdos_soundness(erdos_aggregate):
 
 
 def test_criterion_3_corrales_schoof_reduction():
-    agg = experiments.cs_suite(500, SEED_CS, p_max=1000)
+    agg = experiments.cs_suite(500, SEED_CS)
     _report(
         3,
         agg["agreements"] == 500,

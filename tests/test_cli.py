@@ -228,6 +228,16 @@ class TestRun:
         )
         assert code == VIOLATED
 
+    def test_cs_check_scan(self, capsys):
+        code, out = run_cli(capsys, "cs-check", "--x", "4", "--y", "2", "--primes", "3..500")
+        assert code == VIOLATED
+        report = json.loads(out)["outcome"]["report"]
+        assert report["condition_id"] == "corrales_schoof"
+        assert (report["witness"]["v"], report["witness"]["n"]) == (3, 1)
+        code, out = run_cli(capsys, "cs-check", "--x", "2", "--y", "4", "--primes", "3..500")
+        assert code == OK
+        assert json.loads(out)["outcome"]["report"]["verdict"] == "holds_on_scan"
+
     def test_experiment_zero_trials(self, capsys):
         code, out = run_cli(capsys, "experiment", "--suite", "erdos", "--trials", "0")
         assert code == OK
@@ -281,6 +291,31 @@ class TestVerifyMode:
         assert code == USAGE_ERROR
         assert out == ""
 
+    def test_replay_witness_reverifies(self, capsys):
+        # replay witnesses are rechecked as thm2 violations.
+        base = ("replay", "--p", "2", "--qs", "3", "--l", "5", "--primes", "3..1000")
+        w = json.loads(run_cli(capsys, *base)[1])["outcome"]["witness"]
+        code, out = run_cli(capsys, *base, "--verify", f"{w['v']}:{w['n']}")
+        assert code == OK
+        assert json.loads(out)["outcome"]["verify"] == {"v": 31, "n": 5, "reproduced": True}
+        code, out = run_cli(capsys, *base, "--verify", "31:3")
+        assert code == INTERNAL_ERROR
+        assert json.loads(out)["outcome"]["verify"]["reproduced"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("find-primes", "--points", "2", "--l", "5", "--ks", "1"),
+            ("recover", "--p", "2", "--q", "1024"),
+            ("experiment", "--suite", "cs", "--trials", "3"),
+        ],
+        ids=["find-primes", "recover", "experiment"],
+    )
+    def test_commands_without_witnesses_refuse_verify(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--verify", "5:1")
+        assert code == USAGE_ERROR
+        assert out == ""
+
     def test_elliptic_witness_checks_n(self, capsys):
         base = ("detect", "--backend", "ec:0,0,1,-1,0", "--points", "(0,0)",
                 "--lambda", "(1,-1)", "--primes", "3..300")
@@ -315,6 +350,87 @@ class TestFormats:
         _, out = run_cli(capsys, "recover", "--p", "2", "--q", "1024", "--format", "text")
         assert "found" in out
 
+    @pytest.mark.parametrize(
+        "argv, csv_row, text",
+        [
+            (
+                ("replay", "--p", "2", "--qs", "3", "--l", "5", "--primes", "3..1000"),
+                "replay,found,31,5,ord_v(P)=5 with ord_v(Q_i)=[30]; n=5 kills P mod 31 "
+                "and kills no Q_i (5 divides every ord_v(Q_i))",
+                "replay [mul]\n  primes 3..1000\n  replay: found\n  witness v=31 n=5\n"
+                "  ord_v(P)=5 with ord_v(Q_i)=[30]; n=5 kills P mod 31 and kills no Q_i "
+                "(5 divides every ord_v(Q_i))",
+            ),
+            (
+                ("replay", "--p", "2", "--qs", "4", "--l", "5", "--primes", "3..1000"),
+                "replay,absent,,,",
+                "replay [mul]\n  primes 3..1000\n  replay: absent",
+            ),
+            (
+                ("find-primes", "--points", "2,3", "--l", "5", "--ks", "1,0",
+                 "--primes", "3..1000", "--max-hits", "3"),
+                'find-primes,hits=3,41,,"orders=[20, 8]"',
+                "find-primes [mul]\n  primes 3..1000\n  find-primes: hits=3\n"
+                "  witness v=41 n=\n  orders=[20, 8]",
+            ),
+            (
+                ("find-primes", "--points", "2", "--l", "2", "--ks", "30", "--primes", "3..100"),
+                "find-primes,hits=0,,,orders=",
+                "find-primes [mul]\n  primes 3..100\n  find-primes: hits=0\n  orders=",
+            ),
+            (
+                ("find-primes", "--points", "2", "--l", "2", "--ks", "0",
+                 "--primes", "3..2000", "--density"),
+                "find-primes,measured,91,302,ratio=0.30132450331125826",
+                "find-primes [mul]\n  primes 3..2000\n  find-primes: measured\n"
+                "  witness v=91 n=302\n  ratio=0.30132450331125826",
+            ),
+            (
+                ("find-primes", "--points", "2", "--l", "2", "--ks", "30",
+                 "--primes", "3..100", "--density"),
+                "find-primes,inconclusive,0,24,ratio=0.0",
+                "find-primes [mul]\n  primes 3..100\n  find-primes: inconclusive\n"
+                "  witness v=0 n=24\n  ratio=0.0",
+            ),
+            (
+                ("recover", "--p", "2", "--q", "1024"),
+                "recover,found,,10,verified exactly with modulus 60",
+                "recover [mul]\n  primes 3..10000\n  recover: found\n"
+                "  verified exactly with modulus 60",
+            ),
+            (
+                ("recover", "--p", "2", "--q", "3"),
+                "recover,absent,,,Q is outside the cyclic group generated by P mod 7",
+                "recover [mul]\n  primes 3..10000\n  recover: absent\n"
+                "  Q is outside the cyclic group generated by P mod 7",
+            ),
+            (
+                ("support-check", "--xs", "2", "--ys", "8", "--verify", "7:1"),
+                "support-check,reproduced,7,1,",
+                "support-check [mul]\n  primes 3..10000\n  support-check: reproduced\n"
+                "  witness v=7 n=1",
+            ),
+            (
+                ("cs-check", "--x", "2", "--y", "4", "--verify", "7:3"),
+                "cs-check,NOT-reproduced,7,3,",
+                "cs-check [mul]\n  primes 3..10000\n  cs-check: NOT-reproduced\n"
+                "  witness v=7 n=3",
+            ),
+            (
+                ("experiment", "--suite", "erdos", "--trials", "2", "--seed", "3"),
+                "experiment:erdos,anomalies=0,2,,",
+                "experiment [mul]\n  experiment:erdos: anomalies=0\n  witness v=2 n=",
+            ),
+        ],
+        ids=["witness", "no-witness", "hits", "no-hits", "density", "density-empty",
+             "d", "no-d", "verify", "verify-failed", "experiment"],
+    )
+    def test_csv_and_text_pins(self, capsys, argv, csv_row, text):
+        _, out = run_cli(capsys, *argv, "--format", "csv")
+        assert out == "condition_id,verdict,v,n,detail\n" + csv_row + "\n"
+        _, out = run_cli(capsys, *argv, "--format", "text")
+        assert out == text + "\n"
+
     def test_json_roundtrip(self, capsys):
         _, out = run_cli(capsys, "detect", "--points", "360", "--lambda", "6,10",
                          "--primes", "7..2000")
@@ -346,12 +462,16 @@ class TestDeterminism:
         assert a == b
 
 
-def test_module_entry_point():
+def test_module_entry_point(capsys):
+    argv = ["support-check", "--xs", "2", "--ys", "8", "--primes", "3..100"]
     proc = subprocess.run(
-        [sys.executable, "-m", "mwlab", "recover", "--p", "2", "--q", "32"],
+        [sys.executable, "-m", "mwlab", *argv],
         capture_output=True,
         text=True,
         cwd="src",
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["outcome"]["d"] == 5
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code == VIOLATED
+    assert json.loads(proc.stdout)["outcome"]["report"]["witness"]["v"] == 7

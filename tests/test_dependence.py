@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from mwlab import dependence
 from mwlab.dependence import (
     SubgroupSpec,
     detect_dependence,
@@ -158,6 +160,36 @@ class TestExactMembership:
                     abs(l) for l in cert.coefficients[1:]) > 6, (x, gens, cert)
             else:
                 assert cert is not None and cert.coefficients[0] == brute[0], (x, gens, cert)
+
+    @pytest.mark.parametrize(
+        "p_val, gens",
+        [(16, (2, 4, 8)), (360, (6, 10, 60)), (-8, (-2, 4)), (-1, (-2, 2, 4)), (3, (9, 27)),
+         (Fraction(9, 4), (Fraction(3, 2), 9, Fraction(2, 3)))],
+        ids=str,
+    )
+    def test_gcd_fold_over_a_changed_basis(self, monkeypatch, p_val, gens):
+        # integer_kernel's echelon order leaves at most one relation w with a
+        # nonzero P exponent, so the xgcd fold only runs on another basis of
+        # the same lattice: with u another basis vector, (w, u) becomes
+        # (2w + u, 3w + u), whose P exponents 2e and 3e have gcd e.
+        lam = SubgroupSpec(tuple(MulPoint(g) for g in gens), M)
+        want = exact_membership_multiplicative(MulPoint(p_val), lam)
+        inner = dependence.unit_relations
+
+        def changed_basis(values):
+            basis = inner(values)
+            w = next(b for b in basis if b[-1])
+            u = next(b for b in basis if b is not w)
+            rest = [b for b in basis if b is not w and b is not u]
+            return [[2 * x + y for x, y in zip(w, u)], [3 * x + y for x, y in zip(w, u)], *rest]
+
+        monkeypatch.setattr(dependence, "unit_relations", changed_basis)
+        assert len({b[-1] for b in changed_basis([*gens, p_val]) if b[-1]}) == 2
+        got = exact_membership_multiplicative(MulPoint(p_val), lam)
+        assert got.coefficients[0] == want.coefficients[0]
+        alpha, lambdas = got.coefficients[0], got.coefficients[1:]
+        check = math.prod(Fraction(g) ** l for g, l in zip(gens, lambdas))
+        assert check == Fraction(p_val) ** alpha
 
     def test_against_brute_force(self):
         rng = random.Random(31)
@@ -327,6 +359,28 @@ class TestRecover:
         result = recover_exponent(P, Q, E, PrimeRange(3, 500))
         assert result.d is None
         assert result.status == "refuted"
+
+    def test_failed_lifts(self, monkeypatch):
+        # With a height bound of 1 the lift is tried once the modulus passes
+        # 2: d = 2 (mod 4) and d = -2 (mod 12) fail exact verification, the
+        # bound grows 4-fold after each, and d = 10 (mod 60) verifies.
+        monkeypatch.setattr(MultiplicativeGroup, "height_bound", lambda self, P, Q: 1)
+        lifts = []
+        scale = MultiplicativeGroup.scale
+
+        def recorded_scale(self, n, P):
+            lifts.append(n)
+            return scale(self, n, P)
+
+        monkeypatch.setattr(MultiplicativeGroup, "scale", recorded_scale)
+        result = recover_exponent(MulPoint(2), MulPoint(1024), M, PrimeRange(3, 100))
+        assert (result.d, result.status) == (10, "found")
+        assert lifts == [2, -2, 10]
+        assert result.detail == "verified exactly with modulus 60"
+        # A third failed lift gives up.
+        result = recover_exponent(MulPoint(2), MulPoint(2**40), M, PrimeRange(3, 100))
+        assert result.d is None
+        assert result.detail.startswith("lift d = ")
 
     def test_status(self):
         assert recover_exponent(MulPoint(2), MulPoint(1024), M, PrimeRange(3, 100)).status == "found"

@@ -1,8 +1,9 @@
 """Fast paths against the slow exact oracles they replace: Shanks-Mestre
 point counts against enumeration, Sylow-local membership (and Q*
 membership by one exponentiation) against subgroup closure, elliptic
-discrete logs against enumeration of <P mod v>, and the modular square
-root against a table of squares."""
+discrete logs against enumeration of <P mod v>, the modular square root
+against a table of squares, and the bounded elliptic certificate search
+against the search that stored every combination's sum."""
 
 import itertools
 import random
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from mwlab import dependence, mwgroup
-from mwlab.dependence import SubgroupSpec, _member_raw, member_mod
+from mwlab.dependence import SubgroupSpec, _bounded_membership_search, _member_raw, member_mod
 from mwlab.mwgroup import (
     EC_IDENTITY,
     EllipticGroup,
@@ -22,14 +23,17 @@ from mwlab.mwgroup import (
     _curve_order_mod,
     _ec_add_mod,
     _shanks_mestre_order,
+    bounded_combinations,
     subgroup_closure_mod,
 )
 from mwlab.numth import PrimeRange, primes_in, sqrt_mod
+from mwlab.reports import RelationCertificate
 
 C37 = WeierstrassCurve(0, 0, 1, -1, 0)  # rank 1, no CM
 C389 = WeierstrassCurve(0, 1, 1, -2, 0)  # rank 2, no CM; (0,0), (1,0) independent
 CXX = WeierstrassCurve(0, 0, 0, -1, 0)  # y^2 = x^3 - x: CM, full rational 2-torsion
 CX1 = WeierstrassCurve(0, 0, 0, 0, 1)  # y^2 = x^3 + 1: CM
+CN5 = WeierstrassCurve(0, 0, 0, -25, 0)  # y^2 = x^3 - 25x: rank 1, torsion Z/2 x Z/2
 COEFFS = {c: (c.a1, c.a2, c.a3, c.a4, c.a6) for c in (C37, C389, CXX, CX1)}
 
 
@@ -229,3 +233,84 @@ def _count_closures(monkeypatch):
 
     monkeypatch.setattr(dependence, "subgroup_closure_mod", counted)
     return calls
+
+
+def _span_search(P, subgroup, bound):
+    """Oracle: store the sum of every combination in [-bound, bound]^s
+    (first vector in product order), then look up alpha*P for alpha = 1, 2, ..."""
+    backend = subgroup.backend
+    span: dict = {}
+    for vec, acc in bounded_combinations(backend, subgroup.generators, bound):
+        span.setdefault(acc, vec)
+    acc = backend.identity()
+    for alpha in range(1, bound + 1):
+        acc = backend.combine(acc, P)
+        if backend.is_identity(acc):
+            continue
+        vec = span.get(acc)
+        if vec is not None:
+            return RelationCertificate(kind="membership", coefficients=(alpha, *vec))
+    return None
+
+
+class TestBoundedMembershipSearch:
+    def _cases(self, rng, curve, basis, torsion, trials):
+        """Seeded (generators, P) pairs: generators are small combinations
+        of the basis and torsion points, P another one, scaled by some
+        alpha so that a certificate may need alpha > 1."""
+        E = EllipticGroup(curve)
+        pool = list(basis) + list(torsion)
+
+        def combo():
+            acc = EC_IDENTITY
+            for Q in pool:
+                acc = curve.add(acc, curve.mul(rng.randint(-2, 2), Q))
+            return acc
+
+        for _ in range(trials):
+            gens = tuple(combo() for _ in range(rng.randint(1, 2)))
+            yield SubgroupSpec(gens, E), combo()
+
+    @pytest.mark.parametrize(
+        "curve, basis, torsion",
+        [
+            (C37, [(0, 0)], []),
+            (C389, [(0, 0), (1, 0)], []),
+            (CN5, [(-4, 6)], [(0, 0), (5, 0)]),
+        ],
+        ids=["rank-1", "rank-2", "rank-1-torsion"],
+    )
+    def test_against_span_search(self, curve, basis, torsion):
+        rng = random.Random(20)
+        basis = [curve.point(*xy) for xy in basis]
+        torsion = [curve.point(*xy) for xy in torsion]
+        found = set()
+        for subgroup, P in self._cases(rng, curve, basis, torsion, 25):
+            for bound in (0, 1, 3):
+                got = _bounded_membership_search(P, subgroup, bound)
+                assert got == _span_search(P, subgroup, bound), (subgroup.generators, P, bound)
+                found.add(None if got is None else min(got.coefficients[0], 2))
+        assert found == {None, 1, 2}
+
+    def test_torsion_relations_among_generators(self):
+        # G + T1 needs alpha = 2 against <G> alone; with T1 among the
+        # generators alpha = 1 has several lambdas, and the first in product
+        # order is kept. A torsion P is certified only where alpha*P != O.
+        E = EllipticGroup(CN5)
+        G, T1, T2 = CN5.point(-4, 6), CN5.point(0, 0), CN5.point(5, 0)
+        cases = [
+            ((G,), CN5.add(G, T1)),
+            ((G, T1), CN5.add(G, T1)),
+            ((T1, T2, G), CN5.add(CN5.mul(2, G), T2)),
+            ((T1, T2), T1),
+            ((T1, T2), CN5.add(T1, T2)),
+            ((G,), T1),
+            ((CN5.mul(2, G), T1), G),
+        ]
+        for gens, P in cases:
+            subgroup = SubgroupSpec(gens, E)
+            for bound in (1, 2, 4):
+                got = _bounded_membership_search(P, subgroup, bound)
+                assert got == _span_search(P, subgroup, bound), (gens, P, bound)
+        cert = _bounded_membership_search(CN5.add(G, T1), SubgroupSpec((G,), E), 4)
+        assert cert.coefficients == (2, 2)

@@ -329,3 +329,34 @@ class TestConclusionMatch:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             verify_conclusion_match([MulPoint(2)], [MulPoint(2), MulPoint(3)])
+
+    def test_greedy_against_backtracking(self):
+        # Oracle: the first (sigma, deltas) in search order that matches
+        # every x, with backtracking over the free ys.
+        def backtrack(xs, ys, i=0, used=()):
+            if i == len(xs):
+                return (), ()
+            for j, y in enumerate(ys):
+                for delta in (1, -1):
+                    if j in used or xs[i].value != y.value**delta:
+                        continue
+                    if delta == -1 and xs[i].value == y.value:
+                        continue
+                    rest = backtrack(xs, ys, i + 1, used + (j,))
+                    if rest is not None:
+                        return (j, *rest[0]), (delta, *rest[1])
+            return None
+
+        rng = random.Random(4)
+        values = [2, Fraction(1, 2), 3, Fraction(1, 3), -1, 1, -2]
+        outcomes = set()
+        for _ in range(300):
+            t = rng.randint(1, 4)
+            xs = [MulPoint(rng.choice(values)) for _ in range(t)]
+            ys = [MulPoint(rng.choice(values)) for _ in range(t)]
+            want = backtrack(xs, ys)
+            cert = verify_conclusion_match(xs, ys)
+            got = None if cert is None else (cert.coefficients[:t], cert.coefficients[t:])
+            assert got == want, (xs, ys)
+            outcomes.add(cert is None)
+        assert outcomes == {True, False}
