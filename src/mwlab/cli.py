@@ -226,7 +226,11 @@ def parse_args(argv: list[str]) -> RunConfig:
         elif ns.command == "recover":
             payload["P"] = backend.parse_point(ns.p)
             payload["Q"] = backend.parse_point(ns.q)
+            if not backend.is_identity(payload["Q"]) and backend.is_torsion(payload["P"]):
+                raise UsageError(f"recover needs a nontorsion base point, got --p {ns.p}")
         elif ns.command == "experiment":
+            if ns.suite == "cs" and scan is not None:
+                raise UsageError("--suite cs draws its own primes; --primes does not apply")
             payload["suite"] = ns.suite
             payload["trials"] = ns.trials
             payload["seed"] = ns.seed
@@ -270,16 +274,6 @@ def _encode_inputs(config: RunConfig) -> dict:
     return out
 
 
-def _envelope(config: RunConfig, outcome: dict) -> dict:
-    return {
-        "command": config.command,
-        "backend": config.backend.encode(),
-        "scan": {"lo": config.scan.lo, "hi": config.scan.hi} if config.scan else None,
-        "inputs": _encode_inputs(config),
-        "outcome": outcome,
-    }
-
-
 def _run_verify(config: RunConfig) -> tuple[int, dict]:
     v, n = config.verify
     pl = config.payload
@@ -307,77 +301,81 @@ def _run_verify(config: RunConfig) -> tuple[int, dict]:
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute a parsed configuration; returns (exit_code, report dict)."""
+    pl = config.payload
     if config.verify is not None:
         code, outcome = _run_verify(config)
-        return code, _envelope(config, outcome)
-    pl = config.payload
-    if config.command == "support-check":
+    elif config.command == "support-check":
         report = support.scan_erdos_union(pl["xs"], pl["ys"], config.scan, config.workers)
         code = OK if report.verdict == "holds_on_scan" else VIOLATED
-        return code, _envelope(config, {"report": report.to_dict()})
-    if config.command == "cs-check":
+        outcome = {"report": report.to_dict()}
+    elif config.command == "cs-check":
         report = support.scan_corrales_schoof(
             pl["x"], pl["y"], config.backend, config.scan, config.workers
         )
         code = OK if report.verdict == "holds_on_scan" else VIOLATED
-        return code, _envelope(config, {"report": report.to_dict()})
-    if config.command == "find-primes":
-        if pl["density"]:
-            density = primesearch.pattern_density(
-                pl["points"], pl["pattern"], config.backend, config.scan, config.workers
-            )
-            outcome = {
-                "density": {
-                    "hits": density.hits,
-                    "scanned_good_primes": density.scanned_good_primes,
-                    "ratio": density.ratio,
-                    "inconclusive": density.inconclusive,
-                }
+        outcome = {"report": report.to_dict()}
+    elif config.command == "find-primes" and pl["density"]:
+        density = primesearch.pattern_density(
+            pl["points"], pl["pattern"], config.backend, config.scan, config.workers
+        )
+        code = INCONCLUSIVE if density.inconclusive else OK
+        outcome = {
+            "density": {
+                "hits": density.hits,
+                "scanned_good_primes": density.scanned_good_primes,
+                "ratio": density.ratio,
+                "inconclusive": density.inconclusive,
             }
-            return (INCONCLUSIVE if density.inconclusive else OK), _envelope(config, outcome)
+        }
+    elif config.command == "find-primes":
         hits = primesearch.find_pattern_primes(
             pl["points"], pl["pattern"], config.backend, config.scan,
             pl["max_hits"], config.workers,
         )
+        code = OK if hits else INCONCLUSIVE
         outcome = {
             "hits": [
                 {"v": h.v, "orders": list(h.orders), "verified": h.verified}
                 for h in hits
             ]
         }
-        return (OK if hits else INCONCLUSIVE), _envelope(config, outcome)
-    if config.command == "replay":
+    elif config.command == "replay":
         witness = primesearch.replay_step1(
             pl["P"], pl["Qs"], pl["l"], config.backend, config.scan, config.workers
         )
+        code = OK if witness else INCONCLUSIVE
         outcome = {"witness": witness.to_dict() if witness else None}
-        return (OK if witness else INCONCLUSIVE), _envelope(config, outcome)
-    if config.command == "detect":
+    elif config.command == "detect":
         subgroup = dependence.SubgroupSpec(tuple(pl["generators"]), config.backend)
         result = dependence.detect_dependence(
             pl["Ps"], subgroup, config.scan, config.workers, pl["coeff_bound"]
         )
+        code = OK if result.certificate else INCONCLUSIVE
+        if result.report.verdict == "violated":
+            code = VIOLATED
         outcome = {
             "report": result.report.to_dict(),
             "certificate": result.certificate.to_dict() if result.certificate else None,
             "certified_index": result.certified_index,
             "note": result.note,
         }
-        if result.report.verdict == "violated":
-            return VIOLATED, _envelope(config, outcome)
-        return (OK if result.certificate else INCONCLUSIVE), _envelope(config, outcome)
-    if config.command == "recover":
+    elif config.command == "recover":
         result = dependence.recover_exponent(pl["P"], pl["Q"], config.backend, config.scan)
-        outcome = {"d": result.d, "detail": result.detail}
         code = {"found": OK, "refuted": VIOLATED, "inconclusive": INCONCLUSIVE}[result.status]
-        return code, _envelope(config, outcome)
-    if config.command == "experiment":
+        outcome = {"d": result.d, "detail": result.detail}
+    else:  # experiment
         aggregate = experiments.run_suite(
             pl["suite"], pl["trials"], pl["seed"], config.scan, config.workers
         )
         code = OK if aggregate["anomalies"] == 0 else VIOLATED
-        return code, _envelope(config, {"experiment": aggregate})
-    raise UsageError(f"unknown command {config.command!r}")
+        outcome = {"experiment": aggregate}
+    return code, {
+        "command": config.command,
+        "backend": config.backend.encode(),
+        "scan": {"lo": config.scan.lo, "hi": config.scan.hi} if config.scan else None,
+        "inputs": _encode_inputs(config),
+        "outcome": outcome,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -385,66 +383,60 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
 
 def render(report: dict, fmt: str) -> str:
+    """The report as JSON, or as its csv row; text is the same row under
+    the command, backend and window."""
     if fmt == "json":
         return json.dumps(report, indent=2)
+    condition_id, verdict, v, n, detail = row = _row(report)
     if fmt == "csv":
-        return _render_csv(report)
-    return _render_text(report)
-
-
-def _csv_fields(report: dict) -> tuple[str, str, object, object, str]:
-    outcome = report["outcome"]
-    if "report" in outcome and outcome["report"]:
-        rep = outcome["report"]
-        w = rep["witness"] or {}
-        return (rep["condition_id"], rep["verdict"], w.get("v", ""), w.get("n", ""),
-                w.get("detail", ""))
-    if "witness" in outcome:
-        w = outcome["witness"] or {}
-        verdict = "found" if outcome["witness"] else "absent"
-        return (report["command"], verdict, w.get("v", ""), w.get("n", ""), w.get("detail", ""))
-    if "d" in outcome:
-        verdict = "found" if outcome["d"] is not None else "absent"
-        return (report["command"], verdict, "", outcome["d"] if outcome["d"] is not None else "",
-                outcome["detail"])
-    if "hits" in outcome:
-        first = outcome["hits"][0] if outcome["hits"] else {}
-        return (report["command"], f"hits={len(outcome['hits'])}", first.get("v", ""), "",
-                "orders=" + str(first.get("orders", "")))
-    if "experiment" in outcome:
-        agg = outcome["experiment"]
-        return (f"experiment:{agg['suite']}", f"anomalies={agg['anomalies']}",
-                agg["trials"], "", "")
-    if "verify" in outcome:
-        v = outcome["verify"]
-        return (report["command"], "reproduced" if v["reproduced"] else "NOT-reproduced",
-                v["v"], v["n"], "")
-    if "density" in outcome:
-        d = outcome["density"]
-        return (report["command"], "inconclusive" if d["inconclusive"] else "measured",
-                d["hits"], d["scanned_good_primes"], f"ratio={d['ratio']}")
-    return (report["command"], "?", "", "", "")
-
-
-def _render_csv(report: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("condition_id", "verdict", "v", "n", "detail"))
-    writer.writerow(_csv_fields(report))
-    return buf.getvalue().rstrip("\n")
-
-
-def _render_text(report: dict) -> str:
-    condition_id, verdict, v, n, detail = _csv_fields(report)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [("condition_id", "verdict", "v", "n", "detail"), row]
+        )
+        return buf.getvalue().rstrip("\n")
     lines = [f"{report['command']} [{report['backend']}]"]
     if report["scan"]:
         lines.append(f"  primes {report['scan']['lo']}..{report['scan']['hi']}")
     lines.append(f"  {condition_id}: {verdict}")
-    if v != "":
+    if v is not None:
         lines.append(f"  witness v={v} n={n}")
     if detail:
         lines.append(f"  {detail}")
     return "\n".join(lines)
+
+
+def _row(report: dict) -> tuple:
+    """(condition_id, verdict, v, n, detail) of a report. v and n come only
+    from a witness: a condition report's, replay's, or the pair --verify
+    rechecked. Everything else the outcome says goes into detail."""
+    command, witness, detail = report["command"], None, None
+    match report["outcome"]:
+        case {"verify": witness}:
+            head = command, "reproduced" if witness["reproduced"] else "NOT-reproduced"
+        case {"report": rep, **detect}:
+            head, witness = (rep["condition_id"], rep["verdict"]), rep["witness"]
+            cert, detail = detect.get("certificate"), detect.get("note")
+            if cert:
+                detail = (f"certificate alpha={cert['alpha']} lambdas={cert['lambdas']} "
+                          f"index={cert['index']}")
+        case {"witness": witness}:
+            head = command, "found" if witness else "absent"
+        case {"d": d, "detail": detail}:
+            head = command, "absent" if d is None else "found"
+            if d is not None:
+                detail = f"d={d}; {detail}"
+        case {"hits": hits}:
+            head = command, f"hits={len(hits)}"
+            detail = "; ".join(f"v={h['v']} orders={h['orders']}" for h in hits)
+        case {"density": den}:
+            head = command, "inconclusive" if den["inconclusive"] else "measured"
+            detail = (f"hits={den['hits']} good_primes={den['scanned_good_primes']} "
+                      f"ratio={den['ratio']}")
+        case {"experiment": agg}:
+            head = f"experiment:{agg['suite']}", f"anomalies={agg['anomalies']}"
+            detail = f"trials={agg['trials']}"
+    witness = witness or {}
+    return (*head, witness.get("v"), witness.get("n"), witness.get("detail") or detail)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -589,7 +589,9 @@ class EllipticGroup:
     def torsion_elements(self) -> tuple[EcPoint, ...]:
         """All rational torsion points, by gcd bounding plus integral search.
 
-        The torsion order divides gcd |E(F_v)| over the first 8 good primes;
+        The torsion order divides gcd |E(F_v)| over the first 8 odd good
+        primes (torsion injects into E(F_v) for odd good v, Silverman AEC
+        VII.3.1; at v = 2 it need not: 15a with Z/8 has |E(F_2)| = 4);
         candidates come from integral points on the rescaled integral model
         Y^2 = X^3 - 27*c4*X - 54*c6 whose Y = 0 or Y^2 divides its
         discriminant, mapped back and confirmed by finite order.
@@ -619,7 +621,7 @@ class EllipticGroup:
         """`torsion_elements`, computed once per group."""
         disc = self.curve.discriminant
         good = []
-        v = 2
+        v = 3
         while len(good) < 8:
             if numth.is_prime(v) and disc % v != 0:
                 good.append(v)

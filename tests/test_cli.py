@@ -4,8 +4,14 @@ import sys
 
 import pytest
 
-from mwlab import cli
+from mwlab import cli, mwgroup
 from mwlab.cli import INCONCLUSIVE, INTERNAL_ERROR, OK, USAGE_ERROR, VIOLATED, parse_args
+
+EC37 = ("--backend", "ec:0,0,1,-1,0")
+_E37 = mwgroup.EllipticGroup(mwgroup.WeierstrassCurve.parse("ec:0,0,1,-1,0"))
+# 21*(0,0): a member of <(0,0)> whose least lambda, 21, is past the default
+# coefficient bound 20, so the certificate search is exhausted.
+P21 = _E37.scale(21, _E37.parse_point("(0,0)")).encode()
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +145,31 @@ class TestUsageErrors:
             capsys, "detect", "--points", "360", "--lambda", "6,10", "--coeff-bound", "-1"
         )
         assert code == USAGE_ERROR
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--p", "-1", "--q", "-1"),
+            ("--p", "1", "--q", "2"),
+            ("--backend", "ec:0,0,1,-1,0", "--p", "O", "--q", "(0,0)"),
+            ("--backend", "ec:1,1,1,35,-28", "--p", "(2,6)", "--q", "(32,171)"),
+        ],
+        ids=["minus-one", "one", "ec-identity", "ec-order-eight"],
+    )
+    def test_recover_torsion_base(self, capsys, argv):
+        code = cli.main(["recover", *argv])
+        assert code == USAGE_ERROR
+        assert "nontorsion base point" in capsys.readouterr().err
+
+    def test_recover_identity_target_is_still_found(self, capsys):
+        code, out = run_cli(capsys, "recover", "--p", "1", "--q", "1")
+        assert code == OK
+        assert json.loads(out)["outcome"]["d"] == 0
+
+    def test_cs_suite_refuses_a_window(self, capsys):
+        code = cli.main(["experiment", "--suite", "cs", "--trials", "3", "--primes", "3..50"])
+        assert code == USAGE_ERROR
+        assert "--primes does not apply" in capsys.readouterr().err
 
 
 class TestRun:
@@ -369,34 +400,35 @@ class TestFormats:
             (
                 ("find-primes", "--points", "2,3", "--l", "5", "--ks", "1,0",
                  "--primes", "3..1000", "--max-hits", "3"),
-                'find-primes,hits=3,41,,"orders=[20, 8]"',
+                'find-primes,hits=3,,,"v=41 orders=[20, 8]; v=491 orders=[490, 49]; '
+                'v=661 orders=[660, 22]"',
                 "find-primes [mul]\n  primes 3..1000\n  find-primes: hits=3\n"
-                "  witness v=41 n=\n  orders=[20, 8]",
+                "  v=41 orders=[20, 8]; v=491 orders=[490, 49]; v=661 orders=[660, 22]",
             ),
             (
                 ("find-primes", "--points", "2", "--l", "2", "--ks", "30", "--primes", "3..100"),
-                "find-primes,hits=0,,,orders=",
-                "find-primes [mul]\n  primes 3..100\n  find-primes: hits=0\n  orders=",
+                "find-primes,hits=0,,,",
+                "find-primes [mul]\n  primes 3..100\n  find-primes: hits=0",
             ),
             (
                 ("find-primes", "--points", "2", "--l", "2", "--ks", "0",
                  "--primes", "3..2000", "--density"),
-                "find-primes,measured,91,302,ratio=0.30132450331125826",
+                "find-primes,measured,,,hits=91 good_primes=302 ratio=0.30132450331125826",
                 "find-primes [mul]\n  primes 3..2000\n  find-primes: measured\n"
-                "  witness v=91 n=302\n  ratio=0.30132450331125826",
+                "  hits=91 good_primes=302 ratio=0.30132450331125826",
             ),
             (
                 ("find-primes", "--points", "2", "--l", "2", "--ks", "30",
                  "--primes", "3..100", "--density"),
-                "find-primes,inconclusive,0,24,ratio=0.0",
+                "find-primes,inconclusive,,,hits=0 good_primes=24 ratio=0.0",
                 "find-primes [mul]\n  primes 3..100\n  find-primes: inconclusive\n"
-                "  witness v=0 n=24\n  ratio=0.0",
+                "  hits=0 good_primes=24 ratio=0.0",
             ),
             (
                 ("recover", "--p", "2", "--q", "1024"),
-                "recover,found,,10,verified exactly with modulus 60",
+                "recover,found,,,d=10; verified exactly with modulus 60",
                 "recover [mul]\n  primes 3..10000\n  recover: found\n"
-                "  verified exactly with modulus 60",
+                "  d=10; verified exactly with modulus 60",
             ),
             (
                 ("recover", "--p", "2", "--q", "3"),
@@ -418,18 +450,87 @@ class TestFormats:
             ),
             (
                 ("experiment", "--suite", "erdos", "--trials", "2", "--seed", "3"),
-                "experiment:erdos,anomalies=0,2,,",
-                "experiment [mul]\n  experiment:erdos: anomalies=0\n  witness v=2 n=",
+                "experiment:erdos,anomalies=0,,,trials=2",
+                "experiment [mul]\n  experiment:erdos: anomalies=0\n  trials=2",
+            ),
+            (
+                ("detect", *EC37, "--points", "(0,0)", "--lambda", "(0,0)", "--primes", "3..200"),
+                "detect,holds_on_scan,,,certificate alpha=1 lambdas=[1] index=0",
+                "detect [ec:0,0,1,-1,0]\n  primes 3..200\n  detect: holds_on_scan\n"
+                "  certificate alpha=1 lambdas=[1] index=0",
+            ),
+            (
+                ("detect", *EC37, "--points", P21, "--lambda", "(0,0)", "--primes", "3..200"),
+                "detect,holds_on_scan,,,inconclusive (elliptic bounded search exhausted "
+                "at |coefficients| <= 20)",
+                "detect [ec:0,0,1,-1,0]\n  primes 3..200\n  detect: holds_on_scan\n"
+                "  inconclusive (elliptic bounded search exhausted at |coefficients| <= 20)",
+            ),
+            (
+                ("detect", "--points", "2", "--lambda", "3"),
+                "detect,violated,11,5,no P_i lies in the reduced subgroup at 11; n=5 kills "
+                "every generator mod 11 while ord_v(P_i)=[10]",
+                "detect [mul]\n  primes 3..10000\n  detect: violated\n  witness v=11 n=5\n"
+                "  no P_i lies in the reduced subgroup at 11; n=5 kills every generator "
+                "mod 11 while ord_v(P_i)=[10]",
             ),
         ],
         ids=["witness", "no-witness", "hits", "no-hits", "density", "density-empty",
-             "d", "no-d", "verify", "verify-failed", "experiment"],
+             "d", "no-d", "verify", "verify-failed", "experiment", "detect-certified",
+             "detect-exhausted", "detect-violated"],
     )
     def test_csv_and_text_pins(self, capsys, argv, csv_row, text):
         _, out = run_cli(capsys, *argv, "--format", "csv")
         assert out == "condition_id,verdict,v,n,detail\n" + csv_row + "\n"
         _, out = run_cli(capsys, *argv, "--format", "text")
         assert out == text + "\n"
+
+    # Outcomes of one command with different exit codes, which csv and text
+    # must tell apart without the exit code.
+    OUTCOMES = {
+        "detect": [
+            (OK, ("detect", *EC37, "--points", "(0,0)", "--lambda", "(0,0)", "--primes", "3..200")),
+            (INCONCLUSIVE, ("detect", *EC37, "--points", P21, "--lambda", "(0,0)",
+                            "--primes", "3..200")),
+            (VIOLATED, ("detect", "--points", "2", "--lambda", "3")),
+        ],
+        "recover": [
+            (OK, ("recover", "--p", "2", "--q", "1024")),
+            (VIOLATED, ("recover", "--p", "2", "--q", "3")),
+            (INCONCLUSIVE, ("recover", "--p", "2", "--q", "1024", "--primes", "3..7")),
+        ],
+        "density": [
+            (OK, ("find-primes", "--points", "2", "--l", "2", "--ks", "0",
+                  "--primes", "3..2000", "--density")),
+            (INCONCLUSIVE, ("find-primes", "--points", "2", "--l", "2", "--ks", "30",
+                            "--primes", "3..100", "--density")),
+        ],
+        "hits": [
+            (OK, ("find-primes", "--points", "2,3", "--l", "5", "--ks", "1,0",
+                  "--primes", "3..1000", "--max-hits", "3")),
+            (INCONCLUSIVE, ("find-primes", "--points", "2", "--l", "2", "--ks", "30",
+                            "--primes", "3..100")),
+        ],
+        "replay": [
+            (OK, ("replay", "--p", "2", "--qs", "3", "--l", "5", "--primes", "3..1000")),
+            (INCONCLUSIVE, ("replay", "--p", "2", "--qs", "4", "--l", "5",
+                            "--primes", "3..1000")),
+        ],
+        "verify": [
+            (OK, ("support-check", "--xs", "2", "--ys", "8", "--verify", "7:1")),
+            (INTERNAL_ERROR, ("support-check", "--xs", "2", "--ys", "8", "--verify", "11:1")),
+        ],
+    }
+
+    @pytest.mark.parametrize("family", sorted(OUTCOMES))
+    def test_exit_codes_render_apart(self, capsys, family):
+        for fmt in ("csv", "text"):
+            outs = []
+            for expected, argv in self.OUTCOMES[family]:
+                code, out = run_cli(capsys, *argv, "--format", fmt)
+                assert code == expected
+                outs.append(out)
+            assert len(set(outs)) == len(outs)
 
     def test_json_roundtrip(self, capsys):
         _, out = run_cli(capsys, "detect", "--points", "360", "--lambda", "6,10",

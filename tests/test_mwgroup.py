@@ -35,6 +35,34 @@ def brute_curve_order(curve, v):
     return count
 
 
+def brute_torsion(curve, x_max=500):
+    """Oracle: every point with x = a/4, |x| <= x_max, and order at most 12.
+
+    Mazur's bound makes 12 the largest order of a rational torsion point,
+    and on an integral Weierstrass model a torsion point has 4x integral.
+    """
+    found = {EC_IDENTITY}
+    for a in range(-4 * x_max, 4 * x_max + 1):
+        x = Fraction(a, 4)
+        # y^2 + (a1 x + a3) y = f(x): y = (-(a1 x + a3) +- sqrt(disc)) / 2
+        b = curve.a1 * x + curve.a3
+        disc = b * b + 4 * (x**3 + curve.a2 * x * x + curve.a4 * x + curve.a6)
+        if disc < 0:
+            continue
+        root_num, root_den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if Fraction(root_num, root_den) ** 2 != disc:
+            continue
+        for sign in (1, -1):
+            P = curve.point(x, (-b + sign * Fraction(root_num, root_den)) / 2)
+            acc = P
+            for _ in range(12):
+                if acc.is_identity:
+                    found.add(P)
+                    break
+                acc = curve.add(acc, P)
+    return found
+
+
 def product(values, vec):
     acc = Fraction(1)
     for val, e in zip(values, vec):
@@ -391,6 +419,28 @@ class TestTorsion:
         got = set(EllipticGroup(c).torsion_elements())
         expected = {EC_IDENTITY, c.point(0, 0), c.point(2, 0), c.point(-2, 0)}
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1, 1, 1, 35, -28), (1, 1, 1, -10, -10), (1, 0, 0, -4, -1), (1, -1, 1, -1, -14),
+         (0, -1, 1, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 0, 1), (0, 0, 0, -1, 0)],
+        ids=["15a-Z8", "15a-Z2xZ4", "21a-Z2xZ4", "17a-Z4", "11a-Z5", "37a", "x3+1", "x3-x"],
+    )
+    def test_against_brute_force(self, coeffs):
+        # The first six have good reduction at 2, where |E(F_2)| can be
+        # smaller than the 2-power torsion: 15a with Z/8 has |E(F_2)| = 4.
+        c = WeierstrassCurve(*coeffs)
+        got = EllipticGroup(c).torsion_elements()
+        assert len(got) == len(set(got))
+        assert set(got) == brute_torsion(c)
+
+    def test_order_eight_points(self):
+        c = WeierstrassCurve(1, 1, 1, 35, -28)
+        assert c.discriminant % 2 == 1 and brute_curve_order(c, 2) == 4
+        E = EllipticGroup(c)
+        assert sorted(E.torsion_order(T) for T in E.torsion_elements()) == [1, 2, 4, 4, 8, 8, 8, 8]
+        for xy in ((2, 6), (2, -9), (32, -204), (32, 171)):
+            assert E.torsion_order(c.point(*xy)) == 8 and E.is_torsion(c.point(*xy))
 
     def test_torsion_closed_under_addition(self):
         for coeffs in ((0, -1, 1, 0, 0), (0, 0, 0, 0, 1), (1, 0, 1, -1, 0)):
