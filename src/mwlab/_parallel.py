@@ -15,18 +15,22 @@ runs in-process before anything is dispatched: a witness there (or the
 hit limit) ends the scan with no pool round trip, and a window of at most
 HEAD primes never reaches the pool. Only the rest of the window is split
 across the workers. Worker pools are persistent (one per pool size: the
-worker count capped at the CPU count) and fork based. An exception raised
-by a test propagates once, as it would serially; only a pool that cannot
-start, or one whose worker process died, makes the dispatched chunks run
-in-process, with identical output.
+worker count capped at the CPU count) and fork based. The pool machinery
+(`concurrent.futures`, `multiprocessing`) is imported at the first
+dispatch, so a serial scan, or one that ends in its head, never loads it.
+An exception raised by a test propagates once, as it would serially; only
+a pool that cannot start, or one whose worker process died, makes the
+dispatched chunks run in-process, with identical output.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+
+# concurrent.futures' pool class, bound at the first dispatch. It is a
+# module global so that a test can put a stand-in pool in its place.
+ProcessPoolExecutor = None
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 _BROKEN = False
@@ -108,15 +112,19 @@ def map_chunks(fn, tasks: list[tuple], workers: int) -> list:
 
 
 def _pool_map(fn, tasks: list[tuple], workers: int) -> list:
-    global _BROKEN
+    global _BROKEN, ProcessPoolExecutor
     # Chunks are split by `workers`; the pool itself never forks more
     # processes than there are CPUs, and one pool serves each capped size.
     size = min(workers, os.cpu_count() or 1)
     try:
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = _POOLS.get(size)
         if pool is None:
             import multiprocessing as mp
 
+            if ProcessPoolExecutor is None:
+                from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(max_workers=size, mp_context=mp.get_context("fork"))
             _POOLS[size] = pool
         futures = [pool.submit(fn, *t) for t in tasks]

@@ -6,22 +6,24 @@ refuted (a witness is in the report), 2 inconclusive (empty search, bounded
 search exhausted, recover scan exhausted), 64 usage error, 70 internal
 error. Reports echo semantic inputs only (never worker counts), so identical
 configurations give byte-identical output at any parallelism.
+
+A command imports only the modules it runs: the checkers, searches and
+suites are imported in the branch that calls them, and csv only when a
+report is rendered as csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
-from . import dependence, experiments, mwgroup, numth, primesearch, support
+from . import mwgroup, numth
 from .numth import PrimeRange
-from .primesearch import ValuationPattern
 
 OK, VIOLATED, INCONCLUSIVE, USAGE_ERROR, INTERNAL_ERROR = 0, 1, 2, 64, 70
 
@@ -35,15 +37,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    backend: object
-    scan: PrimeRange | None
-    fmt: str
-    workers: int
-    verify: tuple[int, int] | None
-    payload: dict
+class RunConfig(
+    namedtuple("RunConfig", "command backend scan fmt workers verify payload")
+):
+    """A parsed command line: what `run` executes and how `render` prints it."""
+
+    __slots__ = ()
 
 
 def _split_points(text: str) -> list[str]:
@@ -201,6 +200,8 @@ def parse_args(argv: list[str]) -> RunConfig:
             payload["x"] = backend.parse_point(ns.x)
             payload["y"] = backend.parse_point(ns.y)
         elif ns.command == "find-primes":
+            from .primesearch import ValuationPattern
+
             payload["points"] = [backend.parse_point(t) for t in _split_points(ns.points)]
             payload["pattern"] = ValuationPattern(
                 ns.l, tuple(int(k) for k in _split_points(ns.ks))
@@ -265,7 +266,7 @@ def _encode_inputs(config: RunConfig) -> dict:
     for key, val in sorted(config.payload.items()):
         if key == "density":
             continue
-        if isinstance(val, ValuationPattern):
+        if key == "pattern":
             out[key] = {"l": val.l, "ks": list(val.ks)}
         elif isinstance(val, (list, tuple)):
             out[key] = [_encode_point(p) for p in val]
@@ -291,9 +292,13 @@ def _run_verify(config: RunConfig) -> tuple[int, dict]:
     if not config.backend.good_prime(points, v):
         raise UsageError(f"--verify prime {v} is a bad prime for these points")
     if config.command == "detect":
+        from . import dependence
+
         subgroup = dependence.SubgroupSpec(tuple(pl["generators"]), config.backend)
         ok = dependence.verify_detect_witness(pl["Ps"], subgroup, v, n)
     else:
+        from . import support
+
         ok = support.verify_witness(condition, inputs, v, n, backend=config.backend)
     outcome = {"verify": {"v": v, "n": n, "reproduced": bool(ok)}}
     return (OK if ok else INTERNAL_ERROR), outcome
@@ -305,16 +310,22 @@ def run(config: RunConfig) -> tuple[int, dict]:
     if config.verify is not None:
         code, outcome = _run_verify(config)
     elif config.command == "support-check":
+        from . import support
+
         report = support.scan_erdos_union(pl["xs"], pl["ys"], config.scan, config.workers)
         code = OK if report.verdict == "holds_on_scan" else VIOLATED
         outcome = {"report": report.to_dict()}
     elif config.command == "cs-check":
+        from . import support
+
         report = support.scan_corrales_schoof(
             pl["x"], pl["y"], config.backend, config.scan, config.workers
         )
         code = OK if report.verdict == "holds_on_scan" else VIOLATED
         outcome = {"report": report.to_dict()}
     elif config.command == "find-primes" and pl["density"]:
+        from . import primesearch
+
         density = primesearch.pattern_density(
             pl["points"], pl["pattern"], config.backend, config.scan, config.workers
         )
@@ -328,6 +339,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
             }
         }
     elif config.command == "find-primes":
+        from . import primesearch
+
         hits = primesearch.find_pattern_primes(
             pl["points"], pl["pattern"], config.backend, config.scan,
             pl["max_hits"], config.workers,
@@ -340,12 +353,16 @@ def run(config: RunConfig) -> tuple[int, dict]:
             ]
         }
     elif config.command == "replay":
+        from . import primesearch
+
         witness = primesearch.replay_step1(
             pl["P"], pl["Qs"], pl["l"], config.backend, config.scan, config.workers
         )
         code = OK if witness else INCONCLUSIVE
         outcome = {"witness": witness.to_dict() if witness else None}
     elif config.command == "detect":
+        from . import dependence
+
         subgroup = dependence.SubgroupSpec(tuple(pl["generators"]), config.backend)
         result = dependence.detect_dependence(
             pl["Ps"], subgroup, config.scan, config.workers, pl["coeff_bound"]
@@ -360,10 +377,14 @@ def run(config: RunConfig) -> tuple[int, dict]:
             "note": result.note,
         }
     elif config.command == "recover":
+        from . import dependence
+
         result = dependence.recover_exponent(pl["P"], pl["Q"], config.backend, config.scan)
         code = {"found": OK, "refuted": VIOLATED, "inconclusive": INCONCLUSIVE}[result.status]
         outcome = {"d": result.d, "detail": result.detail}
     else:  # experiment
+        from . import experiments
+
         aggregate = experiments.run_suite(
             pl["suite"], pl["trials"], pl["seed"], config.scan, config.workers
         )
@@ -389,6 +410,8 @@ def render(report: dict, fmt: str) -> str:
         return json.dumps(report, indent=2)
     condition_id, verdict, v, n, detail = row = _row(report)
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [("condition_id", "verdict", "v", "n", "detail"), row]

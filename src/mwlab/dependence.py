@@ -10,7 +10,7 @@ than refuting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import numth
 from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
@@ -20,30 +20,25 @@ from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_r
 from .support import verify_witness
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(namedtuple("SubgroupSpec", "generators backend")):
     """A finitely generated subgroup, given by its generator points
     (nontorsion basis plus any torsion generators, in one list)."""
 
-    generators: tuple
-    backend: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+    def __new__(cls, generators, backend):
+        return super().__new__(cls, tuple(generators), backend)
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(
+    namedtuple("DetectionResult", "report certificate certified_index note")
+):
     """Scan report plus the conclusion certificate the scan earned (if any)."""
 
-    report: ConditionReport
-    certificate: RelationCertificate | None
-    certified_index: int | None
-    note: str | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(namedtuple("RecoveryResult", "d detail status")):
     """Recovered exponent d with Q = d*P, or d = None with the reason.
 
     status is "found" (d is set), "refuted" (a missing log, a CRT conflict,
@@ -51,9 +46,7 @@ class RecoveryResult:
     scan ran out of primes first).
     """
 
-    d: int | None
-    detail: str
-    status: str
+    __slots__ = ()
 
 
 def member_mod(P, subgroup: SubgroupSpec, v: int) -> bool:
@@ -148,7 +141,7 @@ def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
     for i, P in enumerate(Ps):
         cert = certify(P, subgroup)
         if cert is not None:
-            return DetectionResult(report, replace(cert, index=i), i, None)
+            return DetectionResult(report, cert._replace(index=i), i, None)
     return DetectionResult(report, None, None, note)
 
 

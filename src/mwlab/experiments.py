@@ -311,6 +311,8 @@ def run_suite(suite: str, trials: int, seed: int, scan: PrimeRange | None = None
     if suite == "erdos":
         return erdos_suite(trials, seed, scan, workers)
     if suite == "cs":
+        if scan is not None:
+            raise ValueError("the cs suite draws its own primes; it takes no scan window")
         return cs_suite(trials, seed)
     if suite == "detect":
         return detect_suite(trials, seed, scan, workers)

@@ -9,7 +9,6 @@ torsion, and group arithmetic written additively (combine / invert / scale).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -69,22 +68,18 @@ class MulPoint:
         return f"MulPoint({self.encode()})"
 
 
-@dataclass(frozen=True)
 class EcPoint:
     """Affine rational point or the identity marker (x = y = None)."""
 
-    x: Fraction | None = None
-    y: Fraction | None = None
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
+    def __init__(self, x=None, y=None):
+        if (x is None) != (y is None):
+            raise ValueError("both coordinates or neither")
         # Coerce to exact rationals; int coordinates would otherwise leak
         # float division into the group law.
-        if (self.x is None) != (self.y is None):
-            raise ValueError("both coordinates or neither")
-        if self.x is not None and not isinstance(self.x, Fraction):
-            object.__setattr__(self, "x", Fraction(self.x))
-        if self.y is not None and not isinstance(self.y, Fraction):
-            object.__setattr__(self, "y", Fraction(self.y))
+        self.x = x if x is None or isinstance(x, Fraction) else Fraction(x)
+        self.y = y if y is None or isinstance(y, Fraction) else Fraction(y)
 
     @property
     def is_identity(self) -> bool:
@@ -110,6 +105,12 @@ class EcPoint:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad curve point {text!r}") from exc
 
+    def __eq__(self, other):
+        return isinstance(other, EcPoint) and self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
     def __repr__(self):
         return f"EcPoint({self.encode()})"
 
@@ -125,19 +126,22 @@ def _order_key(P: EcPoint):
 # Curves
 
 
-@dataclass(frozen=True)
 class WeierstrassCurve:
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 with integer coefficients."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "discriminant")
 
-    def __post_init__(self):
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
+        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
+        # Stored: good_prime reads it at every prime of a scan.
+        b2, b4, b6, b8 = self.b_invariants
+        self.discriminant = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if self.discriminant == 0:
             raise ValueError("singular curve (discriminant 0)")
+
+    @property
+    def coefficients(self) -> tuple[int, int, int, int, int]:
+        return self.a1, self.a2, self.a3, self.a4, self.a6
 
     @property
     def b_invariants(self) -> tuple[int, int, int, int]:
@@ -147,12 +151,6 @@ class WeierstrassCurve:
         b6 = a3 * a3 + 4 * a6
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         return b2, b4, b6, b8
-
-    @cached_property
-    def discriminant(self) -> int:
-        # Cached: good_prime reads it at every prime of a scan.
-        b2, b4, b6, b8 = self.b_invariants
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def contains(self, P: EcPoint) -> bool:
         if P.is_identity:
@@ -209,6 +207,15 @@ class WeierstrassCurve:
 
     def encode(self) -> str:
         return f"ec:{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}"
+
+    def __eq__(self, other):
+        return isinstance(other, WeierstrassCurve) and self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash(self.coefficients)
+
+    def __repr__(self):
+        return f"WeierstrassCurve({self.encode()})"
 
     @classmethod
     def parse(cls, text: str) -> "WeierstrassCurve":
@@ -543,10 +550,7 @@ class EllipticGroup:
     def group_order_mod(self, v: int) -> int:
         if self.curve.discriminant % v == 0:
             raise ValueError(f"{v} divides the discriminant")
-        order = _curve_order_mod(
-            (self.curve.a1, self.curve.a2, self.curve.a3, self.curve.a4, self.curve.a6),
-            v,
-        )
+        order = _curve_order_mod(self.curve.coefficients, v)
         if abs(order - (v + 1)) > math.isqrt(4 * v):
             raise ArithmeticError(f"point count {order} violates the Hasse bound at {v}")
         return order

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 # Trial division handles cofactors up to this bound squared; Pollard rho
@@ -28,27 +28,26 @@ _CACHED_WINDOW = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "value factors")):
     """Prime-power decomposition: value == prod(p**e), primes strictly increasing."""
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 1:
-            raise ValueError(f"factorization of non-positive value {self.value}")
+    def __new__(cls, value, factors):
+        if value < 1:
+            raise ValueError(f"factorization of non-positive value {value}")
         prev = 1
         acc = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev:
                 raise ValueError("factor primes must be strictly increasing")
             if e < 1:
                 raise ValueError("factor exponents must be >= 1")
             prev = p
             acc *= p**e
-        if acc != self.value:
-            raise ValueError(f"factors do not recompose to {self.value}")
+        if acc != value:
+            raise ValueError(f"factors do not recompose to {value}")
+        return super().__new__(cls, value, factors)
 
     def exponent_of(self, p: int) -> int:
         for q, e in self.factors:
@@ -61,23 +60,22 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-@dataclass(frozen=True)
-class PrimeRange:
+class PrimeRange(namedtuple("PrimeRange", "lo hi")):
     """Closed prime scan window [lo, hi]; `primes_in` lists the primes in it."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo < 2:
-            raise ValueError(f"prime range must start at 2 or above, got {self.lo}")
-        if self.hi < self.lo:
-            raise ValueError(f"inverted prime range [{self.lo}, {self.hi}]")
-        if self.hi - self.lo + 1 > _MAX_WINDOW:
+    def __new__(cls, lo, hi):
+        if lo < 2:
+            raise ValueError(f"prime range must start at 2 or above, got {lo}")
+        if hi < lo:
+            raise ValueError(f"inverted prime range [{lo}, {hi}]")
+        if hi - lo + 1 > _MAX_WINDOW:
             raise ValueError(
-                f"prime range [{self.lo}, {self.hi}] is wider than the limit of "
+                f"prime range [{lo}, {hi}] is wider than the limit of "
                 f"{_MAX_WINDOW} integers"
             )
+        return super().__new__(cls, lo, hi)
 
 
 def primes_in(window: PrimeRange) -> list[int]:

@@ -10,7 +10,7 @@ reported outcome, never an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import numth
 from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
@@ -19,42 +19,34 @@ from .reports import Witness
 from .support import covers
 
 
-@dataclass(frozen=True)
-class ValuationPattern:
+class ValuationPattern(namedtuple("ValuationPattern", "l ks")):
     """Prime l with target exponents: l^k exactly divides ord_v P_i (k > 0),
     or l does not divide ord_v P_i at all (k = 0)."""
 
-    l: int
-    ks: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not numth.is_prime(self.l):
-            raise ValueError(f"pattern prime {self.l} is not prime")
-        if not self.ks:
+    def __new__(cls, l, ks):
+        if not numth.is_prime(l):
+            raise ValueError(f"pattern prime {l} is not prime")
+        if not ks:
             raise ValueError("pattern needs at least one exponent")
-        if any(k < 0 for k in self.ks):
+        if any(k < 0 for k in ks):
             raise ValueError("pattern exponents must be nonnegative")
+        return super().__new__(cls, l, ks)
 
 
-@dataclass(frozen=True)
-class PatternHit:
+class PatternHit(namedtuple("PatternHit", "v orders verified")):
     """A prime realizing the pattern, with recomputed orders."""
 
-    v: int
-    orders: tuple[int, ...]
-    verified: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(
+    namedtuple("DensityReport", "l ks hits scanned_good_primes ratio inconclusive")
+):
     """Empirical frequency of pattern primes over a scan window."""
 
-    l: int
-    ks: tuple[int, ...]
-    hits: int
-    scanned_good_primes: int
-    ratio: float
-    inconclusive: bool
+    __slots__ = ()
 
 
 def _verified_order(backend, P, v: int, order: int) -> bool:

@@ -6,16 +6,13 @@ no timestamps, so that identical inputs give byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "v n detail")):
     """A concrete (v, n) at which a condition fails; re-verifiable independently."""
 
-    v: int
-    n: int
-    detail: str
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"v": self.v, "n": self.n, "detail": self.detail}
@@ -31,8 +28,9 @@ CONDITION_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(
+    namedtuple("ConditionReport", "condition_id verdict scanned witness skipped_primes")
+):
     """Outcome of scanning one condition over a prime window.
 
     verdict is "violated" exactly when a witness is present; skipped_primes
@@ -40,19 +38,16 @@ class ConditionReport:
     window when the scan holds).
     """
 
-    condition_id: str
-    verdict: str
-    scanned: tuple[int, int]
-    witness: Witness | None
-    skipped_primes: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.condition_id not in CONDITION_IDS:
-            raise ValueError(f"unknown condition id {self.condition_id!r}")
-        if (self.verdict == "violated") != (self.witness is not None):
+    def __new__(cls, condition_id, verdict, scanned, witness, skipped_primes=()):
+        if condition_id not in CONDITION_IDS:
+            raise ValueError(f"unknown condition id {condition_id!r}")
+        if (verdict == "violated") != (witness is not None):
             raise ValueError("verdict and witness presence disagree")
-        if self.verdict not in ("violated", "holds_on_scan"):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
+        if verdict not in ("violated", "holds_on_scan"):
+            raise ValueError(f"unknown verdict {verdict!r}")
+        return super().__new__(cls, condition_id, verdict, scanned, witness, skipped_primes)
 
     def to_dict(self) -> dict:
         return {
@@ -92,8 +87,7 @@ def merge_scan_results(condition_id: str, scan, results) -> ConditionReport:
     )
 
 
-@dataclass(frozen=True)
-class RelationCertificate:
+class RelationCertificate(namedtuple("RelationCertificate", "kind coefficients index")):
     """Exact conclusion artifact; every certified identity re-verifies in B(Q).
 
     kind "membership": coefficients = (alpha, *lambdas), index names which
@@ -101,13 +95,12 @@ class RelationCertificate:
     with signs.
     """
 
-    kind: str
-    coefficients: tuple[int, ...]
-    index: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("membership", "match"):
-            raise ValueError(f"unknown certificate kind {self.kind!r}")
+    def __new__(cls, kind, coefficients, index=None):
+        if kind not in ("membership", "match"):
+            raise ValueError(f"unknown certificate kind {kind!r}")
+        return super().__new__(cls, kind, coefficients, index)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}

@@ -171,6 +171,13 @@ class TestUsageErrors:
         assert code == USAGE_ERROR
         assert "--primes does not apply" in capsys.readouterr().err
 
+    def test_cs_suite_refuses_a_window_in_the_library(self):
+        from mwlab.experiments import run_suite
+        from mwlab.numth import PrimeRange
+
+        with pytest.raises(ValueError, match="draws its own primes"):
+            run_suite("cs", 2, 0, PrimeRange(3, 50))
+
 
 class TestRun:
     def test_support_check_violation(self, capsys):

@@ -1,0 +1,123 @@
+"""What a cold `mwlab` process imports, and the package's public surface.
+
+The subprocess checks run with PYTHONPATH=src and an explicit --workers, so
+an MWLAB_WORKERS setting in the environment cannot change what they see.
+"""
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import mwlab
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# Modules no command needs before it runs: the pool machinery, the
+# dataclass machinery, and every checker the command line may not call.
+HEAVY = (
+    "concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+    "mwlab.support", "mwlab.dependence", "mwlab.primesearch", "mwlab.experiments",
+)
+
+# The public names of the package, by the submodule that defines them.
+EXPORTS = {
+    "dependence": (
+        "DetectionResult", "RecoveryResult", "SubgroupSpec", "detect_dependence",
+        "exact_membership_multiplicative", "member_mod", "recover_exponent",
+    ),
+    "mwgroup": (
+        "EC_IDENTITY", "EcPoint", "EllipticGroup", "MulPoint", "MultiplicativeGroup",
+        "WeierstrassCurve", "elliptic_independence_check", "multiplicative_independence",
+        "torsion_order_stability",
+    ),
+    "numth": (
+        "Factorization", "PrimeRange", "bsgs_dlog", "crt", "exact_valuation", "factor",
+        "is_prime", "multiplicative_order", "primes_in",
+    ),
+    "primesearch": (
+        "DensityReport", "PatternHit", "ValuationPattern", "find_pattern_primes",
+        "pattern_density", "replay_step1", "replay_step2_lcm",
+    ),
+    "reports": ("ConditionReport", "RelationCertificate", "Witness"),
+    "support": (
+        "scan_cor22", "scan_corrales_schoof", "scan_erdos_union", "scan_thm2", "support_of",
+        "support_union_at_n", "verify_conclusion_match", "verify_witness",
+    ),
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+def cold(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that sees only src/ and no worker
+    count from the environment; argv becomes sys.argv[1:]."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("MWLAB_WORKERS", None)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    )
+
+
+# Runs one command line through cli.main, then prints, as its last stdout
+# line, the HEAVY modules it loaded.
+RUN_AND_LIST = f"""
+import json, sys
+from mwlab import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({{"code": code, "loaded": [m for m in {HEAVY!r} if m in sys.modules]}}))
+"""
+
+
+def run_and_list(*argv: str) -> tuple[str, dict]:
+    report, _, tail = cold(RUN_AND_LIST, *argv).stdout.rstrip("\n").rpartition("\n")
+    return report, json.loads(tail)
+
+
+class TestColdStart:
+    def test_importing_the_cli_loads_nothing_heavy(self):
+        code = f"import sys, mwlab.cli; print([m for m in {HEAVY!r} if m in sys.modules])"
+        assert cold(code).stdout.strip() == "[]"
+
+    def test_serial_scan_never_loads_the_pool(self):
+        _, status = run_and_list(
+            "cs-check", "--backend", "ec:0,0,1,-1,0", "--x", "(0,0)", "--y", "(1,0)",
+            "--primes", "3..200", "--workers", "1",
+        )
+        assert "multiprocessing" not in status["loaded"]
+        assert "concurrent.futures" not in status["loaded"]
+
+    def test_dispatch_loads_the_pool_and_keeps_the_bytes(self):
+        # The supports agree everywhere, so the scan holds and the rest of
+        # the window is dispatched after the 64-prime head.
+        argv = ("support-check", "--xs", "2,3", "--ys", "3,2")
+        serial, serial_status = run_and_list(*argv, "--workers", "1")
+        pooled, pooled_status = run_and_list(*argv, "--workers", "2")
+        assert serial_status["code"] == pooled_status["code"] == 0
+        assert "concurrent.futures" in pooled_status["loaded"]
+        assert pooled == serial
+
+    def test_submodule_resolves_after_a_bare_import(self):
+        code = ("import sys, mwlab; assert 'mwlab.numth' not in sys.modules; "
+                "print(mwlab.numth.is_prime(7), mwlab.numth.__name__)")
+        assert cold(code).stdout.split() == ["True", "mwlab.numth"]
+
+
+class TestPackageSurface:
+    @pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])
+    def test_name_is_the_submodule_object(self, module, name):
+        assert getattr(mwlab, name) is getattr(importlib.import_module(f"mwlab.{module}"), name)
+
+    def test_all_lists_exactly_the_public_names(self):
+        assert len(NAMES) == 43
+        assert sorted(mwlab.__all__) == sorted(name for _, name in NAMES)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mwlab.no_such_name
+
+    def test_version(self):
+        assert mwlab.__version__ == "0.1.0"

@@ -9,7 +9,6 @@ and 5 workers. On elliptic curves torsion injects at every good prime of a
 window, so torsion_stability has only a holding elliptic case.
 """
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -65,14 +64,14 @@ def hits(backend, points, l, ks, lo, hi, max_hits):
     def run(workers):
         pattern, scan = ValuationPattern(l, ks), PrimeRange(lo, hi)
         found = find_pattern_primes(points, pattern, backend, scan, max_hits, workers)
-        return [dataclasses.asdict(h) for h in found]
+        return [h._asdict() for h in found]
     return run
 
 
 def density(backend, points, l, ks, lo, hi):
     def run(workers):
         pattern, scan = ValuationPattern(l, ks), PrimeRange(lo, hi)
-        return dataclasses.asdict(pattern_density(points, pattern, backend, scan, workers))
+        return pattern_density(points, pattern, backend, scan, workers)._asdict()
     return run
 
 
