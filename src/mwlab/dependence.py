@@ -65,15 +65,16 @@ def _member_raw(backend, raw, raw_gens, v: int) -> bool:
     raw lies in H exactly when, for every prime l | ord raw, its l-part lies
     in the l-part of H. Where the l-Sylow subgroup of G is cyclic, its
     subgroups are ordered by size, so the l-valuations of the orders decide;
-    together over all l that is ord raw dividing m = lcm_j ord L_j, i.e.
-    m * raw = 0. The l-Sylow subgroup can be non-cyclic only when l divides
-    the backend's `noncyclic_bound` and l^2 divides N = |G|; there the
-    l-parts, scaled by c = N / l^e (e = v_l(N), an automorphism of the
-    l-Sylow subgroup), are closed explicitly. Where no such l divides m
-    (always for Q*), the one scalar multiple m * raw decides and ord raw is
-    never computed.
+    together over all l that is ord raw dividing the exponent m of H (the
+    lcm of the generator orders), i.e. m * raw = 0. The l-Sylow subgroup can
+    be non-cyclic only when l divides the backend's `noncyclic_bound` and
+    l^2 divides N = |G|; there the l-parts, scaled by c = N / l^e
+    (e = v_l(N), an automorphism of the l-Sylow subgroup), are closed
+    explicitly. Where no such l divides m (always for Q*), the one scalar
+    multiple m * raw decides and ord raw is never computed.
     """
-    m = math.lcm(*(backend.raw_order(g, v) for g in raw_gens))
+    n = backend.group_order_mod(v)
+    m = _subgroup_exponent(backend, raw_gens, n, v)
     bound = math.gcd(backend.noncyclic_bound(v), m)
     if bound == 1:
         return backend.raw_is_identity(backend.raw_scale(m, raw, v), v)
@@ -83,7 +84,6 @@ def _member_raw(backend, raw, raw_gens, v: int) -> bool:
     suspects = math.gcd(bound, order)
     if suspects == 1:
         return True
-    n = backend.group_order_mod(v)
     for l, _ in numth.factor(suspects).factors:
         e = numth.factor(n).exponent_of(l)
         if e >= 2:
@@ -92,6 +92,21 @@ def _member_raw(backend, raw, raw_gens, v: int) -> bool:
             if backend.raw_scale(c, raw, v) not in subgroup_closure_mod(backend, parts, v):
                 return False
     return True
+
+
+def _subgroup_exponent(backend, raw_gens, n: int, v: int) -> int:
+    """The exponent of the subgroup generated by raw_gens, stripped from n,
+    a multiple of it, prime by prime while (m/q) * L_j = 0 for every j.
+
+    That is the lcm of the generator orders, found without any one order.
+    """
+    m = n
+    for q, _ in numth.factor(n).factors:
+        while m % q == 0 and all(
+            backend.raw_is_identity(backend.raw_scale(m // q, g, v), v) for g in raw_gens
+        ):
+            m //= q
+    return m
 
 
 def _detect_test(Ps, subgroup: SubgroupSpec, v):
@@ -208,32 +223,88 @@ def exact_membership_multiplicative(P, subgroup: SubgroupSpec) -> RelationCertif
 # Bounded elliptic search
 
 
+# The bounded search walks the combinations on their reductions at this many
+# good primes above 2**31. Exact arithmetic decides every match, so these
+# only set how rarely an exact sum is spent on a match by chance.
+_SCREEN_PRIMES = 2
+_SCREEN_FROM = 1 << 31
+
+
+class _Reductions:
+    """The backend's group law on reductions at a few large primes that are
+    good for the given points: an element is the tuple of its raw points."""
+
+    __slots__ = ("backend", "primes")
+
+    def __init__(self, backend, points):
+        self.backend = backend
+        self.primes = []
+        v = _SCREEN_FROM
+        while len(self.primes) < _SCREEN_PRIMES:
+            v += 1
+            if numth.is_prime(v) and backend.good_prime(points, v):
+                self.primes.append(v)
+
+    def reduce(self, P):
+        return tuple(self.backend.reduce_raw(P, v) for v in self.primes)
+
+    def identity(self):
+        return tuple(self.backend.raw_identity(v) for v in self.primes)
+
+    def combine(self, a, b):
+        combine = self.backend.raw_combine
+        return tuple(combine(x, y, v) for x, y, v in zip(a, b, self.primes))
+
+    def invert(self, a):
+        scale = self.backend.raw_scale
+        return tuple(scale(-1, x, v) for x, v in zip(a, self.primes))
+
+
 def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> RelationCertificate | None:
     """Search alpha in [1, bound], |lambda_j| <= bound for alpha*P = sum lambda_j L_j.
 
-    The least such alpha wins, with the first lambda in product order. Only
-    the targets alpha*P are stored, each under its least alpha, and one walk
-    over the combinations stops once it meets the least alpha of all.
-    Exhaustion is inconclusive, never a refutation. Certificates with
-    alpha*P = identity are not real memberships and are skipped.
+    The least such alpha wins, with the first lambda in product order. The
+    walk over the combinations runs on reductions at a few good primes, with
+    the targets alpha*P keyed by their reductions; a combination is summed
+    in exact arithmetic only where its reductions match a target, and an
+    exact match matches at every good prime, so none is missed. The walk
+    stops at alpha = 1. Exhaustion is inconclusive, never a refutation.
+    Certificates with alpha*P = identity are not real memberships and are
+    skipped.
     """
     backend = subgroup.backend
-    targets: dict = {}
-    acc = backend.identity()
+    generators = subgroup.generators
+    if backend.is_identity(P):
+        return None  # every alpha*P is the identity
+    reductions = _Reductions(backend, [P, *generators])
+    rP = reductions.reduce(P)
+    targets: dict = {}  # reduction of alpha*P -> its alphas, ascending
+    acc = reductions.identity()
     for alpha in range(1, bound + 1):
-        acc = backend.combine(acc, P)
-        if not backend.is_identity(acc):
-            targets.setdefault(acc, alpha)
-    if not targets:
-        return None
-    least = min(targets.values())
+        acc = reductions.combine(acc, rP)
+        targets.setdefault(acc, []).append(alpha)
+    multiples: dict = {}  # alpha -> alpha*P exactly, None for the identity
     best = None
-    for vec, acc in bounded_combinations(backend, subgroup.generators, bound):
-        alpha = targets.get(acc)
-        if alpha is not None and (best is None or alpha < best[0]):
-            best = (alpha, *vec)
-            if alpha == least:
+    raw_gens = [reductions.reduce(L) for L in generators]
+    for vec, acc in bounded_combinations(reductions, raw_gens, bound):
+        total = None
+        for alpha in targets.get(acc, ()):
+            if best is not None and alpha >= best[0]:
                 break
+            if alpha not in multiples:
+                A = backend.scale(alpha, P)
+                multiples[alpha] = None if backend.is_identity(A) else A
+            if multiples[alpha] is None:
+                continue
+            if total is None:
+                total = backend.identity()
+                for k, L in zip(vec, generators):
+                    total = backend.combine(total, backend.scale(k, L))
+            if total == multiples[alpha]:
+                best = (alpha, *vec)
+                break
+        if best is not None and best[0] == 1:
+            break
     return None if best is None else RelationCertificate(kind="membership", coefficients=best)
 
 

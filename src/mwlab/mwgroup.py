@@ -23,23 +23,25 @@ from .reports import ConditionReport, Witness, merge_scan_results
 
 
 class MulPoint:
-    """Nonzero rational, kept in lowest terms with explicit sign."""
+    """Nonzero rational, kept in lowest terms with explicit sign.
 
-    __slots__ = ("value",)
+    numerator is |value.numerator| and signed its signed form; scans read
+    these ints at every prime, so they are stored, not derived.
+    """
+
+    __slots__ = ("value", "numerator", "denominator", "signed")
 
     def __init__(self, value):
         f = Fraction(value)
         if f == 0:
             raise ValueError("0 is not a point of the multiplicative group")
-        object.__setattr__(self, "value", f)
+        self.value = f
+        self.signed = f.numerator
+        self.numerator = abs(f.numerator)
+        self.denominator = f.denominator
 
-    @property
-    def numerator(self) -> int:
-        return abs(self.value.numerator)
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
+    def __reduce__(self):
+        return MulPoint, (self.value,)
 
     def encode(self) -> str:
         n, d = self.value.numerator, self.value.denominator
@@ -226,9 +228,10 @@ class WeierstrassCurve:
         if len(parts) != 5:
             raise ValueError(f"bad curve encoding {text!r} (need 5 coefficients)")
         try:
-            return cls(*(int(p) for p in parts))
+            coefficients = [int(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"bad curve encoding {text!r}") from exc
+        return cls(*coefficients)
 
 
 # Modular group law on raw points: None is the identity, otherwise (x, y) ints.
@@ -318,9 +321,11 @@ def _shanks_mestre_order(curve: WeierstrassCurve, v: int) -> int | None:
     points tried leave more than one candidate.
 
     Every point order divides N = |E(F_v)|, and N lies in
-    [v+1-floor(2 sqrt v), v+1+floor(2 sqrt v)]; once L, the lcm of the
-    orders found, has exactly one multiple in that interval, the multiple
-    is N. Points come from x = 0, 1, 2, ... in order, y from a modular
+    [v+1-floor(2 sqrt v), v+1+floor(2 sqrt v)]; so N is a multiple of L,
+    the lcm of the orders found, that kills each point. A point that only
+    one multiple of L in the interval kills pins N at once; otherwise its
+    order joins L, and once L has exactly one multiple in the interval, the
+    multiple is N. Points come from x = 0, 1, 2, ... in order, y from a modular
     square root after completing the square, so v must be an odd prime of
     good reduction.
     """
@@ -336,10 +341,16 @@ def _shanks_mestre_order(curve: WeierstrassCurve, v: int) -> int | None:
             continue
         P = (x, (root - u) * half % v)
         # Only multiples of L can be N: search k*L in the interval.
+        LP = _ec_mul_mod(curve, L, P, v)
         k0 = -(-lo // L)
-        k = _ec_bsgs(curve, _ec_mul_mod(curve, L, P, v), None, k0, hi // L - k0 + 1, v)
+        k = _ec_bsgs(curve, LP, None, k0, hi // L - k0 + 1, v)
         if k is None:
             return None
+        # k*L is the least multiple of L in the interval that kills P; when
+        # no j in [1, hi//L - k] has j*L*P = O, it is the only one, so N.
+        top = hi // L - k
+        if top == 0 or _ec_bsgs(curve, LP, None, 1, top, v) is None:
+            return k * L
         L = math.lcm(L, _ec_order_from_multiple(curve, P, k * L, v))
         if hi // L - (lo - 1) // L == 1:
             return hi // L * L
@@ -442,16 +453,17 @@ class MultiplicativeGroup:
     def good_prime(self, points, v: int) -> bool:
         if v in self.excluded:
             return False
-        return all(
-            P.numerator % v != 0 and P.denominator % v != 0 for P in points
-        )
+        for P in points:
+            if P.numerator % v == 0 or P.denominator % v == 0:
+                return False
+        return True
 
     def reduce_raw(self, P: MulPoint, v: int) -> int:
-        num = P.value.numerator % v
-        den = P.value.denominator % v
+        num = P.signed % v
+        den = P.denominator % v
         if num == 0 or den == 0:
             raise ValueError(f"{v} is a bad prime for {P!r}")
-        return num * pow(den, -1, v) % v
+        return num if den == 1 else num * pow(den, -1, v) % v
 
     def group_order_mod(self, v: int) -> int:
         return v - 1

@@ -109,6 +109,10 @@ def _sieve_window(lo: int, hi: int) -> list[int]:
     return list(itertools.compress(range(lo, hi + 1), flags))
 
 
+# The odd primes up to 2**12, which `factor` tries before every odd d.
+_ODD_PRIMES = tuple(_sieve_window(3, 1 << 12))
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (witness set valid far past 64 bits)."""
     if n < 2:
@@ -173,30 +177,42 @@ def _rho_split(n: int) -> int:
 def factor(n: int) -> Factorization:
     """Exact factorization: trial division to 10**6, Pollard rho beyond.
 
-    When trial division stops because d*d exceeds the cofactor, the cofactor
-    is 1 or prime and is recorded without a primality test; only a cofactor
-    above 10**12 with no factor up to 10**6 meets Miller-Rabin and rho.
+    The power of 2 comes off by bit arithmetic, then the odd primes up to
+    2**12 divide, then every odd d up to 10**6. When trial division stops
+    because d*d exceeds the cofactor, the cofactor is 1 or prime and is
+    recorded without a primality test; only a cofactor above 10**12 with no
+    factor up to 10**6 meets Miller-Rabin and rho.
     Raises ValueError for n <= 0. factor(1) has no factors.
     """
     if n <= 0:
         raise ValueError(f"cannot factor non-positive {n}")
     value = n
     found: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
-    d = 7
-    while d <= _TRIAL_BOUND and d * d <= n:
-        while n % d == 0:
-            found[d] = found.get(d, 0) + 1
-            n //= d
-        d += 2
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        found[2] = twos
+        n >>= twos
+    for d in _ODD_PRIMES:
+        if d * d > n:
+            break
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            found[d] = e
+    else:
+        d = _ODD_PRIMES[-1] + 2
+        while d <= _TRIAL_BOUND and d * d <= n:
+            while n % d == 0:
+                found[d] = found.get(d, 0) + 1
+                n //= d
+            d += 2
     if d * d > n:
         # Trial division passed sqrt(n): the cofactor is 1 or prime.
         if n > 1:
             found[n] = 1
-        return Factorization(value, tuple(sorted(found.items())))
+        return Factorization(value, tuple(found.items()))
     # The cofactor has no prime factor up to 10**6: prime, or a product of
     # such primes.
     stack = [n]
@@ -221,6 +237,19 @@ def multiplicative_order(a: int, p: int) -> int:
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order
+
+
+def multiplicative_orders(bases, p: int) -> list[int]:
+    """The orders of bases prime to p, stripped from p-1 together in one
+    pass over the prime factors of p-1."""
+    orders = [p - 1] * len(bases)
+    for q, _ in factor(p - 1).factors:
+        for i, x in enumerate(bases):
+            t = orders[i]
+            while t % q == 0 and pow(x, t // q, p) == 1:
+                t //= q
+            orders[i] = t
+    return orders
 
 
 def sqrt_mod(a: int, p: int) -> int | None:

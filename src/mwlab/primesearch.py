@@ -63,13 +63,27 @@ def _verified_order(backend, P, v: int, order: int) -> bool:
 
 def _pattern_test(points, pattern, backend, v):
     """The orders at v when they realize the pattern; shared by the hit
-    search and the density count."""
+    search and the density count.
+
+    v_l(ord P) is the least j with (n * l^j) * P = 0, n the l-free part of
+    N = |G|, so the pattern is decided by one multiple per point and at most
+    v_l(N) multiplications by l; only a match computes its orders.
+    """
     if not backend.good_prime(points, v):
         return BAD_PRIME
-    orders = tuple(backend.order_mod(P, v) for P in points)
-    if all(numth.exact_valuation(pattern.l, k, t) for k, t in zip(pattern.ks, orders)):
-        return v, orders
-    return None
+    l = pattern.l
+    n = backend.group_order_mod(v)
+    while n % l == 0:
+        n //= l
+    for P, k in zip(points, pattern.ks):
+        R = backend.raw_scale(n, backend.reduce_raw(P, v), v)
+        for _ in range(k):
+            if backend.raw_is_identity(R, v):
+                return None  # v_l(ord P) < k
+            R = backend.raw_scale(l, R, v)
+        if not backend.raw_is_identity(R, v):
+            return None  # v_l(ord P) > k
+    return v, tuple(backend.order_mod(P, v) for P in points)
 
 
 def _scan(test, args, scan: PrimeRange, workers: int, limit: int | None = 1) -> list[dict]:

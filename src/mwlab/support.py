@@ -63,37 +63,58 @@ def two_sided_gap(a, b) -> tuple[int, int] | None:
 # processes can pickle them; each returns BAD_PRIME, None or a Witness.
 
 
-def _erdos_test(xs, ys, p):
+def _erdos_args(xs, ys):
+    """The distinct bases of xs and ys, and the index tuples of xs and ys
+    into them: the arguments of `_erdos_test`."""
+    bases = tuple(dict.fromkeys((*xs, *ys)))
+    index = {x: i for i, x in enumerate(bases)}
+    return bases, tuple(index[x] for x in xs), tuple(index[y] for y in ys)
+
+
+def _erdos_test(bases, xi, yi, p):
     """erdos_union: the n-sets of the two support unions agree at p iff every
-    ord_p(x_i) is a multiple of some ord_p(y_j) and vice versa."""
+    ord_p(x_i) is a multiple of some ord_p(y_j) and vice versa.
+
+    bases are the distinct entries of xs and ys; xi and yi index into them.
+    """
     # Raw ints, not points: bad means p divides an entry.
-    if any(val % p == 0 for val in xs) or any(val % p == 0 for val in ys):
-        return BAD_PRIME
-    orders = {x: numth.multiplicative_order(x, p) for x in {*xs, *ys}}
-    a = [orders[x] for x in xs]
-    b = [orders[y] for y in ys]
-    gap = two_sided_gap(a, b)
-    if gap is None:
-        return None
-    n, side = gap
-    return Witness(
-        v=p,
-        n=n,
-        detail=(
-            f"orders xs={a} ys={b}; at n={n} the prime {p} lies in the "
-            f"{('xs', 'ys')[side]}-side support union only"
-        ),
-    )
+    for x in bases:
+        if x % p == 0:
+            return BAD_PRIME
+    orders = numth.multiplicative_orders(bases, p)
+    a = [orders[i] for i in xi]
+    b = [orders[i] for i in yi]
+    for u, w in ((a, b), (b, a)):
+        for t in u:
+            for s in w:
+                if t % s == 0:
+                    break
+            else:
+                n, side = two_sided_gap(a, b)
+                return Witness(
+                    v=p,
+                    n=n,
+                    detail=(
+                        f"orders xs={a} ys={b}; at n={n} the prime {p} lies in the "
+                        f"{('xs', 'ys')[side]}-side support union only"
+                    ),
+                )
+    return None
 
 
 def _cover_test(condition_id, P, Qs, backend, v):
-    """corrales_schoof (one Q) and thm2: n = ord_v(P) kills P but no Q_i."""
+    """corrales_schoof (one Q) and thm2: n = ord_v(P) kills P but no Q_i.
+
+    ord_v(Q_i) divides n exactly when n * Q_i = 0, so the orders of the Q_i
+    are computed only for a witness.
+    """
     if not backend.good_prime([P, *Qs], v):
         return BAD_PRIME
     tp = backend.order_mod(P, v)
+    for Q in Qs:
+        if backend.raw_is_identity(backend.raw_scale(tp, backend.reduce_raw(Q, v), v), v):
+            return None
     tq = [backend.order_mod(Q, v) for Q in Qs]
-    if covers(tp, tq):
-        return None
     if condition_id == "corrales_schoof":
         detail = f"ord_v(x)={tp}, ord_v(y)={tq[0]}; n={tp} kills x but not y"
     else:
@@ -132,7 +153,7 @@ def scan_erdos_union(xs, ys, scan: PrimeRange, workers: int = 1) -> ConditionRep
     xs, ys = tuple(int(x) for x in xs), tuple(int(y) for y in ys)
     if any(v < 2 for v in xs + ys):
         raise ValueError("support-union condition takes natural numbers >= 2")
-    return _scan("erdos_union", _erdos_test, (xs, ys), scan, workers)
+    return _scan("erdos_union", _erdos_test, _erdos_args(xs, ys), scan, workers)
 
 
 def scan_corrales_schoof(x, y, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:

@@ -119,7 +119,10 @@ class TestUsageErrors:
     def test_malformed_backend(self, capsys, backend):
         code = cli.main(["cs-check", "--x", "2", "--y", "4", "--backend", backend])
         assert code == USAGE_ERROR
-        assert "bad --backend" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad --backend" in err
+        if backend == "ec:0,0,0,0,0":
+            assert "bad --backend 'ec:0,0,0,0,0': singular curve (discriminant 0)" in err
 
     def test_non_integer_workers_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MWLAB_WORKERS", "abc")

@@ -1,18 +1,28 @@
 """Fast paths against the slow exact oracles they replace: Shanks-Mestre
 point counts against enumeration, Sylow-local membership (and Q*
-membership by one exponentiation) against subgroup closure, elliptic
-discrete logs against enumeration of <P mod v>, the modular square root
-against a table of squares, and the bounded elliptic certificate search
-against the search that stored every combination's sum."""
+membership by one exponentiation) against subgroup closure, the subgroup
+exponent against the lcm of the generator orders, valuation patterns and
+covers decided by multiples against full orders, elliptic discrete logs
+against enumeration of <P mod v>, the modular square root against a table
+of squares, and the bounded elliptic certificate search against the search
+that stored every combination's sum."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mwlab import dependence, mwgroup
-from mwlab.dependence import SubgroupSpec, _bounded_membership_search, _member_raw, member_mod
+from mwlab import dependence, mwgroup, primesearch, support
+from mwlab._parallel import BAD_PRIME
+from mwlab.dependence import (
+    SubgroupSpec,
+    _bounded_membership_search,
+    _member_raw,
+    _subgroup_exponent,
+    member_mod,
+)
 from mwlab.mwgroup import (
     EC_IDENTITY,
     EllipticGroup,
@@ -26,15 +36,18 @@ from mwlab.mwgroup import (
     bounded_combinations,
     subgroup_closure_mod,
 )
-from mwlab.numth import PrimeRange, primes_in, sqrt_mod
-from mwlab.reports import RelationCertificate
+from mwlab.numth import PrimeRange, exact_valuation, primes_in, sqrt_mod
+from mwlab.primesearch import ValuationPattern, find_pattern_primes, pattern_density
+from mwlab.reports import RelationCertificate, Witness
 
 C37 = WeierstrassCurve(0, 0, 1, -1, 0)  # rank 1, no CM
 C389 = WeierstrassCurve(0, 1, 1, -2, 0)  # rank 2, no CM; (0,0), (1,0) independent
 CXX = WeierstrassCurve(0, 0, 0, -1, 0)  # y^2 = x^3 - x: CM, full rational 2-torsion
 CX1 = WeierstrassCurve(0, 0, 0, 0, 1)  # y^2 = x^3 + 1: CM
 CN5 = WeierstrassCurve(0, 0, 0, -25, 0)  # y^2 = x^3 - 25x: rank 1, torsion Z/2 x Z/2
-COEFFS = {c: (c.a1, c.a2, c.a3, c.a4, c.a6) for c in (C37, C389, CXX, CX1)}
+CX4 = WeierstrassCurve(0, 0, 0, -4, 0)  # y^2 = x^3 - 4x: CM
+CX432 = WeierstrassCurve(0, 0, 0, 0, -432)  # y^2 = x^3 - 432: CM
+COEFFS = {c: (c.a1, c.a2, c.a3, c.a4, c.a6) for c in (C37, C389, CXX, CX1, CX4, CX432)}
 
 
 def good_primes(curve, lo, hi):
@@ -104,6 +117,30 @@ class TestPointCount:
         for v in primes:
             _curve_order_mod.__wrapped__(COEFFS[curve], v)  # bypass the cache
         assert len(fallbacks) <= 0.05 * len(primes)
+
+
+    @pytest.mark.parametrize("curve", [CXX, CX1, CX4, CX432], ids=["x3-x", "x3+1", "x3-4x", "x3-432"])
+    def test_cm_curves_where_one_point_rarely_pins_the_count(self, curve, monkeypatch):
+        # On CM curves E(F_v) is often far from cyclic, so a point's order
+        # leaves several multiples in the Hasse interval; the count must
+        # still be the enumerated one wherever Shanks-Mestre answers, and
+        # the single-multiple exit must be taken at some primes.
+        shortcuts = []
+        inner = mwgroup._ec_bsgs
+
+        def counted(curve_, P, target, k0, count, v):
+            k = inner(curve_, P, target, k0, count, v)
+            if k0 == 1 and target is None:
+                shortcuts.append(k is None)
+            return k
+
+        monkeypatch.setattr(mwgroup, "_ec_bsgs", counted)
+        decided = 0
+        for v in good_primes(curve, 3, 3000):
+            got = _shanks_mestre_order(curve, v)
+            assert got in (None, _count_points_naive(COEFFS[curve], v)), v
+            decided += got is not None
+        assert decided > 0 and True in shortcuts and False in shortcuts
 
 
 class TestEllipticDlog:
@@ -185,8 +222,8 @@ class TestSylowMembership:
 
 class TestCyclicMembership:
     def test_qstar_against_closure(self, monkeypatch):
-        # F_v* is cyclic: membership is one exponentiation by the lcm of
-        # the generator orders, and no order of the target is computed.
+        # F_v* is cyclic: membership is one exponentiation by the exponent
+        # of the subgroup, and no order at all is computed.
         M = MultiplicativeGroup()
         rng = random.Random(53)
         gen_sets = [(2,), (3, 5), (2, 3), (-1, 7), (4, 6, 10), (Fraction(2, 3),)]
@@ -216,10 +253,101 @@ class TestCyclicMembership:
                     orders.clear()
                     got = _member_raw(M, raw, raws, v)
                     assert got == (raw in closure), (gens, P, v)
-                    assert len(orders) == len(raws)  # generators only
+                    assert orders == []  # m comes from one strip of v - 1
                     answers.add(got)
         assert answers == {True, False}
         assert closures["n"] == 0
+
+
+class TestSubgroupExponent:
+    @pytest.mark.parametrize("backend, gen_sets", [
+        (MultiplicativeGroup(), [(2,), (3, 5), (-1, 7), (4, 6, 10), (Fraction(2, 3), 9), ()]),
+        (EllipticGroup(C389), [((0, 0),), ((1, 0),), ((0, 0), (1, 0)), ((-2, -1), (0, 0)), ()]),
+        (EllipticGroup(CXX), [((0, 0),), ((0, 0), (1, 0)), ((1, 0), (-1, 0)), ()]),
+    ], ids=["qstar", "389a", "x3-x"])
+    def test_against_lcm_of_generator_orders(self, backend, gen_sets):
+        curve = getattr(backend, "curve", None)
+        for gens in gen_sets:
+            points = [backend.parse_point(str(g)) if curve is None else curve.point(*g) for g in gens]
+            for v in primes_in(PrimeRange(3, 1500)):
+                if not backend.good_prime(points, v):
+                    continue
+                raws = [backend.reduce_raw(L, v) for L in points]
+                want = math.lcm(*(backend.raw_order(g, v) for g in raws))
+                assert _subgroup_exponent(backend, raws, backend.group_order_mod(v), v) == want
+
+
+def pattern_test_by_orders(points, pattern, backend, v):
+    """Oracle: the pattern read off the full orders at v."""
+    if not backend.good_prime(points, v):
+        return BAD_PRIME
+    orders = tuple(backend.order_mod(P, v) for P in points)
+    if all(exact_valuation(pattern.l, k, t) for k, t in zip(pattern.ks, orders)):
+        return v, orders
+    return None
+
+
+class TestPatternByValuations:
+    CASES = [
+        (MultiplicativeGroup(), ("2", "3"), 3, (0, 0), (3, 20_000)),
+        (MultiplicativeGroup(), ("2", "-5/7"), 2, (1, 2), (3, 20_000)),
+        (MultiplicativeGroup(), ("6",), 5, (1,), (3, 20_000)),
+        (EllipticGroup(C37), ("(0,0)",), 2, (0,), (3, 1500)),
+        (EllipticGroup(C389), ("(0,0)", "(1,0)"), 2, (1, 0), (3, 1500)),
+        (EllipticGroup(CN5), ("(-4,6)", "(0,0)"), 2, (1, 1), (3, 1500)),
+    ]
+    IDS = ["qstar-3-00", "qstar-2-12", "qstar-5-1", "37a-2-0", "389a-2-10", "x3-25x-2-11"]
+
+    @pytest.mark.parametrize("backend, texts, l, ks, window", CASES, ids=IDS)
+    def test_against_exact_valuation_of_orders(self, backend, texts, l, ks, window, monkeypatch):
+        points = [backend.parse_point(t) for t in texts]
+        pattern = ValuationPattern(l, ks)
+        scan = PrimeRange(*window)
+        kinds = set()
+        for v in primes_in(scan):
+            want = pattern_test_by_orders(points, pattern, backend, v)
+            assert primesearch._pattern_test(points, pattern, backend, v) == want, v
+            kinds.add(type(want))
+        assert kinds == {type(BAD_PRIME), type(None), tuple}
+        hits = find_pattern_primes(points, pattern, backend, scan, max_hits=25)
+        density = pattern_density(points, pattern, backend, scan)
+        monkeypatch.setattr(primesearch, "_pattern_test", pattern_test_by_orders)
+        assert hits == find_pattern_primes(points, pattern, backend, scan, max_hits=25)
+        assert density == pattern_density(points, pattern, backend, scan)
+
+
+def cover_test_by_orders(condition_id, P, Qs, backend, v):
+    """Oracle: the cover read off the full orders at v with `covers`."""
+    if not backend.good_prime([P, *Qs], v):
+        return BAD_PRIME
+    tp = backend.order_mod(P, v)
+    tq = [backend.order_mod(Q, v) for Q in Qs]
+    if support.covers(tp, tq):
+        return None
+    if condition_id == "corrales_schoof":
+        detail = f"ord_v(x)={tp}, ord_v(y)={tq[0]}; n={tp} kills x but not y"
+    else:
+        detail = f"ord_v(P)={tp}, ord_v(Q_i)={tq}; n={tp} kills P but no Q_i"
+    return Witness(v=v, n=tp, detail=detail)
+
+
+class TestCoverByMultiple:
+    @pytest.mark.parametrize("backend, P, Qs, window", [
+        (MultiplicativeGroup(), "2", ("3",), (3, 5000)),
+        (MultiplicativeGroup(), "12", ("2", "-3", "5/7"), (3, 5000)),
+        (EllipticGroup(C37), "(1,0)", ("(0,0)",), (3, 1500)),
+        (EllipticGroup(C389), "(0,0)", ("(1,0)", "(-2,-1)"), (3, 1500)),
+    ], ids=["qstar-cs", "qstar-thm2", "37a-cs", "389a-thm2"])
+    def test_against_covers_on_orders(self, backend, P, Qs, window):
+        P = backend.parse_point(P)
+        Qs = tuple(backend.parse_point(Q) for Q in Qs)
+        condition = "corrales_schoof" if len(Qs) == 1 else "thm2"
+        kinds = set()
+        for v in primes_in(PrimeRange(*window)):
+            want = cover_test_by_orders(condition, P, Qs, backend, v)
+            assert support._cover_test(condition, P, Qs, backend, v) == want, v
+            kinds.add(type(want))
+        assert kinds == {type(BAD_PRIME), type(None), Witness}
 
 
 def _count_closures(monkeypatch):

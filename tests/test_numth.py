@@ -16,6 +16,7 @@ from mwlab.numth import (
     integer_kernel,
     is_prime,
     multiplicative_order,
+    multiplicative_orders,
     primes_in,
 )
 
@@ -41,6 +42,37 @@ def naive_factor(n):
             out.append((d, e))
         d += 1
     return tuple(out)
+
+
+def trial_factor(n):
+    """Oracle: factor before the table of small primes, dividing by 2, 3, 5
+    and then every odd d from 7 up to 10**6, with the same rho path."""
+    value = n
+    found = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            found[p] = found.get(p, 0) + 1
+            n //= p
+    d = 7
+    while d <= 10**6 and d * d <= n:
+        while n % d == 0:
+            found[d] = found.get(d, 0) + 1
+            n //= d
+        d += 2
+    if d * d > n:
+        if n > 1:
+            found[n] = 1
+        return Factorization(value, tuple(sorted(found.items())))
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            found[m] = found.get(m, 0) + 1
+            continue
+        g = numth._rho_split(m)
+        stack.append(g)
+        stack.append(m // g)
+    return Factorization(value, tuple(sorted(found.items())))
 
 
 def brute_order(a, p):
@@ -91,6 +123,15 @@ class TestFactor:
     def test_against_naive_trial_division(self):
         for n in range(1, 20_001):
             assert factor(n).factors == naive_factor(n), n
+
+    def test_against_trial_division_by_every_odd_d(self):
+        # Uncached, so every n runs the table of small primes; the seeded
+        # values near 10**14 also reach the odd d past the table and rho.
+        rng = random.Random(14)
+        large = [rng.randrange(10**14, 2 * 10**14) for _ in range(6)]
+        large += [4093 * 4099 * 1_000_003, 2**5 * 4091**2 * 999_983, 3 * 1_000_003 * 1_000_033]
+        for n in [*range(1, 300_000), *large]:
+            assert numth.factor.__wrapped__(n) == trial_factor(n), n
 
     @pytest.mark.parametrize("n, factors", [
         (999_983, ((999_983, 1),)),
@@ -232,6 +273,14 @@ class TestMultiplicativeOrder:
             for d in range(1, t):
                 if t % d == 0:
                     assert pow(a, d, p) != 1
+
+
+    def test_orders_in_one_pass_against_one_order_per_base(self):
+        rng = random.Random(29)
+        for p in primes_in(PrimeRange(3, 20_000)):
+            bases = [2, p - 1, 10**6 + 3, *(rng.randrange(1, p) for _ in range(3))]
+            bases = [b for b in bases if b % p]
+            assert multiplicative_orders(bases, p) == [multiplicative_order(b, p) for b in bases]
 
 
 class TestExactValuation:

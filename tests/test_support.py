@@ -44,6 +44,11 @@ def brute_erdos_at_prime(xs, ys, p, n_bound):
     return True
 
 
+def erdos_test(xs, ys, p):
+    """support._erdos_test on the arguments scan_erdos_union passes it."""
+    return support._erdos_test(*support._erdos_args(xs, ys), p)
+
+
 def erdos_test_per_entry(xs, ys, p):
     """Oracle for support._erdos_test: one order per list entry, repeats
     included, and the same witness."""
@@ -97,13 +102,13 @@ class TestSupportUnion:
 
 class TestErdosExact:
     def test_identical_lists(self):
-        assert support._erdos_test((2, 3), (2, 3), 7) is None
+        assert erdos_test((2, 3), (2, 3), 7) is None
 
     def test_power_tuple_counterexample(self):
-        assert support._erdos_test((2,), (8,), 7) is not None
+        assert erdos_test((2,), (8,), 7) is not None
 
     def test_permutation_invariance(self):
-        assert support._erdos_test((2, 3), (3, 2), 11) is None
+        assert erdos_test((2, 3), (3, 2), 11) is None
 
     def test_one_order_per_base_matches_per_entry_orders(self):
         rng = random.Random(41)
@@ -117,7 +122,7 @@ class TestErdosExact:
         for p in primes_in(PrimeRange(2, 3000)):
             for xs, ys in pairs:
                 want = erdos_test_per_entry(xs, ys, p)
-                assert support._erdos_test(tuple(xs), tuple(ys), p) == want, (xs, ys, p)
+                assert erdos_test(xs, ys, p) == want, (xs, ys, p)
                 kinds.add(type(want))
         assert kinds == {type(BAD_PRIME), type(None), Witness}
 
@@ -132,7 +137,7 @@ class TestErdosExact:
                 continue
             orders = [multiplicative_order(v, p) for v in xs + ys]
             bound = 2 * math.lcm(*orders)
-            holds = support._erdos_test(tuple(xs), tuple(ys), p) is None
+            holds = erdos_test(xs, ys, p) is None
             assert holds == brute_erdos_at_prime(xs, ys, p, bound)
 
 
