@@ -77,7 +77,7 @@ def _member_raw(backend, raw, raw_gens, v: int) -> bool:
     m = _subgroup_exponent(backend, raw_gens, n, v)
     bound = math.gcd(backend.noncyclic_bound(v), m)
     if bound == 1:
-        return backend.raw_is_identity(backend.raw_scale(m, raw, v), v)
+        return backend.raw_kills(m, raw, v)
     order = backend.raw_order(raw, v)
     if m % order:
         return False
@@ -102,9 +102,7 @@ def _subgroup_exponent(backend, raw_gens, n: int, v: int) -> int:
     """
     m = n
     for q, _ in numth.factor(n).factors:
-        while m % q == 0 and all(
-            backend.raw_is_identity(backend.raw_scale(m // q, g, v), v) for g in raw_gens
-        ):
+        while m % q == 0 and all(backend.raw_kills(m // q, g, v) for g in raw_gens):
             m //= q
     return m
 
@@ -265,12 +263,13 @@ def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> Relatio
 
     The least such alpha wins, with the first lambda in product order. The
     walk over the combinations runs on reductions at a few good primes, with
-    the targets alpha*P keyed by their reductions; a combination is summed
-    in exact arithmetic only where its reductions match a target, and an
-    exact match matches at every good prime, so none is missed. The walk
-    stops at alpha = 1. Exhaustion is inconclusive, never a refutation.
-    Certificates with alpha*P = identity are not real memberships and are
-    skipped.
+    the targets alpha*P keyed by their reductions; an exact match matches at
+    every good prime, so none is missed. A match with alpha = 1 is summed in
+    exact arithmetic at once and ends the walk when it holds; the matches
+    with alpha > 1 are summed only after the walk, by alpha and then in walk
+    order, up to the first that holds. Exhaustion is inconclusive, never a
+    refutation. Certificates with alpha*P = identity are not real
+    memberships and are skipped.
     """
     backend = subgroup.backend
     generators = subgroup.generators
@@ -283,29 +282,31 @@ def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> Relatio
     for alpha in range(1, bound + 1):
         acc = reductions.combine(acc, rP)
         targets.setdefault(acc, []).append(alpha)
-    multiples: dict = {}  # alpha -> alpha*P exactly, None for the identity
-    best = None
     raw_gens = [reductions.reduce(L) for L in generators]
-    for vec, acc in bounded_combinations(reductions, raw_gens, bound):
-        total = None
-        for alpha in targets.get(acc, ()):
-            if best is not None and alpha >= best[0]:
-                break
-            if alpha not in multiples:
-                A = backend.scale(alpha, P)
-                multiples[alpha] = None if backend.is_identity(A) else A
-            if multiples[alpha] is None:
-                continue
-            if total is None:
-                total = backend.identity()
-                for k, L in zip(vec, generators):
-                    total = backend.combine(total, backend.scale(k, L))
-            if total == multiples[alpha]:
-                best = (alpha, *vec)
-                break
-        if best is not None and best[0] == 1:
-            break
-    return None if best is None else RelationCertificate(kind="membership", coefficients=best)
+
+    def matches():  # (alpha, lambda) in the order they are summed exactly
+        later = []  # the matches with alpha > 1, in walk order
+        for vec, acc in bounded_combinations(reductions, raw_gens, bound):
+            for alpha in targets.get(acc, ()):
+                if alpha > 1:
+                    later.append((alpha, vec))
+                else:
+                    yield alpha, vec
+        yield from sorted(later, key=lambda match: match[0])
+
+    multiples: dict = {}  # alpha -> alpha*P exactly, None for the identity
+    for alpha, vec in matches():
+        if alpha not in multiples:
+            A = backend.scale(alpha, P)
+            multiples[alpha] = None if backend.is_identity(A) else A
+        if multiples[alpha] is None:
+            continue
+        total = backend.identity()
+        for k, L in zip(vec, generators):
+            total = backend.combine(total, backend.scale(k, L))
+        if total == multiples[alpha]:
+            return RelationCertificate(kind="membership", coefficients=(alpha, *vec))
+    return None
 
 
 # ---------------------------------------------------------------------------

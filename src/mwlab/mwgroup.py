@@ -131,7 +131,7 @@ def _order_key(P: EcPoint):
 class WeierstrassCurve:
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 with integer coefficients."""
 
-    __slots__ = ("a1", "a2", "a3", "a4", "a6", "discriminant")
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "discriminant", "short_model")
 
     def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
@@ -140,6 +140,10 @@ class WeierstrassCurve:
         self.discriminant = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
         if self.discriminant == 0:
             raise ValueError("singular curve (discriminant 0)")
+        # (3*b2, A, B): X = 36x + 3*b2, Y = 108*(2y + a1*x + a3) maps the
+        # curve onto Y^2 = X^3 + A*X + B, with A = -27*c4 and B = -54*c6.
+        c4, c6 = b2 * b2 - 24 * b4, -b2**3 + 36 * b2 * b4 - 216 * b6
+        self.short_model = (3 * b2, -27 * c4, -54 * c6)
 
     @property
     def coefficients(self) -> tuple[int, int, int, int, int]:
@@ -267,9 +271,11 @@ def _ec_neg_mod(curve: WeierstrassCurve, P, v: int):
     return (x, (-y - curve.a1 * x - curve.a3) % v)
 
 
-def _ec_mul_mod(curve: WeierstrassCurve, n: int, P, v: int):
+def _ec_mul_affine(curve: WeierstrassCurve, n: int, P, v: int):
+    """n*P by affine double-and-add, one inversion per group operation: the
+    literal multiple of the witness re-checks, and every multiple at v < 5."""
     if n < 0:
-        return _ec_mul_mod(curve, -n, _ec_neg_mod(curve, P, v), v)
+        return _ec_mul_affine(curve, -n, _ec_neg_mod(curve, P, v), v)
     acc = None
     addend = P
     while n:
@@ -278,6 +284,70 @@ def _ec_mul_mod(curve: WeierstrassCurve, n: int, P, v: int):
         addend = _ec_add_mod(curve, addend, addend, v)
         n >>= 1
     return acc
+
+
+def _ec_jacobian(curve: WeierstrassCurve, n: int, P, v: int):
+    """n*P (n >= 0, v >= 5) by left-to-right double-and-add, no inversion:
+    Jacobian (X, Y, Z) for (X/Z^2, Y/Z^3) on Y^2 = X^3 - 27*c4*X - 54*c6,
+    Z = 0 at O. P reaches that model as the affine addend by X = 36x + 3*b2,
+    Y = 108*(2y + a1*x + a3), an isomorphism for v >= 5."""
+    if P is None or n == 0:
+        return 0, 1, 0
+    shift, A, _ = curve.short_model
+    x = (36 * P[0] + shift) % v
+    y = 108 * (2 * P[1] + curve.a1 * P[0] + curve.a3) % v
+    a = A % v
+    X, Y, Z = x, y, 1
+    for bit in bin(n)[3:]:
+        # Doubling; Z = 2*Y*Z reads O at O and at a point of order 2.
+        YY = Y * Y % v
+        S = 4 * X * YY % v
+        ZZ = Z * Z % v
+        M = (3 * X * X + a * ZZ * ZZ) % v
+        Z = 2 * Y * Z % v
+        X = (M * M - 2 * S) % v
+        Y = (M * (S - X) - 8 * YY * YY) % v
+        if bit == "0":
+            continue
+        if Z == 0:  # O + P
+            X, Y, Z = x, y, 1
+            continue
+        ZZ = Z * Z % v
+        H = (x * ZZ - X) % v
+        r = (y * ZZ * Z - Y) % v
+        if H == 0:  # the accumulator is -P (r != 0), or P and the sum is 2P
+            X, Y, Z = (X, Y, 0) if r else _ec_jacobian(curve, 2, P, v)
+            continue
+        HH = H * H % v
+        HHH = H * HH % v
+        V = X * HH % v
+        X = (r * r - HHH - 2 * V) % v
+        Y = (r * (V - X) - Y * HHH) % v
+        Z = Z * H % v
+    return X, Y, Z
+
+
+def _ec_mul_mod(curve: WeierstrassCurve, n: int, P, v: int):
+    """n*P on raw points: the Jacobian ladder and one inversion back."""
+    if v < 5:
+        return _ec_mul_affine(curve, n, P, v)
+    if n < 0:
+        n, P = -n, _ec_neg_mod(curve, P, v)
+    X, Y, Z = _ec_jacobian(curve, n, P, v)
+    if Z == 0:
+        return None
+    # With t = 1/(6Z): x = (X - 3*b2*Z^2)*t^2 and 2y + a1*x + a3 = 2*Y*t^3.
+    t = pow(6 * Z, -1, v)
+    tt = t * t % v
+    x = (X - curve.short_model[0] * Z * Z) * tt % v
+    return x, (Y * tt * t - (curve.a1 * x + curve.a3) * ((v + 1) // 2)) % v
+
+
+def _ec_kills(curve: WeierstrassCurve, n: int, P, v: int) -> bool:
+    """n*P = O on raw points, read off the ladder's Z at v >= 5."""
+    if v < 5:
+        return _ec_mul_affine(curve, n, P, v) is None
+    return _ec_jacobian(curve, abs(n), P, v)[2] == 0
 
 
 # Primes below _MESTRE_FROM are counted by enumeration, which is cheaper
@@ -290,7 +360,7 @@ _MESTRE_POINTS = 8
 def _ec_order_from_multiple(curve: WeierstrassCurve, P, m: int, v: int) -> int:
     """Exact order of the raw point P, stripped from a multiple m of it."""
     for q, _ in numth.factor(m).factors:
-        while m % q == 0 and _ec_mul_mod(curve, m // q, P, v) is None:
+        while m % q == 0 and _ec_kills(curve, m // q, P, v):
             m //= q
     return m
 
@@ -495,6 +565,10 @@ class MultiplicativeGroup:
             return pow(pow(raw, -1, v), -n, v)
         return pow(raw, n, v)
 
+    def raw_kills(self, n: int, raw, v: int) -> bool:
+        """n * raw = 1 in F_v*."""
+        return pow(raw, n, v) == 1
+
     def dlog_mod(self, P: MulPoint, Q: MulPoint, v: int) -> int | None:
         """Least e >= 0 with e*P = Q (mod v), or None when Q is outside <P>."""
         t = self.order_mod(P, v)
@@ -593,7 +667,12 @@ class EllipticGroup:
         return _ec_add_mod(self.curve, a, b, v)
 
     def raw_scale(self, n: int, raw, v: int):
-        return _ec_mul_mod(self.curve, n, raw, v)
+        """n * raw by affine double-and-add, the witness re-checks' multiple."""
+        return _ec_mul_affine(self.curve, n, raw, v)
+
+    def raw_kills(self, n: int, raw, v: int) -> bool:
+        """n * raw = O, read off the Jacobian ladder without an inversion."""
+        return _ec_kills(self.curve, n, raw, v)
 
     def dlog_mod(self, P: EcPoint, Q: EcPoint, v: int) -> int | None:
         """Least e >= 0 with e*P = Q (mod v), or None when Q is outside <P>."""
@@ -647,12 +726,10 @@ class EllipticGroup:
             bound = math.gcd(bound, self.group_order_mod(v))
         if bound == 1:
             return (EC_IDENTITY,)
-        b2, _, _, _ = self.curve.b_invariants
-        c4, c6 = self._c_invariants()
-        A, B = -27 * c4, -54 * c6
+        shift, A, B = self.curve.short_model
         torsion = {EC_IDENTITY}
         for X, Y in self._integral_model_candidates(A, B):
-            x = Fraction(X - 3 * b2, 36)
+            x = Fraction(X - shift, 36)
             y = Fraction(Fraction(Y, 108) - self.curve.a1 * x - self.curve.a3, 2)
             P = EcPoint(x, y)
             if not self.curve.contains(P):
@@ -664,12 +741,6 @@ class EllipticGroup:
                     break
                 acc = self.curve.add(acc, P)
         return tuple(sorted(torsion, key=_order_key))
-
-    def _c_invariants(self) -> tuple[int, int]:
-        b2, b4, b6, _ = self.curve.b_invariants
-        c4 = b2 * b2 - 24 * b4
-        c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
-        return c4, c6
 
     @staticmethod
     def _integral_model_candidates(A: int, B: int):

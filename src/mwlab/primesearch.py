@@ -16,7 +16,6 @@ from . import numth
 from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
 from .numth import PrimeRange
 from .reports import Witness
-from .support import covers
 
 
 class ValuationPattern(namedtuple("ValuationPattern", "l ks")):
@@ -66,8 +65,9 @@ def _pattern_test(points, pattern, backend, v):
     search and the density count.
 
     v_l(ord P) is the least j with (n * l^j) * P = 0, n the l-free part of
-    N = |G|, so the pattern is decided by one multiple per point and at most
-    v_l(N) multiplications by l; only a match computes its orders.
+    N = |G|, so it is k exactly when n * l^k kills P and, for k > 0,
+    n * l^(k-1) does not: at most two kill tests per point. Only a match
+    computes its orders.
     """
     if not backend.good_prime(points, v):
         return BAD_PRIME
@@ -76,13 +76,11 @@ def _pattern_test(points, pattern, backend, v):
     while n % l == 0:
         n //= l
     for P, k in zip(points, pattern.ks):
-        R = backend.raw_scale(n, backend.reduce_raw(P, v), v)
-        for _ in range(k):
-            if backend.raw_is_identity(R, v):
-                return None  # v_l(ord P) < k
-            R = backend.raw_scale(l, R, v)
-        if not backend.raw_is_identity(R, v):
+        raw = backend.reduce_raw(P, v)
+        if not backend.raw_kills(n * l**k, raw, v):
             return None  # v_l(ord P) > k
+        if k and backend.raw_kills(n * l ** (k - 1), raw, v):
+            return None  # v_l(ord P) < k
     return v, tuple(backend.order_mod(P, v) for P in points)
 
 
@@ -119,14 +117,20 @@ def find_pattern_primes(points, pattern: ValuationPattern, backend, scan: PrimeR
 
 
 def _replay1_test(P, Qs, l, backend, v):
+    """l | ord_v(Q_i) exactly when m, the l-free part of N = |G|, does not
+    kill Q_i; the orders of the Q_i are computed only for a witness."""
     if not backend.good_prime([P, *Qs], v):
         return BAD_PRIME
-    q_orders = [backend.order_mod(Q, v) for Q in Qs]
-    if any(t % l != 0 for t in q_orders):
+    raws = [backend.reduce_raw(Q, v) for Q in Qs]
+    m = backend.group_order_mod(v)
+    while m % l == 0:
+        m //= l
+    if any(backend.raw_kills(m, raw, v) for raw in raws):
         return None
     n = backend.order_mod(P, v)
-    if covers(n, q_orders):
+    if any(backend.raw_kills(n, raw, v) for raw in raws):
         return None
+    q_orders = [backend.order_mod(Q, v) for Q in Qs]
     detail = (
         f"ord_v(P)={n} with ord_v(Q_i)={q_orders}; n={n} kills P mod {v} "
         f"and kills no Q_i ({l} divides every ord_v(Q_i))"

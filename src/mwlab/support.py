@@ -38,12 +38,6 @@ def support_union_at_n(xs, n: int, bound: int) -> frozenset[int]:
     return frozenset(hits)
 
 
-def covers(order: int, orders) -> bool:
-    """One-sided cover: some entry of orders divides order, i.e. every n
-    killing the point of that order kills some point of the list."""
-    return any(order % t == 0 for t in orders)
-
-
 def two_sided_gap(a, b) -> tuple[int, int] | None:
     """Two-sided cover of two order lists: every a_i is a multiple of some
     b_j and every b_j a multiple of some a_i. None when it holds; otherwise
@@ -112,7 +106,7 @@ def _cover_test(condition_id, P, Qs, backend, v):
         return BAD_PRIME
     tp = backend.order_mod(P, v)
     for Q in Qs:
-        if backend.raw_is_identity(backend.raw_scale(tp, backend.reduce_raw(Q, v), v), v):
+        if backend.raw_kills(tp, backend.reduce_raw(Q, v), v):
             return None
     tq = [backend.order_mod(Q, v) for Q in Qs]
     if condition_id == "corrales_schoof":

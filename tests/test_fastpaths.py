@@ -3,13 +3,15 @@ point counts against enumeration, Sylow-local membership (and Q*
 membership by one exponentiation) against subgroup closure, the subgroup
 exponent against the lcm of the generator orders, valuation patterns and
 covers decided by multiples against full orders, elliptic discrete logs
-against enumeration of <P mod v>, the modular square root against a table
-of squares, and the bounded elliptic certificate search against the search
-that stored every combination's sum."""
+against enumeration of <P mod v>, the Jacobian ladder against an affine
+double-and-add, the modular square root against a table of squares, and
+the bounded elliptic certificate search against the search that stored
+every combination's sum. The witness re-checks must not run the ladder."""
 
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -170,6 +172,64 @@ class TestEllipticDlog:
         assert answers == {None, 0, 1}
 
 
+CA = WeierstrassCurve(1, -1, -1, -3, 0)  # a1, a3 != 0; (0,0) and (0,1) on it
+
+
+def affine_multiple(curve, n, P, v):
+    """Oracle: n*P by double-and-add on `_ec_add_mod` alone."""
+    if n < 0:
+        n, P = -n, mwgroup._ec_neg_mod(curve, P, v)
+    acc = None
+    while n:
+        if n & 1:
+            acc = _ec_add_mod(curve, acc, P, v)
+        P = _ec_add_mod(curve, P, P, v)
+        n >>= 1
+    return acc
+
+
+class TestJacobianLadder:
+    FULL_RANGE_BELOW = 30
+
+    def _multipliers(self, curve, P, v, rng):
+        """Every n in [-3v, 3v] at small v. Above, the multipliers whose
+        ladder prefixes reach each edge of the mixed addition (the
+        accumulator at O, at P and at -P) for a point of order t, plus the
+        ends of the range and a seeded sample."""
+        if v < self.FULL_RANGE_BELOW:
+            return range(-3 * v, 3 * v + 1)
+        t, R = 1, P
+        while R is not None:
+            t, R = t + 1, _ec_add_mod(curve, R, P, v)
+        near = {j * t + d for j in (1, 2) for d in range(-2, 3)} | {0, 1, 2, 3, 3 * v}
+        near |= {rng.randint(-3 * v, 3 * v) for _ in range(8)}
+        return sorted(near | {-n for n in near})
+
+    @pytest.mark.parametrize("curve", [C37, C389, CXX, CA], ids=["37a", "389a", "x3-x", "a1a3"])
+    def test_against_affine_double_and_add(self, curve):
+        E = EllipticGroup(curve)
+        rng = random.Random(150)
+        for v in good_primes(curve, 2, 150):
+            for P in [None, *affine_points(curve, v, 2 * v + 2)]:
+                for n in self._multipliers(curve, P, v, rng) if P else range(-3, 4):
+                    want = affine_multiple(curve, n, P, v)
+                    assert mwgroup._ec_mul_mod(curve, n, P, v) == want, (v, P, n)
+                    assert E.raw_kills(n, P, v) == (want is None), (v, P, n)
+
+    def test_qstar_kills_against_literal_power(self):
+        M = MultiplicativeGroup()
+        rng = random.Random(151)
+        answers = set()
+        for v in primes_in(PrimeRange(3, 400)):
+            for _ in range(6):
+                raw = rng.randrange(1, v)
+                for n in (0, v - 1, (v - 1) // 2, rng.randint(-3 * v, 3 * v), M.raw_order(raw, v)):
+                    got = M.raw_kills(n, raw, v)
+                    assert got == M.raw_is_identity(M.raw_scale(n, raw, v), v), (v, raw, n)
+                    answers.add(got)
+        assert answers == {True, False}
+
+
 class TestSylowMembership:
     def test_rank_two_curve_against_closure(self, monkeypatch):
         E = EllipticGroup(C389)
@@ -317,12 +377,13 @@ class TestPatternByValuations:
 
 
 def cover_test_by_orders(condition_id, P, Qs, backend, v):
-    """Oracle: the cover read off the full orders at v with `covers`."""
+    """Oracle: the cover read off the full orders at v, as some ord Q_i
+    dividing ord P."""
     if not backend.good_prime([P, *Qs], v):
         return BAD_PRIME
     tp = backend.order_mod(P, v)
     tq = [backend.order_mod(Q, v) for Q in Qs]
-    if support.covers(tp, tq):
+    if any(tp % t == 0 for t in tq):
         return None
     if condition_id == "corrales_schoof":
         detail = f"ord_v(x)={tp}, ord_v(y)={tq[0]}; n={tp} kills x but not y"
@@ -346,6 +407,40 @@ class TestCoverByMultiple:
         for v in primes_in(PrimeRange(*window)):
             want = cover_test_by_orders(condition, P, Qs, backend, v)
             assert support._cover_test(condition, P, Qs, backend, v) == want, v
+            kinds.add(type(want))
+        assert kinds == {type(BAD_PRIME), type(None), Witness}
+
+
+def replay1_test_by_orders(P, Qs, l, backend, v):
+    """Oracle: the step-1 replay read off the full orders at v."""
+    if not backend.good_prime([P, *Qs], v):
+        return BAD_PRIME
+    q_orders = [backend.order_mod(Q, v) for Q in Qs]
+    n = backend.order_mod(P, v)
+    if any(t % l for t in q_orders) or any(n % t == 0 for t in q_orders):
+        return None
+    detail = (
+        f"ord_v(P)={n} with ord_v(Q_i)={q_orders}; n={n} kills P mod {v} "
+        f"and kills no Q_i ({l} divides every ord_v(Q_i))"
+    )
+    return Witness(v=v, n=n, detail=detail)
+
+
+class TestReplayByKills:
+    @pytest.mark.parametrize("backend, P, Qs, l, window", [
+        (MultiplicativeGroup(), "2", ("3", "5"), 3, (3, 5000)),
+        (MultiplicativeGroup(), "6", ("2", "-7/5"), 2, (3, 5000)),
+        (EllipticGroup(C37), "(1,0)", ("(0,0)",), 3, (3, 1500)),
+        (EllipticGroup(CN5), "(-4,6)", ("(0,0)", "(5,0)"), 2, (3, 1500)),
+        (EllipticGroup(C389), "(0,0)", ("(1,0)", "(-2,-1)"), 2, (3, 1500)),
+    ], ids=["qstar-3", "qstar-2", "37a-3", "x3-25x-2", "389a-2"])
+    def test_against_orders(self, backend, P, Qs, l, window):
+        P = backend.parse_point(P)
+        Qs = tuple(backend.parse_point(Q) for Q in Qs)
+        kinds = set()
+        for v in primes_in(PrimeRange(*window)):
+            want = replay1_test_by_orders(P, Qs, l, backend, v)
+            assert primesearch._replay1_test(P, Qs, l, backend, v) == want, v
             kinds.add(type(want))
         assert kinds == {type(BAD_PRIME), type(None), Witness}
 
@@ -442,3 +537,90 @@ class TestBoundedMembershipSearch:
                 assert got == _span_search(P, subgroup, bound), (gens, P, bound)
         cert = _bounded_membership_search(CN5.add(G, T1), SubgroupSpec((G,), E), 4)
         assert cert.coefficients == (2, 2)
+
+    def test_negatives_and_torsion_shifts_at_the_default_bound(self, monkeypatch):
+        # P = -L and P = -3L meet their alpha > 1 targets (20*P = -20*L, ...)
+        # before alpha = 1 in product order; those are summed only if no
+        # alpha = 1 match holds, so alpha*P and lambda*L are formed once each.
+        E37, E5 = EllipticGroup(C37), EllipticGroup(CN5)
+        L, G, T = C37.point(0, 0), CN5.point(-4, 6), CN5.point(0, 0)
+        scales = []
+        inner = EllipticGroup.scale
+
+        def counted(self, n, P):
+            scales.append(n)
+            return inner(self, n, P)
+
+        monkeypatch.setattr(EllipticGroup, "scale", counted)
+        cases = [
+            (SubgroupSpec((L,), E37), C37.neg(L), (1, -1)),
+            (SubgroupSpec((L,), E37), C37.mul(-3, L), (1, -3)),
+            (SubgroupSpec((G,), E5), CN5.add(G, T), (2, 2)),
+            (SubgroupSpec((G, T), E5), CN5.add(G, T), (1, 1, -19)),
+        ]
+        for subgroup, P, want in cases:
+            scales.clear()
+            got = _bounded_membership_search(P, subgroup, 20)
+            assert got.coefficients == want
+            if len(subgroup.generators) == 1 and want[0] == 1:
+                assert len(scales) <= 2, scales
+            assert got == _span_search(P, subgroup, 20)
+
+
+# The literal re-checks of witnesses and hits, which must not share the
+# Jacobian ladder with the scans they check.
+_RECHECKS = {
+    support.verify_witness.__code__,
+    dependence.verify_detect_witness.__code__,
+    primesearch._verified_order.__code__,
+}
+
+
+class TestRecheckIndependence:
+    def test_elliptic_witnesses_and_hits_reverify_without_the_ladder(self, monkeypatch):
+        inner = mwgroup._ec_jacobian
+        calls = {"n": 0}
+
+        def guarded(*args):
+            frame = sys._getframe(1)
+            while frame is not None:
+                assert frame.f_code not in _RECHECKS, f"ladder inside {frame.f_code.co_name}"
+                frame = frame.f_back
+            calls["n"] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(mwgroup, "_ec_jacobian", guarded)
+        rng = random.Random(2008)
+        groups = [(C37, [(0, 0)]), (C389, [(0, 0), (1, 0)]), (CN5, [(-4, 6), (0, 0)]),
+                  (CA, [(0, 0)])]
+        scan = PrimeRange(3, 700)
+        checked = {"cs": 0, "detect": 0, "hits": 0}
+        for curve, basis in groups:
+            E = EllipticGroup(curve)
+            basis = [curve.point(*xy) for xy in basis]
+
+            def combo():
+                acc = EC_IDENTITY
+                for Q in basis:
+                    acc = curve.add(acc, curve.mul(rng.randint(-3, 3), Q))
+                return acc
+
+            for _ in range(4):
+                x, y = combo(), combo()
+                if E.is_torsion(x) or E.is_torsion(y):
+                    continue
+                w = support.scan_corrales_schoof(x, y, E, scan).witness
+                if w is not None:
+                    assert support.verify_witness("corrales_schoof", {"x": x, "y": y}, w.v, w.n,
+                                                  backend=E)
+                    checked["cs"] += 1
+                subgroup = SubgroupSpec((y,), E)
+                w = dependence.detect_dependence([x], subgroup, scan, coeff_bound=3).report.witness
+                if w is not None:
+                    assert dependence.verify_detect_witness([x], subgroup, w.v, w.n)
+                    checked["detect"] += 1
+                pattern = ValuationPattern(rng.choice([2, 3]), (rng.randint(0, 2),))
+                hits = find_pattern_primes([x], pattern, E, scan, max_hits=3)
+                assert all(h.verified for h in hits)
+                checked["hits"] += len(hits)
+        assert min(checked.values()) > 0 and calls["n"] > 0, checked
