@@ -4,7 +4,8 @@ searches, emit deterministic structured reports.
 Exit codes: 0 condition holds / certificate or witness found, 1 violated or
 refuted (a witness is in the report), 2 inconclusive (empty search, bounded
 search exhausted, recover scan exhausted), 64 usage error, 70 internal
-error. Reports echo semantic inputs only (never worker counts), so identical
+error, 74 stdout closed before the report was written (no verdict given).
+Reports echo semantic inputs only (never worker counts), so identical
 configurations give byte-identical output at any parallelism.
 
 A command imports only the modules it runs: the checkers, searches and
@@ -25,7 +26,7 @@ from functools import cache
 from . import mwgroup, numth
 from .numth import PrimeRange
 
-OK, VIOLATED, INCONCLUSIVE, USAGE_ERROR, INTERNAL_ERROR = 0, 1, 2, 64, 70
+OK, VIOLATED, INCONCLUSIVE, USAGE_ERROR, INTERNAL_ERROR, IO_ERROR = 0, 1, 2, 64, 70, 74
 
 
 class UsageError(Exception):
@@ -97,6 +98,8 @@ def _parse_verify(text: str) -> tuple[int, int]:
         v, n = int(v), int(n)
     except ValueError as exc:
         raise UsageError(f"bad --verify {text!r}") from exc
+    if v >= numth.PSI_13:
+        raise UsageError(f"--verify prime {v} is not below {numth.PSI_13}, the proven bound")
     if not numth.is_prime(v):
         raise UsageError(f"--verify prime {v} is not prime")
     if n < 1:
@@ -482,7 +485,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    print(render(report, config.fmt))
+    try:
+        print(render(report, config.fmt), flush=True)
+    except BrokenPipeError:
+        # The reader left: no verdict reached it. Point stdout at devnull so
+        # the interpreter's flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return IO_ERROR
     return code
 
 

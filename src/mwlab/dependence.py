@@ -14,7 +14,8 @@ from collections import namedtuple
 
 from . import numth
 from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
-from .mwgroup import bounded_combinations, subgroup_closure_mod, unit_relations
+from .mwgroup import bounded_combinations, exponent_from_multiple
+from .mwgroup import subgroup_closure_mod, unit_relations
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
 from .support import verify_witness
@@ -74,7 +75,7 @@ def _member_raw(backend, raw, raw_gens, v: int) -> bool:
     multiple m * raw decides and ord raw is never computed.
     """
     n = backend.group_order_mod(v)
-    m = _subgroup_exponent(backend, raw_gens, n, v)
+    m = exponent_from_multiple(backend, raw_gens, n, v)
     bound = math.gcd(backend.noncyclic_bound(v), m)
     if bound == 1:
         return backend.raw_kills(m, raw, v)
@@ -92,19 +93,6 @@ def _member_raw(backend, raw, raw_gens, v: int) -> bool:
             if backend.raw_scale(c, raw, v) not in subgroup_closure_mod(backend, parts, v):
                 return False
     return True
-
-
-def _subgroup_exponent(backend, raw_gens, n: int, v: int) -> int:
-    """The exponent of the subgroup generated by raw_gens, stripped from n,
-    a multiple of it, prime by prime while (m/q) * L_j = 0 for every j.
-
-    That is the lcm of the generator orders, found without any one order.
-    """
-    m = n
-    for q, _ in numth.factor(n).factors:
-        while m % q == 0 and all(backend.raw_kills(m // q, g, v) for g in raw_gens):
-            m //= q
-    return m
 
 
 def _detect_test(Ps, subgroup: SubgroupSpec, v):

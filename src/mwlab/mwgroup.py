@@ -343,26 +343,11 @@ def _ec_mul_mod(curve: WeierstrassCurve, n: int, P, v: int):
     return x, (Y * tt * t - (curve.a1 * x + curve.a3) * ((v + 1) // 2)) % v
 
 
-def _ec_kills(curve: WeierstrassCurve, n: int, P, v: int) -> bool:
-    """n*P = O on raw points, read off the ladder's Z at v >= 5."""
-    if v < 5:
-        return _ec_mul_affine(curve, n, P, v) is None
-    return _ec_jacobian(curve, abs(n), P, v)[2] == 0
-
-
 # Primes below _MESTRE_FROM are counted by enumeration, which is cheaper
 # there (and at tiny v the Hasse interval is too wide for point orders to pin
 # N down). Shanks-Mestre gives up after _MESTRE_POINTS points.
 _MESTRE_FROM = 250
 _MESTRE_POINTS = 8
-
-
-def _ec_order_from_multiple(curve: WeierstrassCurve, P, m: int, v: int) -> int:
-    """Exact order of the raw point P, stripped from a multiple m of it."""
-    for q, _ in numth.factor(m).factors:
-        while m % q == 0 and _ec_kills(curve, m // q, P, v):
-            m //= q
-    return m
 
 
 def _ec_bsgs(curve: WeierstrassCurve, P, target, k0: int, count: int, v: int):
@@ -400,6 +385,7 @@ def _shanks_mestre_order(curve: WeierstrassCurve, v: int) -> int | None:
     good reduction.
     """
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    E = EllipticGroup(curve)
     w = math.isqrt(4 * v)
     lo, hi = v + 1 - w, v + 1 + w
     half = (v + 1) // 2
@@ -421,7 +407,7 @@ def _shanks_mestre_order(curve: WeierstrassCurve, v: int) -> int | None:
         top = hi // L - k
         if top == 0 or _ec_bsgs(curve, LP, None, 1, top, v) is None:
             return k * L
-        L = math.lcm(L, _ec_order_from_multiple(curve, P, k * L, v))
+        L = math.lcm(L, exponent_from_multiple(E, (P,), k * L, v))
         if hi // L - (lo - 1) // L == 1:
             return hi // L * L
         tried += 1
@@ -561,8 +547,6 @@ class MultiplicativeGroup:
         return a * b % v
 
     def raw_scale(self, n: int, raw, v: int):
-        if n < 0:
-            return pow(pow(raw, -1, v), -n, v)
         return pow(raw, n, v)
 
     def raw_kills(self, n: int, raw, v: int) -> bool:
@@ -655,7 +639,7 @@ class EllipticGroup:
         """Exact order of a reduced point, stripped from |E(F_v)|."""
         if raw is None:
             return 1
-        return _ec_order_from_multiple(self.curve, raw, self.group_order_mod(v), v)
+        return exponent_from_multiple(self, (raw,), self.group_order_mod(v), v)
 
     def raw_identity(self, v: int):
         return None
@@ -671,8 +655,11 @@ class EllipticGroup:
         return _ec_mul_affine(self.curve, n, raw, v)
 
     def raw_kills(self, n: int, raw, v: int) -> bool:
-        """n * raw = O, read off the Jacobian ladder without an inversion."""
-        return _ec_kills(self.curve, n, raw, v)
+        """n * raw = O, read off the Jacobian ladder's Z without an
+        inversion; affine at v < 5, where the short model is not isomorphic."""
+        if v < 5:
+            return _ec_mul_affine(self.curve, n, raw, v) is None
+        return _ec_jacobian(self.curve, abs(n), raw, v)[2] == 0
 
     def dlog_mod(self, P: EcPoint, Q: EcPoint, v: int) -> int | None:
         """Least e >= 0 with e*P = Q (mod v), or None when Q is outside <P>."""
@@ -911,6 +898,16 @@ def bounded_combinations(backend, points, bound: int):
             yield from extend(vec + (k,), backend.combine(acc, M))
 
     return extend((), backend.identity())
+
+
+def exponent_from_multiple(backend, raws, m: int, v: int) -> int:
+    """The exponent of the subgroup the reduced points raws generate (of one
+    raw, its order): m, a multiple of it, stripped prime by prime while
+    (m/q) * raw = 0 for every raw, without computing any one order."""
+    for q, _ in numth.factor(m).factors:
+        while m % q == 0 and all(backend.raw_kills(m // q, raw, v) for raw in raws):
+            m //= q
+    return m
 
 
 def subgroup_closure_mod(backend, raw_gens, v: int) -> set:

@@ -16,16 +16,18 @@ from functools import lru_cache
 # takes over beyond it.
 _TRIAL_BOUND = 10**6
 
-# Widest scan window: sieving allocates one byte per integer of the window,
-# so wider windows are refused rather than exhausting memory.
+# Widest sieve: sieving allocates one byte per integer, so a window wider
+# than this, or one whose base primes up to sqrt(hi) need a wider sieve
+# (hi past about 10**16), is refused rather than exhausting memory.
 _MAX_WINDOW = 10**8
 
 # Widest window primes_in keeps in its cache of recent windows.
 _CACHED_WINDOW = 10**6
 
-# Witness set giving deterministic Miller-Rabin for all n < 3.3 * 10**24,
-# well past 64 bits.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 primes is exact below PSI_13, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 
 class Factorization(namedtuple("Factorization", "value factors")):
@@ -75,6 +77,11 @@ class PrimeRange(namedtuple("PrimeRange", "lo hi")):
                 f"prime range [{lo}, {hi}] is wider than the limit of "
                 f"{_MAX_WINDOW} integers"
             )
+        if math.isqrt(hi) - 1 > _MAX_WINDOW:
+            raise ValueError(
+                f"prime range [{lo}, {hi}] needs base primes up to {math.isqrt(hi)}, "
+                f"a sieve wider than the limit of {_MAX_WINDOW} integers"
+            )
         return super().__new__(cls, lo, hi)
 
 
@@ -109,12 +116,15 @@ def _sieve_window(lo: int, hi: int) -> list[int]:
     return list(itertools.compress(range(lo, hi + 1), flags))
 
 
-# The odd primes up to 2**12, which `factor` tries before every odd d.
+# The odd primes up to 2**12, which `factor` tries before every odd d past
+# them up to 10**6 + 1.
 _ODD_PRIMES = tuple(_sieve_window(3, 1 << 12))
+_ODD_DS = range(_ODD_PRIMES[-1] + 2, _TRIAL_BOUND + 2, 2)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (witness set valid far past 64 bits)."""
+    """Miller-Rabin to the first 13 prime bases: exact for n < PSI_13 =
+    3317044064679887385961981; above it a strong pseudoprime passes."""
     if n < 2:
         return False
     if n in _MR_WITNESSES:
@@ -177,11 +187,11 @@ def _rho_split(n: int) -> int:
 def factor(n: int) -> Factorization:
     """Exact factorization: trial division to 10**6, Pollard rho beyond.
 
-    The power of 2 comes off by bit arithmetic, then the odd primes up to
-    2**12 divide, then every odd d up to 10**6. When trial division stops
-    because d*d exceeds the cofactor, the cofactor is 1 or prime and is
-    recorded without a primality test; only a cofactor above 10**12 with no
-    factor up to 10**6 meets Miller-Rabin and rho.
+    The power of 2 comes off by bit arithmetic, then one loop divides by the
+    odd primes up to 2**12 and then by every odd d up to 10**6 + 1. When
+    d*d exceeds the cofactor, the cofactor is 1 or prime and is recorded
+    without a primality test; only a cofactor of at least (10**6 + 1)**2
+    with no factor up to 10**6 meets Miller-Rabin and rho.
     Raises ValueError for n <= 0. factor(1) has no factors.
     """
     if n <= 0:
@@ -192,27 +202,18 @@ def factor(n: int) -> Factorization:
     if twos:
         found[2] = twos
         n >>= twos
-    for d in _ODD_PRIMES:
+    for d in itertools.chain(_ODD_PRIMES, _ODD_DS):
         if d * d > n:
-            break
+            # Trial division passed sqrt(n): the cofactor is 1 or prime.
+            if n > 1:
+                found[n] = 1
+            return Factorization(value, tuple(found.items()))
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             found[d] = e
-    else:
-        d = _ODD_PRIMES[-1] + 2
-        while d <= _TRIAL_BOUND and d * d <= n:
-            while n % d == 0:
-                found[d] = found.get(d, 0) + 1
-                n //= d
-            d += 2
-    if d * d > n:
-        # Trial division passed sqrt(n): the cofactor is 1 or prime.
-        if n > 1:
-            found[n] = 1
-        return Factorization(value, tuple(found.items()))
     # The cofactor has no prime factor up to 10**6: prime, or a product of
     # such primes.
     stack = [n]

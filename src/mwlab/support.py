@@ -181,7 +181,7 @@ def verify_witness(condition_id: str, inputs: dict, v: int, n: int, backend=None
         return backend.raw_is_identity(backend.raw_scale(n, raw, v), v)
 
     if condition_id == "corrales_schoof":
-        return killed(inputs["x"]) and not killed(inputs["y"])
+        condition_id, inputs = "thm2", {"P": inputs["x"], "Qs": (inputs["y"],)}
     if condition_id == "thm2":
         return killed(inputs["P"]) and not any(killed(Q) for Q in inputs["Qs"])
     if condition_id == "cor22":

@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from mwlab import cli, mwgroup
-from mwlab.cli import INCONCLUSIVE, INTERNAL_ERROR, OK, USAGE_ERROR, VIOLATED, parse_args
+from mwlab.cli import INCONCLUSIVE, INTERNAL_ERROR, IO_ERROR, OK, USAGE_ERROR, VIOLATED, parse_args
 
 EC37 = ("--backend", "ec:0,0,1,-1,0")
 _E37 = mwgroup.EllipticGroup(mwgroup.WeierstrassCurve.parse("ec:0,0,1,-1,0"))
@@ -105,6 +106,13 @@ class TestUsageErrors:
                          "--primes", "10000000000..10200000000"])
         assert code == USAGE_ERROR
         assert "limit of 100000000 integers" in capsys.readouterr().err
+
+    def test_narrow_window_past_the_base_sieve_limit(self, capsys):
+        # Refused when the window is parsed, before any sieve is allocated.
+        code = cli.main(["support-check", "--xs", "2", "--ys", "3",
+                         "--primes", f"{10**20}..{10**20 + 2000}"])
+        assert code == USAGE_ERROR
+        assert "needs base primes up to 10000000000" in capsys.readouterr().err
 
     def test_bad_backend(self, capsys):
         code, _ = run_cli(capsys, "cs-check", "--x", "2", "--y", "4", "--backend", "weird")
@@ -324,8 +332,14 @@ class TestVerifyMode:
             ("support-check", "--xs", "2", "--ys", "8", "--verify", "7:0"),  # n < 1
             ("detect", "--backend", "ec:0,0,1,-1,0", "--points", "(0,0)",
              "--lambda", "(1,-1)", "--primes", "3..300", "--verify", "5:-4"),  # n < 1
+            # psi_12, a strong pseudoprime to the prime bases up to 37.
+            ("support-check", "--xs", "2", "--ys", "3", "--verify",
+             "318665857834031151167461:1"),
+            # psi_13, from which on is_prime is not proven exact.
+            ("support-check", "--xs", "2", "--ys", "3", "--verify",
+             "3317044064679887385961981:1"),
         ],
-        ids=["composite", "zero", "bad-prime", "n-zero", "n-negative"],
+        ids=["composite", "zero", "bad-prime", "n-zero", "n-negative", "psi-12", "psi-13"],
     )
     def test_rejects_invalid_witness_input(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
@@ -586,3 +600,23 @@ def test_module_entry_point(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
     assert code == VIOLATED
     assert json.loads(proc.stdout)["outcome"]["report"]["witness"]["v"] == 7
+
+
+def test_closed_stdout_is_an_io_error():
+    # The verdict holds, but the reader is gone before the report is
+    # written: exit 74, not 1, and no traceback.
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mwlab", "support-check", "--xs", "2,3,5",
+             "--ys", "5,3,2", "--primes", "3..200"],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd="src",
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == IO_ERROR
+    assert proc.stderr == "mwlab: support-check scanning primes 3..200\n"

@@ -130,6 +130,11 @@ class TestFactor:
         rng = random.Random(14)
         large = [rng.randrange(10**14, 2 * 10**14) for _ in range(6)]
         large += [4093 * 4099 * 1_000_003, 2**5 * 4091**2 * 999_983, 3 * 1_000_003 * 1_000_033]
+        # The seams of the one trial-division loop: the last table prime
+        # 4093, the primes next to 999999**2 (the last odd d below 10**6,
+        # squared), and the last d, 10**6 + 1.
+        large += [4093**2, 4093 * 4099, 999_997_999_981, 999_999**2, 999_998_000_009,
+                  1_000_001**2, 1_000_003 * 1_000_033]
         for n in [*range(1, 300_000), *large]:
             assert numth.factor.__wrapped__(n) == trial_factor(n), n
 
@@ -140,6 +145,12 @@ class TestFactor:
         (999_983 * 1_000_003, ((999_983, 1), (1_000_003, 1))),
         (999_999_999_989, ((999_999_999_989, 1),)),
         (2 * 1_000_003 * 1_000_033, ((2, 1), (1_000_003, 1), (1_000_033, 1))),
+        (4093**2, ((4093, 2),)),
+        (4093 * 4099, ((4093, 1), (4099, 1))),
+        (999_997_999_981, ((999_997_999_981, 1),)),  # the prime just below 999999**2
+        (999_998_000_009, ((999_998_000_009, 1),)),  # the prime just above it
+        (1_000_001**2, ((101, 2), (9901, 2))),
+        (1_000_003 * 1_000_033, ((1_000_003, 1), (1_000_033, 1))),
     ])
     def test_at_the_trial_bound(self, n, factors):
         # Uncached: each case runs the trial division and the cofactor rule.
@@ -159,11 +170,13 @@ class TestFactor:
         monkeypatch.setattr(numth, "is_prime", counted)
         rng = random.Random(17)
         below = [999_983, 1_000_003, 999_983 * 1_000_003, 999_999_999_989,
+                 999_997_999_981, 999_998_000_009, 1_000_001**2 - 2, 1_000_001**2,
                  *range(1, 3000), *(rng.randrange(1, 10**12) for _ in range(200))]
         for n in below:
             numth.factor.__wrapped__(n)
         assert calls == []
-        # Above 10**12 with no factor up to 10**6, Miller-Rabin still runs.
+        # At (10**6 + 1)**2 and above, with no factor up to 10**6,
+        # Miller-Rabin still runs.
         numth.factor.__wrapped__(1_000_003**2)
         assert calls
 
@@ -234,6 +247,31 @@ class TestPrimes:
             PrimeRange(2, 10**8 + 2)
         with pytest.raises(ValueError, match="limit"):
             PrimeRange(10**10, 10**10 + 2 * 10**8)
+        # The base primes of a window at 10**16 come from a sieve of 10**8
+        # integers, and from (10**8 + 2)**2 on that sieve is wider than the
+        # limit however narrow the window is.
+        assert PrimeRange(10**16, 10**16 + 2000).lo == 10**16
+        edge = (10**8 + 2) ** 2
+        assert PrimeRange(edge - 2000, edge - 1).hi == edge - 1
+        with pytest.raises(ValueError, match="needs base primes up to 100000002"):
+            PrimeRange(edge - 2000, edge)
+        with pytest.raises(ValueError, match="limit of 100000000 integers"):
+            PrimeRange(10**20, 10**20 + 2000)
+
+    def test_psi_12_is_composite(self):
+        # The least strong pseudoprime to the prime bases 2..37; base 41
+        # exposes it (Sorenson and Webster 2017).
+        psi_12 = 318665857834031151167461
+        assert pow(41, psi_12 - 1, psi_12) != 1
+        assert not is_prime(psi_12)
+
+    def test_largest_prime_below_psi_13(self):
+        n = numth.PSI_13 - 168
+        assert is_prime(n)
+        assert not any(is_prime(m) for m in range(n + 1, numth.PSI_13))
+        # Lucas: 2 has order n - 1 mod n, so n is prime whatever is_prime says.
+        assert pow(2, n - 1, n) == 1
+        assert all(pow(2, (n - 1) // q, n) != 1 for q in factor(n - 1).primes)
 
     def test_is_prime_against_sieve(self):
         flags = set(trial_division_primes(2, 5000))
