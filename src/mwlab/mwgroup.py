@@ -286,17 +286,21 @@ def _ec_mul_affine(curve: WeierstrassCurve, n: int, P, v: int):
     return acc
 
 
-def _ec_jacobian(curve: WeierstrassCurve, n: int, P, v: int):
-    """n*P (n >= 0, v >= 5) by left-to-right double-and-add, no inversion:
-    Jacobian (X, Y, Z) for (X/Z^2, Y/Z^3) on Y^2 = X^3 - 27*c4*X - 54*c6,
-    Z = 0 at O. P reaches that model as the affine addend by X = 36x + 3*b2,
-    Y = 108*(2y + a1*x + a3), an isomorphism for v >= 5."""
+def _to_short(curve: WeierstrassCurve, P, v: int):
+    """A raw point on the short model Y^2 = X^3 - 27*c4*X - 54*c6, by
+    X = 36x + 3*b2, Y = 108*(2y + a1*x + a3): an isomorphism for v >= 5."""
+    if P is None:
+        return None
+    return (36 * P[0] + curve.short_model[0]) % v, 108 * (2 * P[1] + curve.a1 * P[0] + curve.a3) % v
+
+
+def _ec_jacobian(a: int, n: int, P, v: int):
+    """n*P (n >= 0, v >= 5) on a short model Y^2 = X^3 + a*X + b by
+    left-to-right double-and-add, no inversion: Jacobian (X, Y, Z) for
+    (X/Z^2, Y/Z^3), Z = 0 at O; P is the affine addend."""
     if P is None or n == 0:
         return 0, 1, 0
-    shift, A, _ = curve.short_model
-    x = (36 * P[0] + shift) % v
-    y = 108 * (2 * P[1] + curve.a1 * P[0] + curve.a3) % v
-    a = A % v
+    x, y = P
     X, Y, Z = x, y, 1
     for bit in bin(n)[3:]:
         # Doubling; Z = 2*Y*Z reads O at O and at a point of order 2.
@@ -316,7 +320,7 @@ def _ec_jacobian(curve: WeierstrassCurve, n: int, P, v: int):
         H = (x * ZZ - X) % v
         r = (y * ZZ * Z - Y) % v
         if H == 0:  # the accumulator is -P (r != 0), or P and the sum is 2P
-            X, Y, Z = (X, Y, 0) if r else _ec_jacobian(curve, 2, P, v)
+            X, Y, Z = (X, Y, 0) if r else _ec_jacobian(a, 2, P, v)
             continue
         HH = H * H % v
         HHH = H * HH % v
@@ -327,92 +331,131 @@ def _ec_jacobian(curve: WeierstrassCurve, n: int, P, v: int):
     return X, Y, Z
 
 
-def _ec_mul_mod(curve: WeierstrassCurve, n: int, P, v: int):
-    """n*P on raw points: the Jacobian ladder and one inversion back."""
-    if v < 5:
-        return _ec_mul_affine(curve, n, P, v)
-    if n < 0:
-        n, P = -n, _ec_neg_mod(curve, P, v)
-    X, Y, Z = _ec_jacobian(curve, n, P, v)
+def _short_add(a: int, P, Q, v: int):
+    """P + Q on a short model Y^2 = X^3 + a*X + b over F_v, v >= 5."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if (y1 + y2) % v == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, v) % v
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, v) % v
+    x3 = (lam * lam - x1 - x2) % v
+    return x3, (lam * (x1 - x3) - y1) % v
+
+
+def _short_mul(a: int, n: int, P, v: int):
+    """n*P: the Jacobian ladder and one inversion back."""
+    if n < 0 and P:
+        n, P = -n, (P[0], -P[1] % v)
+    X, Y, Z = _ec_jacobian(a, n, P, v)
     if Z == 0:
         return None
-    # With t = 1/(6Z): x = (X - 3*b2*Z^2)*t^2 and 2y + a1*x + a3 = 2*Y*t^3.
-    t = pow(6 * Z, -1, v)
-    tt = t * t % v
-    x = (X - curve.short_model[0] * Z * Z) * tt % v
-    return x, (Y * tt * t - (curve.a1 * x + curve.a3) * ((v + 1) // 2)) % v
+    t = pow(Z, -1, v)
+    return X * t * t % v, Y * t * t * t % v
+
+
+def _ec_walk(a: int, P, target, k0: int, k1: int, limit: int, v: int) -> list[int]:
+    """The k in [k0, k1] with k*P = target on a short model, ascending, at
+    most `limit` of them: the one baby-step giant-step on E(F_v).
+
+    Baby steps j*P, j = 1..s, are keyed by x, so -j*P matches too and the
+    giant stride is (2s+1)*P. A window of 2s+1 k holds two hits only when
+    ord P <= 2s+1, which a baby step at y = 0 (ord P = 2j), a repeated x
+    (j*P = -i*P, ord P = i+j) or the stride at O (ord P = 2s+1) shows; then
+    the table holds <P> up to sign, and the hits are one class mod ord P.
+    """
+    if P is None:
+        return list(range(k0, k1 + 1)[:limit]) if target is None else []
+    s = math.isqrt((k1 - k0 + 1) // 2) + 1
+    baby: dict = {None: (0, None)}  # x -> (j, y); O is j = 0
+    R = x, y = P
+    for j in range(1, s + 1):
+        xr, yr = R
+        i = baby.setdefault(xr, (j, yr))[0]
+        if i < j or yr == 0:
+            order = i + j
+            break
+        lam = ((yr - y) * pow(xr - x, -1, v) if j > 1 else (3 * x * x + a) * pow(2 * y, -1, v)) % v
+        x3 = (lam * lam - xr - x) % v
+        R = x3, (lam * (x - x3) - y) % v
+    else:
+        G = _short_add(a, R, (xr, yr), v)  # (s+1)*P + s*P
+        order = None if G else 2 * s + 1
+    if order:
+        key = target and target[0]
+        if key not in baby:
+            return []
+        j, yj = baby[key]
+        e = order - j if target and target[1] != yj else j
+        return list(range(k0 + (e - k0) % order, k1 + 1, order)[:limit])
+    G = G[0], -G[1] % v  # the giant stride, -(2s+1)*P
+    c = k0 + s
+    T = _short_add(a, target, _short_mul(a, -c, P, v), v)  # target - c*P
+    hits = []
+    while c - s <= k1:
+        key = T and T[0]
+        if key in baby:
+            j, yj = baby[key]
+            k = c - j if T and T[1] != yj else c + j
+            if k > k1:
+                break
+            hits.append(k)
+            if len(hits) == limit:
+                break
+        c += 2 * s + 1
+        T = _short_add(a, T, G, v)
+    return hits
 
 
 # Primes below _MESTRE_FROM are counted by enumeration, which is cheaper
-# there (and at tiny v the Hasse interval is too wide for point orders to pin
-# N down). Shanks-Mestre gives up after _MESTRE_POINTS points.
-_MESTRE_FROM = 250
+# there. Shanks-Mestre gives up after _MESTRE_POINTS points.
+_MESTRE_FROM = 67
 _MESTRE_POINTS = 8
 
 
-def _ec_bsgs(curve: WeierstrassCurve, P, target, k0: int, count: int, v: int):
-    """Least k in [k0, k0 + count) with k*P = target on raw points, by
-    baby-step giant-step, or None when the range holds no such k."""
-    s = math.isqrt(count - 1) + 1  # s*s >= count
-    baby: dict = {}
-    R = None
-    for i in range(s):
-        baby.setdefault(R, i)
-        R = _ec_add_mod(curve, R, P, v)
-    giant = _ec_neg_mod(curve, R, v)
-    # T = target - (k0 + j*s)*P; a hit T = i*P means (k0 + j*s + i)*P =
-    # target, and the least i per j makes the first hit the least k.
-    T = _ec_add_mod(curve, target, _ec_mul_mod(curve, -k0, P, v), v)
-    for j in range(s):
-        if T in baby:
-            k = k0 + j * s + baby[T]
-            return k if k < k0 + count else None
-        T = _ec_add_mod(curve, T, giant, v)
-    return None
+def _short_points(a: int, b: int, v: int):
+    """The points of Y^2 = X^3 + a*X + b over F_v with Y != 0, by X."""
+    for X in range(v):
+        Y = numth.sqrt_mod(X * X * X + a * X + b, v)
+        if Y:
+            yield X, Y
 
 
 def _shanks_mestre_order(curve: WeierstrassCurve, v: int) -> int | None:
     """|E(F_v)| from point orders in the Hasse interval, or None when the
-    points tried leave more than one candidate.
+    points tried leave more than one candidate (and at v < 5).
 
-    Every point order divides N = |E(F_v)|, and N lies in
-    [v+1-floor(2 sqrt v), v+1+floor(2 sqrt v)]; so N is a multiple of L,
-    the lcm of the orders found, that kills each point. A point that only
-    one multiple of L in the interval kills pins N at once; otherwise its
-    order joins L, and once L has exactly one multiple in the interval, the
-    multiple is N. Points come from x = 0, 1, 2, ... in order, y from a modular
-    square root after completing the square, so v must be an odd prime of
-    good reduction.
+    N lies in [v+1-floor(2 sqrt v), v+1+floor(2 sqrt v)], and the twist E^d
+    by the least non-residue d has 2v+2-N points. The candidates are r + k*M
+    there. A point P of E has N*P = O, one of E^d (2v+2-N)*P = O, so the k
+    it allows are one class mod ord(M*P), the gap of its first two hits; one
+    hit pins N. Points come from X = 0, 1, ... on the short models of E and
+    E^d in turn (a side out of points adds nothing); v must be good.
     """
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    E = EllipticGroup(curve)
-    w = math.isqrt(4 * v)
-    lo, hi = v + 1 - w, v + 1 + w
-    half = (v + 1) // 2
-    L, tried = 1, 0
-    for x in range(v):
-        u = (a1 * x + a3) % v
-        root = numth.sqrt_mod(4 * (x * x * x + a2 * x * x + a4 * x + a6) + u * u, v)
-        if root is None:
-            continue
-        P = (x, (root - u) * half % v)
-        # Only multiples of L can be N: search k*L in the interval.
-        LP = _ec_mul_mod(curve, L, P, v)
-        k0 = -(-lo // L)
-        k = _ec_bsgs(curve, LP, None, k0, hi // L - k0 + 1, v)
-        if k is None:
-            return None
-        # k*L is the least multiple of L in the interval that kills P; when
-        # no j in [1, hi//L - k] has j*L*P = O, it is the only one, so N.
-        top = hi // L - k
-        if top == 0 or _ec_bsgs(curve, LP, None, 1, top, v) is None:
-            return k * L
-        L = math.lcm(L, exponent_from_multiple(E, (P,), k * L, v))
-        if hi // L - (lo - 1) // L == 1:
-            return hi // L * L
-        tried += 1
-        if tried == _MESTRE_POINTS:
-            return None
+    if v < 5:
+        return None
+    _, A, B = curve.short_model
+    d = numth.least_nonresidue(v)
+    sides = ((A % v, _short_points(A, B, v), 0),
+             (A * d * d % v, _short_points(A * d * d, B * d**3, v), 2 * v + 2))
+    lo, hi = v + 1 - math.isqrt(4 * v), v + 1 + math.isqrt(4 * v)
+    r, M = 0, 1
+    for i in range(_MESTRE_POINTS):
+        a, points, shift = sides[i % 2]
+        P = next(points, None)
+        # N = r + k*M: on E, k*M*P = -r*P; on E^d, k*M*P = (2v+2-r)*P.
+        target = _short_mul(a, shift - r, P, v)
+        hits = _ec_walk(a, _short_mul(a, M, P, v), target, -((r - lo) // M), (hi - r) // M, 2, v)
+        if len(hits) < 2:
+            return r + hits[0] * M if hits else None
+        r, M = r + hits[0] * M, M * (hits[1] - hits[0])
+        if r + M > hi:
+            return r
     return None
 
 
@@ -659,12 +702,17 @@ class EllipticGroup:
         inversion; affine at v < 5, where the short model is not isomorphic."""
         if v < 5:
             return _ec_mul_affine(self.curve, n, raw, v) is None
-        return _ec_jacobian(self.curve, abs(n), raw, v)[2] == 0
+        a = self.curve.short_model[1] % v
+        return _ec_jacobian(a, abs(n), _to_short(self.curve, raw, v), v)[2] == 0
 
     def dlog_mod(self, P: EcPoint, Q: EcPoint, v: int) -> int | None:
         """Least e >= 0 with e*P = Q (mod v), or None when Q is outside <P>."""
-        t = self.order_mod(P, v)
-        return _ec_bsgs(self.curve, self.reduce_raw(P, v), self.reduce_raw(Q, v), 0, t, v)
+        c, t = self.curve, self.order_mod(P, v)
+        p, q = self.reduce_raw(P, v), self.reduce_raw(Q, v)
+        if v < 5:  # no short model; E(F_v) has at most 9 points
+            return next((e for e in range(t) if _ec_mul_affine(c, e, p, v) == q), None)
+        hits = _ec_walk(c.short_model[1] % v, _to_short(c, p, v), _to_short(c, q, v), 0, t - 1, 1, v)
+        return hits[0] if hits else None
 
     # -- torsion ------------------------------------------------------------
 

@@ -124,7 +124,8 @@ _ODD_DS = range(_ODD_PRIMES[-1] + 2, _TRIAL_BOUND + 2, 2)
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the first 13 prime bases: exact for n < PSI_13 =
-    3317044064679887385961981; above it a strong pseudoprime passes."""
+    3317044064679887385961981. From PSI_13 on, False is still a proof, but a
+    strong pseudoprime passes, so a pass raises ValueError instead."""
     if n < 2:
         return False
     if n in _MR_WITNESSES:
@@ -146,6 +147,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PSI_13:
+        raise ValueError(f"cannot prove {n} prime: Miller-Rabin is exact only below {PSI_13}")
     return True
 
 
@@ -253,6 +256,14 @@ def multiplicative_orders(bases, p: int) -> list[int]:
     return orders
 
 
+def least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod an odd prime p."""
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    return z
+
+
 def sqrt_mod(a: int, p: int) -> int | None:
     """Some s with s*s == a (mod p) for an odd prime p, or None when a is a
     non-residue. Tonelli-Shanks; the non-residue it needs is the least one,
@@ -269,10 +280,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    c, r, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    c, r, t = pow(least_nonresidue(p), q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
     while t != 1:
         # Least i with t^(2^i) == 1; then square c down to the matching root.
         i, t2 = 0, t

@@ -120,8 +120,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "backend",
-        ["S={2,x}", "S={4}", "S={1}", "S={-3}", "ec:1,2,3", "ec:0,0,0,0,0", "ec:a,0,0,0,0"],
-        ids=["s-set-entry", "s-set-composite", "s-set-one", "s-set-negative",
+        ["S={2,x}", "S={4}", "S={1}", "S={-3}", "S={3317044064679887385961981}",
+         "ec:1,2,3", "ec:0,0,0,0,0", "ec:a,0,0,0,0"],
+        ids=["s-set-entry", "s-set-composite", "s-set-one", "s-set-negative", "s-set-psi-13",
              "too-few-coefficients", "singular-curve", "non-integer-coefficient"],
     )
     def test_malformed_backend(self, capsys, backend):
@@ -140,6 +141,37 @@ class TestUsageErrors:
     def test_composite_replay_prime(self, capsys):
         code, _ = run_cli(capsys, "replay", "--p", "2", "--qs", "3", "--l", "4")
         assert code == USAGE_ERROR
+
+    def test_replay_prime_past_psi_13(self, capsys):
+        # psi_13 is composite and passes Miller-Rabin to every base up to 41.
+        code = cli.main(["replay", "--p", "2", "--qs", "3", "--l", "3317044064679887385961981"])
+        assert code == USAGE_ERROR
+        assert "cannot prove 3317044064679887385961981 prime" in capsys.readouterr().err
+
+    def test_detect_gives_no_verdict_on_a_factor_past_psi_13(self, capsys):
+        # The exact oracle would factor psi_13 = 1287836182261 * 2575672364521
+        # as a prime and refute the point; it must refuse instead.
+        code = cli.main(["detect", "--points", "3317044064679887385961981",
+                         "--lambda", "1287836182261,2575672364521", "--primes", "3..200"])
+        captured = capsys.readouterr()
+        assert code == INTERNAL_ERROR
+        assert captured.out == ""
+        assert "cannot prove 3317044064679887385961981 prime" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_a_true_prime_past_psi_13_is_refused_too(self, capsys):
+        # 2^89 - 1 is prime, but Miller-Rabin cannot tell it from a strong
+        # pseudoprime there: as an S entry it is a usage error, and as a
+        # factor of a point the exact oracle gives no verdict.
+        m = str(2**89 - 1)
+        code = cli.main(["cs-check", "--x", "2", "--y", "4", "--backend", f"S={{{m}}}"])
+        assert code == USAGE_ERROR
+        assert f"cannot prove {m} prime" in capsys.readouterr().err
+        code = cli.main(["detect", "--points", m, "--lambda", m, "--primes", "3..200"])
+        captured = capsys.readouterr()
+        assert code == INTERNAL_ERROR
+        assert captured.out == ""
+        assert f"cannot prove {m} prime" in captured.err
 
     def test_pattern_length_mismatch(self, capsys):
         code, _ = run_cli(capsys, "find-primes", "--points", "2,3", "--l", "5", "--ks", "1")

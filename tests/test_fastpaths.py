@@ -1,5 +1,6 @@
 """Fast paths against the slow exact oracles they replace: Shanks-Mestre
-point counts against enumeration, Sylow-local membership (and Q*
+point counts (with the quadratic twist) against enumeration, the symmetric
+baby-step giant-step walk against brute force, Sylow-local membership (and Q*
 membership by one exponentiation) against subgroup closure, the subgroup
 exponent against the lcm of the generator orders, valuation patterns and
 covers decided by multiples against full orders, elliptic discrete logs
@@ -33,7 +34,10 @@ from mwlab.mwgroup import (
     _count_points_naive,
     _curve_order_mod,
     _ec_add_mod,
+    _ec_walk,
     _shanks_mestre_order,
+    _short_add,
+    _to_short,
     bounded_combinations,
     exponent_from_multiple,
     subgroup_closure_mod,
@@ -49,6 +53,7 @@ CX1 = WeierstrassCurve(0, 0, 0, 0, 1)  # y^2 = x^3 + 1: CM
 CN5 = WeierstrassCurve(0, 0, 0, -25, 0)  # y^2 = x^3 - 25x: rank 1, torsion Z/2 x Z/2
 CX4 = WeierstrassCurve(0, 0, 0, -4, 0)  # y^2 = x^3 - 4x: CM
 CX432 = WeierstrassCurve(0, 0, 0, 0, -432)  # y^2 = x^3 - 432: CM
+CA = WeierstrassCurve(1, -1, -1, -3, 0)  # a1, a3 != 0; (0,0) and (0,1) on it
 COEFFS = {c: (c.a1, c.a2, c.a3, c.a4, c.a6) for c in (C37, C389, CXX, CX1, CX4, CX432)}
 
 
@@ -126,23 +131,94 @@ class TestPointCount:
         # On CM curves E(F_v) is often far from cyclic, so a point's order
         # leaves several multiples in the Hasse interval; the count must
         # still be the enumerated one wherever Shanks-Mestre answers, and
-        # the single-multiple exit must be taken at some primes.
+        # the single-hit exit must be taken at some points and not at others.
         shortcuts = []
-        inner = mwgroup._ec_bsgs
+        inner = mwgroup._ec_walk
 
-        def counted(curve_, P, target, k0, count, v):
-            k = inner(curve_, P, target, k0, count, v)
-            if k0 == 1 and target is None:
-                shortcuts.append(k is None)
-            return k
+        def counted(a, P, target, k0, k1, limit, v):
+            hits = inner(a, P, target, k0, k1, limit, v)
+            shortcuts.append(len(hits) == 1)
+            return hits
 
-        monkeypatch.setattr(mwgroup, "_ec_bsgs", counted)
+        monkeypatch.setattr(mwgroup, "_ec_walk", counted)
         decided = 0
         for v in good_primes(curve, 3, 3000):
             got = _shanks_mestre_order(curve, v)
             assert got in (None, _count_points_naive(COEFFS[curve], v)), v
             decided += got is not None
         assert decided > 0 and True in shortcuts and False in shortcuts
+
+    @pytest.mark.parametrize("curve", [CXX, CX1, CX4, CX432], ids=["x3-x", "x3+1", "x3-4x", "x3-432"])
+    def test_cm_curves_count_on_the_twist_not_by_enumeration(self, curve, monkeypatch):
+        # Where E's points leave several candidates, points of the quadratic
+        # twist decide; no good prime from _MESTRE_FROM on is enumerated.
+        enumerated, twisted = [], []
+        inner_walk, inner_naive = mwgroup._ec_walk, mwgroup._count_points_naive
+        _, A, B = curve.short_model
+
+        def walk(a, P, target, k0, k1, limit, v):
+            twisted.append(P is not None and (P[1] ** 2 - P[0] ** 3 - A * P[0] - B) % v != 0)
+            return inner_walk(a, P, target, k0, k1, limit, v)
+
+        def naive(coeffs, v):
+            enumerated.append(v)
+            return inner_naive(coeffs, v)
+
+        monkeypatch.setattr(mwgroup, "_ec_walk", walk)
+        monkeypatch.setattr(mwgroup, "_count_points_naive", naive)
+        for v in good_primes(curve, 3, 5000):
+            assert _curve_order_mod.__wrapped__(COEFFS[curve], v) == inner_naive(COEFFS[curve], v), v
+        assert enumerated and max(enumerated) < mwgroup._MESTRE_FROM
+        assert True in twisted
+
+    def test_one_walk_per_prime_on_a_non_cm_curve(self, monkeypatch):
+        walks = []
+        inner = mwgroup._ec_walk
+        monkeypatch.setattr(mwgroup, "_ec_walk", lambda *args: walks.append(1) or inner(*args))
+        primes = good_primes(C37, 100_000, 120_000)
+        assert all(_shanks_mestre_order(C37, v) is not None for v in primes)
+        assert len(walks) <= 1.1 * len(primes)
+
+
+class TestEllipticWalk:
+    @pytest.mark.parametrize("curve", [C37, CXX, CX1, CA], ids=["37a", "x3-x", "x3+1", "a1a3"])
+    def test_hits_against_brute_force(self, curve):
+        # Every point at small v, against the multiples listed by repeated
+        # addition, over seeded windows, targets and limits. A window of
+        # 2s+1 consecutive k holds two hits when ord P <= 2s+1; the orders
+        # 2s and 2s+1, past the reach of a repeated baby-step x, must come up.
+        rng = random.Random(17)
+        _, A, B = curve.short_model
+        edges = set()
+        for v in good_primes(curve, 5, 60):
+            a, b = A % v, B % v
+            points = [None] + [(x, y) for x in range(v) for y in range(v)
+                               if (y * y - x**3 - a * x - b) % v == 0]
+            for P in points:
+                multiples, R = [None], P
+                while R is not None:
+                    multiples.append(R)
+                    R = _short_add(a, R, P, v)
+                t = len(multiples)
+                for _ in range(12):
+                    k0 = rng.randint(-3 * t, 3 * t)
+                    k1 = k0 + rng.randint(0, 4 * t + 3)
+                    target, limit = rng.choice(points), rng.choice((1, 2, 3, 10**9))
+                    want = [k for k in range(k0, k1 + 1) if multiples[k % t] == target][:limit]
+                    assert _ec_walk(a, P, target, k0, k1, limit, v) == want, (v, P, target, k0, k1)
+                    s = math.isqrt((k1 - k0 + 1) // 2) + 1
+                    if len(want) >= 2 and t in (2 * s, 2 * s + 1):
+                        edges.add(t - 2 * s)
+        assert edges == {0, 1}
+
+    def test_short_model_map_is_a_homomorphism(self):
+        for v in good_primes(CA, 5, 80):
+            a = CA.short_model[1] % v
+            points = [None, *affine_points(CA, v, 12)]
+            for P in points:
+                for Q in points:
+                    assert _to_short(CA, _ec_add_mod(CA, P, Q, v), v) == _short_add(
+                        a, _to_short(CA, P, v), _to_short(CA, Q, v), v), (v, P, Q)
 
 
 class TestEllipticDlog:
@@ -170,9 +246,6 @@ class TestEllipticDlog:
                 assert E.dlog_mod(P, Q, v) == expected, (v, P, Q)
                 answers.add(None if expected is None else min(expected, 1))
         assert answers == {None, 0, 1}
-
-
-CA = WeierstrassCurve(1, -1, -1, -3, 0)  # a1, a3 != 0; (0,0) and (0,1) on it
 
 
 def affine_multiple(curve, n, P, v):
@@ -213,7 +286,11 @@ class TestJacobianLadder:
             for P in [None, *affine_points(curve, v, 2 * v + 2)]:
                 for n in self._multipliers(curve, P, v, rng) if P else range(-3, 4):
                     want = affine_multiple(curve, n, P, v)
-                    assert mwgroup._ec_mul_mod(curve, n, P, v) == want, (v, P, n)
+                    if v >= 5:  # the ladder on the short model, mapped there
+                        got = mwgroup._short_mul(curve.short_model[1] % v, n, _to_short(curve, P, v), v)
+                        assert got == _to_short(curve, want, v), (v, P, n)
+                    else:
+                        assert mwgroup._ec_mul_affine(curve, n, P, v) == want, (v, P, n)
                     assert E.raw_kills(n, P, v) == (want is None), (v, P, n)
 
     def test_qstar_kills_against_literal_power(self):

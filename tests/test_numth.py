@@ -273,6 +273,20 @@ class TestPrimes:
         assert pow(2, n - 1, n) == 1
         assert all(pow(2, (n - 1) // q, n) != 1 for q in factor(n - 1).primes)
 
+    def test_a_pass_from_psi_13_on_is_refused(self):
+        # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to every
+        # base up to 41, so neither is_prime nor factor may call it prime.
+        assert numth.PSI_13 == 1287836182261 * 2575672364521
+        with pytest.raises(ValueError, match="cannot prove"):
+            is_prime(numth.PSI_13)
+        with pytest.raises(ValueError, match="cannot prove"):
+            factor(numth.PSI_13)
+        # A composite verdict is a proof at any size, so rho still splits a
+        # cofactor past psi_13 whose parts lie below it.
+        p = numth.PSI_13 - 168
+        assert not is_prime(p * 1000003)
+        assert factor(p * 1000003).factors == ((1000003, 1), (p, 1))
+
     def test_is_prime_against_sieve(self):
         flags = set(trial_division_primes(2, 5000))
         for n in range(2, 5000):
