@@ -10,6 +10,8 @@ local-to-global loop with discrete logs glued by the Chinese remainder
 theorem.
 """
 
+from fractions import Fraction
+
 try:
     import mwlab
 except ImportError:
@@ -60,7 +62,7 @@ print(f"  -1 in <-2,2>: {cert.to_dict()}")
 
 print()
 print("exponent recovery through reduced discrete logs:")
-for P, Q in ((MulPoint(2), MulPoint(1024)), (MulPoint("5/2"), MulPoint("5/2") ** -17),
+for P, Q in ((MulPoint(2), MulPoint(1024)), (MulPoint("5/2"), MulPoint(Fraction(5, 2) ** -17)),
              (MulPoint(2), MulPoint(3))):
     r = recover_exponent(P, Q, backend, PrimeRange(3, 10_000))
     print(f"  P = {P.encode():>4}, Q = {Q.encode():>22}: d = {r.d}  ({r.detail})")

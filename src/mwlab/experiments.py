@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from . import support
 from .dependence import SubgroupSpec, detect_dependence, exact_membership_multiplicative
@@ -155,15 +156,15 @@ def cs_suite(trials: int, seed: int) -> dict:
     }
 
 
-def _random_subgroup_member(rng: random.Random, gens: tuple[int, ...]) -> MulPoint:
+def _random_subgroup_member(rng: random.Random, gens: tuple[int, ...]) -> Fraction:
     while True:
         coeffs = [rng.randint(-3, 3) for _ in gens]
         if not any(coeffs):
             continue
-        val = MulPoint(1)
+        val = Fraction(1)
         for g, c in zip(gens, coeffs):
-            val = val * (MulPoint(g) ** c)
-        if abs(val.value) != 1:
+            val *= Fraction(g) ** c
+        if abs(val) != 1:
             return val
 
 
@@ -182,10 +183,10 @@ def detect_suite(trials: int, seed: int, scan: PrimeRange | None = None,
         points = []
         for _ in range(rng.randint(1, 2)):
             if rng.random() < 0.6:
-                points.append(_random_subgroup_member(rng, gens))
+                points.append(MulPoint(_random_subgroup_member(rng, gens)))
             else:
                 extra = rng.choice(_SMALL_PRIMES) ** rng.randint(1, 3)
-                points.append(_random_subgroup_member(rng, gens) * MulPoint(extra))
+                points.append(MulPoint(_random_subgroup_member(rng, gens) * extra))
         result = detect_dependence(points, subgroup, scan, workers=workers)
         oracle = [exact_membership_multiplicative(P, subgroup) for P in points]
         oracle_alphas = [c.coefficients[0] if c else None for c in oracle]

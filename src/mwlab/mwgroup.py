@@ -54,12 +54,6 @@ class MulPoint:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad multiplicative point {text!r}") from exc
 
-    def __mul__(self, other):
-        return MulPoint(self.value * other.value)
-
-    def __pow__(self, n: int):
-        return MulPoint(self.value**n)
-
     def __eq__(self, other):
         return isinstance(other, MulPoint) and self.value == other.value
 
@@ -418,37 +412,38 @@ _MESTRE_FROM = 67
 _MESTRE_POINTS = 8
 
 
-def _short_points(a: int, b: int, v: int):
-    """The points of Y^2 = X^3 + a*X + b over F_v with Y != 0, by X."""
+def _scaled_points(A: int, B: int, v: int, chi: int):
+    """(a, P) for X = 0, 1, ... whose f = X^3 + A*X + B has Legendre symbol
+    chi: P = (f*X, f^2) lies on Y^2 = X^3 + a*X + B*f^3 with a = A*f^2,
+    which is E for a square f (chi = 1) and its quadratic twist for a
+    non-square f (chi = v - 1)."""
     for X in range(v):
-        Y = numth.sqrt_mod(X * X * X + a * X + b, v)
-        if Y:
-            yield X, Y
+        f = (X * X * X + A * X + B) % v
+        if f and pow(f, (v - 1) // 2, v) == chi:
+            yield A * f * f % v, (f * X % v, f * f % v)
 
 
 def _shanks_mestre_order(curve: WeierstrassCurve, v: int) -> int | None:
     """|E(F_v)| from point orders in the Hasse interval, or None when the
     points tried leave more than one candidate (and at v < 5).
 
-    N lies in [v+1-floor(2 sqrt v), v+1+floor(2 sqrt v)], and the twist E^d
-    by the least non-residue d has 2v+2-N points. The candidates are r + k*M
-    there. A point P of E has N*P = O, one of E^d (2v+2-N)*P = O, so the k
-    it allows are one class mod ord(M*P), the gap of its first two hits; one
-    hit pins N. Points come from X = 0, 1, ... on the short models of E and
-    E^d in turn (a side out of points adds nothing); v must be good.
+    N lies in [v+1-floor(2 sqrt v), v+1+floor(2 sqrt v)], and the quadratic
+    twist of E has 2v+2-N points. The candidates are r + k*M there. A point
+    P of E has N*P = O, one of the twist (2v+2-N)*P = O, so the k it allows
+    are one class mod ord(M*P), the gap of its first two hits; one hit pins
+    N. Points come from `_scaled_points`, on E and its twist in turn (a side
+    out of points adds nothing); v must be good.
     """
     if v < 5:
         return None
     _, A, B = curve.short_model
-    d = numth.least_nonresidue(v)
-    sides = ((A % v, _short_points(A, B, v), 0),
-             (A * d * d % v, _short_points(A * d * d, B * d**3, v), 2 * v + 2))
+    sides = ((_scaled_points(A, B, v, 1), 0), (_scaled_points(A, B, v, v - 1), 2 * v + 2))
     lo, hi = v + 1 - math.isqrt(4 * v), v + 1 + math.isqrt(4 * v)
     r, M = 0, 1
     for i in range(_MESTRE_POINTS):
-        a, points, shift = sides[i % 2]
-        P = next(points, None)
-        # N = r + k*M: on E, k*M*P = -r*P; on E^d, k*M*P = (2v+2-r)*P.
+        points, shift = sides[i % 2]
+        a, P = next(points, (0, None))
+        # N = r + k*M: on E, k*M*P = -r*P; on the twist, k*M*P = (2v+2-r)*P.
         target = _short_mul(a, shift - r, P, v)
         hits = _ec_walk(a, _short_mul(a, M, P, v), target, -((r - lo) // M), (hi - r) // M, 2, v)
         if len(hits) < 2:

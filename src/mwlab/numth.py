@@ -125,7 +125,8 @@ _ODD_DS = range(_ODD_PRIMES[-1] + 2, _TRIAL_BOUND + 2, 2)
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the first 13 prime bases: exact for n < PSI_13 =
     3317044064679887385961981. From PSI_13 on, False is still a proof, but a
-    strong pseudoprime passes, so a pass raises ValueError instead."""
+    strong pseudoprime passes, so a pass must also meet `_pocklington` and
+    raises ValueError when it does not."""
     if n < 2:
         return False
     if n in _MR_WITNESSES:
@@ -147,9 +148,23 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n >= PSI_13:
+    if n >= PSI_13 and not _pocklington(n):
         raise ValueError(f"cannot prove {n} prime: Miller-Rabin is exact only below {PSI_13}")
     return True
+
+
+def _pocklington(n: int) -> bool:
+    """True when F*F > n for the part F of n-1 made of 2 and the odd primes
+    up to 2**12, and each prime q | F has a base a with
+    gcd(a^((n-1)/q) - 1, n) == 1: then n is prime (Brillhart, Lehmer and
+    Selfridge, Math. Comp. 29, 1975). The Miller-Rabin pass has already
+    shown a^(n-1) == 1 for every base a."""
+    F, qs = 1, [q for q in (2, *_ODD_PRIMES) if (n - 1) % q == 0]
+    for q in qs:
+        while (n - 1) % (F * q) == 0:
+            F *= q
+    return F * F > n and all(
+        any(math.gcd(pow(a, (n - 1) // q, n) - 1, n) == 1 for a in _MR_WITNESSES) for q in qs)
 
 
 def _rho_split(n: int) -> int:
@@ -254,43 +269,6 @@ def multiplicative_orders(bases, p: int) -> list[int]:
                 t //= q
             orders[i] = t
     return orders
-
-
-def least_nonresidue(p: int) -> int:
-    """The least quadratic non-residue mod an odd prime p."""
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    return z
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """Some s with s*s == a (mod p) for an odd prime p, or None when a is a
-    non-residue. Tonelli-Shanks; the non-residue it needs is the least one,
-    so the answer is deterministic.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    c, r, t = pow(least_nonresidue(p), q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
-    while t != 1:
-        # Least i with t^(2^i) == 1; then square c down to the matching root.
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        r, c = r * b % p, b * b % p
-        t, s = t * c % p, i
-    return r
 
 
 def exact_valuation(l: int, k: int, n: int) -> bool:

@@ -142,7 +142,7 @@ def test_criterion_6_exponent_recovery_roundtrip():
         for d in range(-50, 51):
             if d == 0:
                 continue
-            result = recover_exponent(P, P**d, M, scan)
+            result = recover_exponent(P, MulPoint(P.value**d), M, scan)
             if result.d != d or "conflict" in result.detail:
                 failures.append((P.encode(), d, result.detail))
     _report(

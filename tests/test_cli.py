@@ -160,10 +160,11 @@ class TestUsageErrors:
         assert "Traceback" not in captured.err
 
     def test_a_true_prime_past_psi_13_is_refused_too(self, capsys):
-        # 2^89 - 1 is prime, but Miller-Rabin cannot tell it from a strong
-        # pseudoprime there: as an S entry it is a usage error, and as a
-        # factor of a point the exact oracle gives no verdict.
-        m = str(2**89 - 1)
+        # 2^127 - 1 is prime, but Miller-Rabin cannot tell it from a strong
+        # pseudoprime there, and the primes up to 2^12 make up too little of
+        # 2^127 - 2 for a Pocklington proof: as an S entry it is a usage
+        # error, and as a factor of a point the exact oracle gives no verdict.
+        m = str(2**127 - 1)
         code = cli.main(["cs-check", "--x", "2", "--y", "4", "--backend", f"S={{{m}}}"])
         assert code == USAGE_ERROR
         assert f"cannot prove {m} prime" in capsys.readouterr().err
@@ -172,6 +173,19 @@ class TestUsageErrors:
         assert code == INTERNAL_ERROR
         assert captured.out == ""
         assert f"cannot prove {m} prime" in captured.err
+
+    def test_a_prime_past_psi_13_with_a_pocklington_proof_is_accepted(self, capsys):
+        # 2^89 - 2 = 2 * 3 * 5 * 17 * 23 * 89 * 353 * 397 * 683 * 2113 * 2931542417,
+        # whose part up to 2^12 exceeds the square root of 2^89 - 1.
+        m = str(2**89 - 1)
+        code, out = run_cli(capsys, "cs-check", "--x", "2", "--y", "4", "--backend", f"S={{{m}}}",
+                            "--primes", "3..200")
+        assert code == OK
+        assert json.loads(out)["outcome"]["report"]["verdict"] == "holds_on_scan"
+        code, out = run_cli(capsys, "detect", "--points", m, "--lambda", m, "--primes", "3..200")
+        assert code == OK
+        certificate = json.loads(out)["outcome"]["certificate"]
+        assert (certificate["alpha"], certificate["lambdas"]) == (1, [1])
 
     def test_pattern_length_mismatch(self, capsys):
         code, _ = run_cli(capsys, "find-primes", "--points", "2,3", "--l", "5", "--ks", "1")

@@ -5,9 +5,10 @@ membership by one exponentiation) against subgroup closure, the subgroup
 exponent against the lcm of the generator orders, valuation patterns and
 covers decided by multiples against full orders, elliptic discrete logs
 against enumeration of <P mod v>, the Jacobian ladder against an affine
-double-and-add, the modular square root against a table of squares, and
-the bounded elliptic certificate search against the search that stored
-every combination's sum. The witness re-checks must not run the ladder."""
+double-and-add, the points rescaled onto E or its twist against brute-force
+counts of their models, and the bounded elliptic certificate search against
+the search that stored every combination's sum. The witness re-checks must
+not run the ladder."""
 
 import itertools
 import math
@@ -42,7 +43,7 @@ from mwlab.mwgroup import (
     exponent_from_multiple,
     subgroup_closure_mod,
 )
-from mwlab.numth import PrimeRange, exact_valuation, primes_in, sqrt_mod
+from mwlab.numth import PrimeRange, exact_valuation, primes_in
 from mwlab.primesearch import ValuationPattern, find_pattern_primes, pattern_density
 from mwlab.reports import RelationCertificate, Witness
 
@@ -72,19 +73,6 @@ def affine_points(curve, v, count):
                 if len(out) == count:
                     return out
     return out
-
-
-class TestSqrtMod:
-    def test_against_square_table(self):
-        # 17, 41, 73, 97, 113, 193 are 1 mod 8, where Tonelli-Shanks iterates.
-        for p in primes_in(PrimeRange(3, 200)):
-            squares = {x * x % p for x in range(p)}
-            for a in range(-3, 2 * p):
-                r = sqrt_mod(a, p)
-                if a % p in squares:
-                    assert r is not None and r * r % p == a % p
-                else:
-                    assert r is None
 
 
 class TestPointCount:
@@ -152,24 +140,51 @@ class TestPointCount:
     def test_cm_curves_count_on_the_twist_not_by_enumeration(self, curve, monkeypatch):
         # Where E's points leave several candidates, points of the quadratic
         # twist decide; no good prime from _MESTRE_FROM on is enumerated.
+        # Each point drawn is walked, so the side it is drawn from is read
+        # off the generator's Legendre symbol.
         enumerated, twisted = [], []
-        inner_walk, inner_naive = mwgroup._ec_walk, mwgroup._count_points_naive
-        _, A, B = curve.short_model
+        inner_points, inner_naive = mwgroup._scaled_points, mwgroup._count_points_naive
 
-        def walk(a, P, target, k0, k1, limit, v):
-            twisted.append(P is not None and (P[1] ** 2 - P[0] ** 3 - A * P[0] - B) % v != 0)
-            return inner_walk(a, P, target, k0, k1, limit, v)
+        def points(A, B, v, chi):
+            for point in inner_points(A, B, v, chi):
+                twisted.append(chi != 1)
+                yield point
 
         def naive(coeffs, v):
             enumerated.append(v)
             return inner_naive(coeffs, v)
 
-        monkeypatch.setattr(mwgroup, "_ec_walk", walk)
+        monkeypatch.setattr(mwgroup, "_scaled_points", points)
         monkeypatch.setattr(mwgroup, "_count_points_naive", naive)
         for v in good_primes(curve, 3, 5000):
             assert _curve_order_mod.__wrapped__(COEFFS[curve], v) == inner_naive(COEFFS[curve], v), v
         assert enumerated and max(enumerated) < mwgroup._MESTRE_FROM
         assert True in twisted
+
+    @pytest.mark.parametrize("curve", [C37, CXX, CX1], ids=["37a", "x3-x", "x3+1"])
+    def test_scaled_points_against_brute_force_counts(self, curve):
+        # Each (a, P) with P = (f*X, f^2) lies on Y^2 = X^3 + a*X + B*f^3;
+        # that model has N points when f is a square and 2v+2-N when it is
+        # not, and each side yields one point per X of its symbol.
+        _, A, B = curve.short_model
+        for v in good_primes(curve, 5, 60):
+            squares = {t * t % v for t in range(1, v)}
+
+            def count(a, b):
+                return 1 + sum((Y * Y - X**3 - a * X - b) % v == 0 for X in range(v) for Y in range(v))
+
+            N = count(A % v, B % v)
+            roots = sum((X**3 + A * X + B) % v == 0 for X in range(v))
+            for chi, want in ((1, N), (v - 1, 2 * v + 2 - N)):
+                got = list(mwgroup._scaled_points(A, B, v, chi))
+                assert len(got) == (want - 1 - roots) // 2, (v, chi)
+                for a, (x, y) in got:
+                    fs = [f for f in range(1, v) if f * f % v == y and A * f * f % v == a
+                          and (y * y - x**3 - a * x - B * f**3) % v == 0]
+                    # With B = 0 both f and -f fit, and their models agree.
+                    assert any((f in squares) == (chi == 1) for f in fs), (v, chi, a, x, y)
+                    for f in fs:
+                        assert count(a, B * f**3 % v) == want, (v, chi, a, f)
 
     def test_one_walk_per_prime_on_a_non_cm_curve(self, monkeypatch):
         walks = []

@@ -287,6 +287,20 @@ class TestPrimes:
         assert not is_prime(p * 1000003)
         assert factor(p * 1000003).factors == ((1000003, 1), (p, 1))
 
+    def test_pocklington_proves_some_primes_past_psi_13(self):
+        # 2^89 - 2 has a part made of primes up to 2^12 above the square root
+        # of 2^89 - 1; 2^127 - 2 and psi_13 - 1 do not.
+        assert is_prime(2**89 - 1)
+        assert factor(3 * (2**89 - 1)).factors == ((3, 1), (2**89 - 1, 1))
+        for n in (2**127 - 1, numth.PSI_13):
+            assert not numth._pocklington(n)
+            with pytest.raises(ValueError, match="cannot prove"):
+                is_prime(n)
+        # The Carmichael number 43 * 127 * 211 is prime to every base, so
+        # a^(n-1) == 1 for each, and n - 1 = 2 * 3^2 * 5 * 7 * 31 * 59 is
+        # whole: only the gcd test stands between it and a proof.
+        assert not numth._pocklington(43 * 127 * 211)
+
     def test_is_prime_against_sieve(self):
         flags = set(trial_division_primes(2, 5000))
         for n in range(2, 5000):
