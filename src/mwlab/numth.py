@@ -12,10 +12,6 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-# Trial division handles cofactors up to this bound squared; Pollard rho
-# takes over beyond it.
-_TRIAL_BOUND = 10**6
-
 # Widest sieve: sieving allocates one byte per integer, so a window wider
 # than this, or one whose base primes up to sqrt(hi) need a wider sieve
 # (hi past about 10**16), is refused rather than exhausting memory.
@@ -116,10 +112,9 @@ def _sieve_window(lo: int, hi: int) -> list[int]:
     return list(itertools.compress(range(lo, hi + 1), flags))
 
 
-# The odd primes up to 2**12, which `factor` tries before every odd d past
-# them up to 10**6 + 1.
+# The odd primes up to 2**12: the trial divisors of `factor` and the part of
+# n - 1 that `_pocklington` looks at.
 _ODD_PRIMES = tuple(_sieve_window(3, 1 << 12))
-_ODD_DS = range(_ODD_PRIMES[-1] + 2, _TRIAL_BOUND + 2, 2)
 
 
 def is_prime(n: int) -> bool:
@@ -203,13 +198,14 @@ def _rho_split(n: int) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def factor(n: int) -> Factorization:
-    """Exact factorization: trial division to 10**6, Pollard rho beyond.
+    """Exact factorization: trial division by the primes up to 2**12, then
+    Miller-Rabin and Pollard rho.
 
     The power of 2 comes off by bit arithmetic, then one loop divides by the
-    odd primes up to 2**12 and then by every odd d up to 10**6 + 1. When
-    d*d exceeds the cofactor, the cofactor is 1 or prime and is recorded
-    without a primality test; only a cofactor of at least (10**6 + 1)**2
-    with no factor up to 10**6 meets Miller-Rabin and rho.
+    odd primes up to 2**12. When p*p exceeds the cofactor, the cofactor is 1
+    or prime and is recorded without a primality test; only a cofactor left
+    after the last table prime, 4093, meets Miller-Rabin and rho, so no n
+    below 4093**2 does.
     Raises ValueError for n <= 0. factor(1) has no factors.
     """
     if n <= 0:
@@ -220,21 +216,21 @@ def factor(n: int) -> Factorization:
     if twos:
         found[2] = twos
         n >>= twos
-    for d in itertools.chain(_ODD_PRIMES, _ODD_DS):
-        if d * d > n:
+    for p in _ODD_PRIMES:
+        if p * p > n:
             # Trial division passed sqrt(n): the cofactor is 1 or prime.
             if n > 1:
                 found[n] = 1
             return Factorization(value, tuple(found.items()))
-        if n % d == 0:
+        if n % p == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while n % p == 0:
+                n //= p
                 e += 1
-            found[d] = e
-    # The cofactor has no prime factor up to 10**6: prime, or a product of
-    # such primes.
-    stack = [n]
+            found[p] = e
+    # The cofactor has no prime factor up to 2**12: 1 (when what was left
+    # was a power of 4093), prime, or a product of such primes.
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if is_prime(m):

@@ -45,8 +45,9 @@ def naive_factor(n):
 
 
 def trial_factor(n):
-    """Oracle: factor before the table of small primes, dividing by 2, 3, 5
-    and then every odd d from 7 up to 10**6, with the same rho path."""
+    """Oracle: the older trial division of `factor`, by 2, 3, 5 and then
+    every odd d from 7 up to 10**6, far past the table of primes up to
+    2**12, with the same Miller-Rabin and rho path beyond it."""
     value = n
     found = {}
     for p in (2, 3, 5):
@@ -101,7 +102,7 @@ class TestFactor:
             factor(-12)
 
     def test_rho_path_beyond_trial_bound(self):
-        # both factors exceed the trial-division bound
+        # both factors exceed the table of trial divisors, the primes up to 2**12
         p, q = 1000003, 1000033
         assert factor(p * q).factors == ((p, 1), (q, 1))
 
@@ -126,14 +127,18 @@ class TestFactor:
 
     def test_against_trial_division_by_every_odd_d(self):
         # Uncached, so every n runs the table of small primes; the seeded
-        # values near 10**14 also reach the odd d past the table and rho.
+        # values near 10**14 also reach Miller-Rabin and rho, where the
+        # oracle still divides by every odd d up to 10**6.
         rng = random.Random(14)
         large = [rng.randrange(10**14, 2 * 10**14) for _ in range(6)]
         large += [4093 * 4099 * 1_000_003, 2**5 * 4091**2 * 999_983, 3 * 1_000_003 * 1_000_033]
         # The seams of the one trial-division loop: the last table prime
-        # 4093, the primes next to 999999**2 (the last odd d below 10**6,
-        # squared), and the last d, 10**6 + 1.
-        large += [4093**2, 4093 * 4099, 999_997_999_981, 999_999**2, 999_998_000_009,
+        # 4093 (a power of it leaves cofactor 1), the next prime 4099, and
+        # the prime 16752653 between their squares. Then the seams of the
+        # oracle's own trial bound: the primes next to 999999**2, and
+        # (10**6 + 1)**2.
+        large += [4093**2, 4093**3, 4093 * 4099, 4099**2, 16_752_653,
+                  999_997_999_981, 999_999**2, 999_998_000_009,
                   1_000_001**2, 1_000_003 * 1_000_033]
         for n in [*range(1, 300_000), *large]:
             assert numth.factor.__wrapped__(n) == trial_factor(n), n
@@ -151,6 +156,9 @@ class TestFactor:
         (999_998_000_009, ((999_998_000_009, 1),)),  # the prime just above it
         (1_000_001**2, ((101, 2), (9901, 2))),
         (1_000_003 * 1_000_033, ((1_000_003, 1), (1_000_033, 1))),
+        (4093**3, ((4093, 3),)),
+        (4099**2, ((4099, 2),)),
+        (16_752_653, ((16_752_653, 1),)),  # the least prime above 4093**2
     ])
     def test_at_the_trial_bound(self, n, factors):
         # Uncached: each case runs the trial division and the cofactor rule.
@@ -169,16 +177,38 @@ class TestFactor:
 
         monkeypatch.setattr(numth, "is_prime", counted)
         rng = random.Random(17)
-        below = [999_983, 1_000_003, 999_983 * 1_000_003, 999_999_999_989,
-                 999_997_999_981, 999_998_000_009, 1_000_001**2 - 2, 1_000_001**2,
-                 *range(1, 3000), *(rng.randrange(1, 10**12) for _ in range(200))]
+        # Below 4093**2 the table of primes up to 2**12 reaches the square
+        # root of every cofactor, as at the prime 4093**2 - 2. So does
+        # 4093**2 itself, which leaves 1.
+        below = [4091 * 4093, 4093**2 - 2, 4093**2, 999_983, 1_000_003,
+                 *range(1, 3000), *(rng.randrange(1, 4093**2) for _ in range(200))]
         for n in below:
             numth.factor.__wrapped__(n)
         assert calls == []
-        # At (10**6 + 1)**2 and above, with no factor up to 10**6,
-        # Miller-Rabin still runs.
-        numth.factor.__wrapped__(1_000_003**2)
-        assert calls
+        # A cofactor with no factor up to 4093 meets Miller-Rabin.
+        for n in (4099**2, 4099 * 4111):
+            numth.factor.__wrapped__(n)
+            assert calls
+            calls.clear()
+
+    def test_against_trial_division_at_height(self):
+        # p - 1 for the first 40 primes of seeded windows near 10**9, 10**12
+        # and 10**15, where a cofactor past 4093**2 goes to rho.
+        for seed, height in ((9, 10**9), (12, 10**12), (15, 10**15)):
+            lo = random.Random(seed).randrange(height, 2 * height)
+            ps = [n for n in range(lo, lo + 4000) if is_prime(n)][:40]
+            assert len(ps) == 40
+            for p in ps:
+                assert numth.factor.__wrapped__(p - 1) == trial_factor(p - 1), p
+
+    @pytest.mark.parametrize("q, r", [(4099, 4111), (999_983, 1_000_003)])
+    def test_rho_splits_prime_powers_and_products(self, q, r):
+        # Primes just past the table of trial divisors and near 10**6.
+        for n, factors in ((q**2, ((q, 2),)), (q**3, ((q, 3),)), (q**5, ((q, 5),)),
+                           (q * r, ((q, 1), (r, 1)))):
+            g = numth._rho_split(n)
+            assert 1 < g < n and n % g == 0, n
+            assert numth.factor.__wrapped__(n).factors == factors
 
     def test_invalid_factorization_rejected(self):
         with pytest.raises(ValueError):
@@ -281,6 +311,10 @@ class TestPrimes:
             is_prime(numth.PSI_13)
         with pytest.raises(ValueError, match="cannot prove"):
             factor(numth.PSI_13)
+        # 5003 is past the table of trial divisors, so rho splits it off
+        # first, and psi_13 is still refused.
+        with pytest.raises(ValueError, match="cannot prove"):
+            numth.factor.__wrapped__(5003 * numth.PSI_13)
         # A composite verdict is a proof at any size, so rho still splits a
         # cofactor past psi_13 whose parts lie below it.
         p = numth.PSI_13 - 168
