@@ -129,10 +129,13 @@ def _pool_map(fn, tasks: list[tuple], workers: int) -> list:
             _POOLS[size] = pool
         futures = [pool.submit(fn, *t) for t in tasks]
     except (ImportError, OSError, RuntimeError, ValueError):
-        # No usable process pool here (restricted sandbox, missing fork):
-        # run the identical chunks in-process. Merge logic is unchanged, so
-        # output bytes are unchanged.
+        # No usable process pool (restricted sandbox, missing fork), or a
+        # worker died while tasks were still queuing (submit then raises
+        # BrokenProcessPool, a RuntimeError): drop that pool and run the
+        # identical chunks in-process, so output bytes are unchanged.
         _BROKEN = True
+        if size in _POOLS:
+            _POOLS.pop(size).shutdown(cancel_futures=True)
         return [fn(*t) for t in tasks]
     try:
         return [f.result() for f in futures]

@@ -68,30 +68,25 @@ def _member_raw(backend, raw, raw_gens, v: int) -> bool:
     subgroups are ordered by size, so the l-valuations of the orders decide;
     together over all l that is ord raw dividing the exponent m of H (the
     lcm of the generator orders), i.e. m * raw = 0. The l-Sylow subgroup can
-    be non-cyclic only when l divides the backend's `noncyclic_bound` and
-    l^2 divides N = |G|; there the l-parts, scaled by c = N / l^e
-    (e = v_l(N), an automorphism of the l-Sylow subgroup), are closed
-    explicitly. Where no such l divides m (always for Q*), the one scalar
-    multiple m * raw decides and ord raw is never computed.
+    be non-cyclic only when l divides the backend's `noncyclic_bound`. For
+    such an l | m, one kill test by m with its l-part removed says whether
+    the l-part of raw is 0; only where it is not are the l-parts, scaled by
+    c = N / l^e (N = |G|, e = v_l(N), an automorphism of the l-Sylow
+    subgroup), closed explicitly. ord raw is never computed.
     """
     n = backend.group_order_mod(v)
     m = exponent_from_multiple(backend, raw_gens, n, v)
-    bound = math.gcd(backend.noncyclic_bound(v), m)
-    if bound == 1:
-        return backend.raw_kills(m, raw, v)
-    order = backend.raw_order(raw, v)
-    if m % order:
+    if not backend.raw_kills(m, raw, v):
         return False
-    suspects = math.gcd(bound, order)
-    if suspects == 1:
-        return True
-    for l, _ in numth.factor(suspects).factors:
-        e = numth.factor(n).exponent_of(l)
-        if e >= 2:
-            c = n // l**e
-            parts = [backend.raw_scale(c, g, v) for g in raw_gens]
-            if backend.raw_scale(c, raw, v) not in subgroup_closure_mod(backend, parts, v):
-                return False
+    bound = math.gcd(backend.noncyclic_bound(v), m)
+    for l, _ in numth.factor(bound).factors if bound > 1 else ():
+        le = l ** numth.factor(n).exponent_of(l)
+        if backend.raw_kills(m // math.gcd(m, le), raw, v):
+            continue
+        c = n // le
+        parts = [backend.raw_scale(c, g, v) for g in raw_gens]
+        if backend.raw_scale(c, raw, v) not in subgroup_closure_mod(backend, parts, v):
+            return False
     return True
 
 
@@ -99,8 +94,9 @@ def _detect_test(Ps, subgroup: SubgroupSpec, v):
     backend, generators = subgroup.backend, subgroup.generators
     if not backend.good_prime([*Ps, *generators], v):
         return BAD_PRIME
-    if any(member_mod(P, subgroup, v) for P in Ps):
-        return None
+    for P in Ps:
+        if member_mod(P, subgroup, v):
+            return None
     n = math.lcm(*(backend.order_mod(L, v) for L in generators)) if generators else 1
     orders = [backend.order_mod(P, v) for P in Ps]
     return Witness(

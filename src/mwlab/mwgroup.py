@@ -664,9 +664,13 @@ class EllipticGroup:
         return order
 
     def noncyclic_bound(self, v: int) -> int:
-        """gcd(v-1, |E(F_v)|): E(F_v) is Z/n1 x Z/n2 with n1 | n2 and, by the
-        Weil pairing, n1 | v-1, so n1 divides this bound."""
-        return math.gcd(v - 1, self.group_order_mod(v))
+        """A multiple of n1, where E(F_v) is Z/n1 x Z/n2 with n1 | n2: n1
+        divides v-1 (the Weil pairing), n1^2 divides N = |E(F_v)|, and n1 is
+        even only when all of E[2] is rational, which makes the discriminant
+        a square mod v (an Euler criterion, read only when 2 | N)."""
+        return math.gcd(v - 1, math.prod(
+            l ** (e // 2) for l, e in numth.factor(self.group_order_mod(v)).factors
+            if l > 2 or pow(self.curve.discriminant, (v - 1) // 2, v) == 1))
 
     def order_mod(self, P: EcPoint, v: int) -> int:
         if not self.good_prime([P], v):
@@ -947,9 +951,16 @@ def exponent_from_multiple(backend, raws, m: int, v: int) -> int:
     """The exponent of the subgroup the reduced points raws generate (of one
     raw, its order): m, a multiple of it, stripped prime by prime while
     (m/q) * raw = 0 for every raw, without computing any one order."""
+    kills = backend.raw_kills
     for q, _ in numth.factor(m).factors:
-        while m % q == 0 and all(backend.raw_kills(m // q, raw, v) for raw in raws):
-            m //= q
+        while m % q == 0:
+            for raw in raws:
+                if not kills(m // q, raw, v):
+                    break
+            else:
+                m //= q
+                continue
+            break
     return m
 
 

@@ -1,7 +1,8 @@
 """Fast paths against the slow exact oracles they replace: Shanks-Mestre
 point counts (with the quadratic twist) against enumeration, the symmetric
 baby-step giant-step walk against brute force, Sylow-local membership (and Q*
-membership by one exponentiation) against subgroup closure, the subgroup
+membership by one exponentiation) against subgroup closure, the bound on
+E(F_v)'s non-cyclic part against the enumerated group, the subgroup
 exponent against the lcm of the generator orders, valuation patterns and
 covers decided by multiples against full orders, elliptic discrete logs
 against enumeration of <P mod v>, the Jacobian ladder against an affine
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from mwlab import dependence, mwgroup, primesearch, support
+from mwlab import cli, dependence, mwgroup, primesearch, support
 from mwlab._parallel import BAD_PRIME
 from mwlab.dependence import (
     SubgroupSpec,
@@ -323,6 +324,75 @@ class TestJacobianLadder:
                     assert M.raw_scale(-abs(n), raw, v) == pow(inverse, abs(n), v), (v, raw, n)
                     answers.add(got)
         assert answers == {True, False}
+
+
+def all_points(curve, v):
+    """Every point of E(F_v), None for O, by enumeration over x: at odd v,
+    y solves (2y + b)^2 = b^2 + 4*(x^3 + a2*x^2 + a4*x + a6), b = a1*x + a3."""
+    if v == 2:
+        return [None, *affine_points(curve, v, 2 * v + 2)]
+    roots: dict = {}
+    for r in range(v):
+        roots.setdefault(r * r % v, []).append(r)
+    half = pow(2, -1, v)
+    points = [None]
+    for x in range(v):
+        b = curve.a1 * x + curve.a3
+        rhs = x**3 + curve.a2 * x * x + curve.a4 * x + curve.a6
+        points += [(x, (r - b) * half % v) for r in roots.get((b * b + 4 * rhs) % v, ())]
+    return points
+
+
+def exponent_by_enumeration(E, points, v):
+    """Oracle: the lcm of the orders of all points, each order by repeated
+    affine addition where the lcm so far does not kill the point."""
+    m = 1
+    for P in points:
+        if E.raw_scale(m, P, v) is not None:
+            m = math.lcm(m, literal_order(E, P, v))
+    return m
+
+
+class TestNoncyclicBound:
+    CURVES = {"11a": (0, -1, 1, -10, -20), "37a": (0, 0, 1, -1, 0), "389a": (0, 1, 1, -2, 0),
+              "x3-x": (0, 0, 0, -1, 0), "x3+1": (0, 0, 0, 0, 1), "x3-4x": (0, 0, 0, -4, 0),
+              "1,1,1,-10,-10": (1, 1, 1, -10, -10)}
+
+    def test_against_enumerated_group_structure(self):
+        # E(F_v) = Z/n1 x Z/n2 with n1 | n2 and n2 its exponent: n1 must
+        # divide the bound, and an even bound must mean all of E[2] is
+        # rational (four points P with 2P = O).
+        odd, noncyclic, even = 0, set(), set()
+        for name, coeffs in self.CURVES.items():
+            curve = WeierstrassCurve(*coeffs)
+            E = EllipticGroup(curve)
+            for v in good_primes(curve, 2, 260):
+                points = all_points(curve, v)
+                n = len(points)
+                assert n == E.group_order_mod(v), (name, v)
+                n1 = n // exponent_by_enumeration(E, points, v)
+                bound = E.noncyclic_bound(v)
+                assert bound % n1 == 0, (name, v, n1, bound)
+                assert math.gcd(v - 1, n) % bound == 0, (name, v, bound)
+                if n1 > 1:
+                    noncyclic.add(name)
+                if v > 2:
+                    odd += 1
+                    two_torsion = sum(E.raw_scale(2, P, v) is None for P in points)
+                    assert (bound % 2 == 0) == (two_torsion == 4), (name, v, bound, two_torsion)
+                    if bound % 2 == 0:
+                        even.add(name)
+        assert odd == 373
+        assert {"x3-x", "x3-4x"} <= even and len(noncyclic) >= 3
+
+    def test_window_detect_closes_few_sylow_parts(self, monkeypatch, capsys):
+        # The ec-window detect command: (-2,-1) = (0,0) + (1,0) on 389a.
+        # With the bound gcd(v-1, N) it ran 102 closures.
+        closures = _count_closures(monkeypatch)
+        argv = ["detect", "--backend", "ec:0,1,1,-2,0", "--points", "(-2,-1)",
+                "--lambda", "(0,0),(1,0)", "--primes", "3..1400", "--workers", "1"]
+        assert cli.main(argv) == 0
+        assert 0 < closures["n"] <= 50
 
 
 class TestSylowMembership:

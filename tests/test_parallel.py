@@ -1,5 +1,6 @@
 import os
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -86,6 +87,19 @@ class TestMapChunksFailures:
         assert map_chunks(_dies_in_worker, [(2,), (3,)], 3) == [4, 9]
         assert _parallel._BROKEN is True
         assert min(3, os.cpu_count() or 1) not in _parallel._POOLS
+
+    def test_worker_death_seen_at_submit_drops_the_pool(self, monkeypatch):
+        # A harmless dispatch builds the pool, then a worker of it dies, so
+        # the next dispatch meets BrokenProcessPool at submit, not at result.
+        monkeypatch.setattr(_parallel, "_BROKEN", False)
+        monkeypatch.setattr(_parallel, "_POOLS", {})
+        size = min(2, os.cpu_count() or 1)
+        assert map_chunks(pow, [(2, 3), (3, 2)], 2) == [8, 9]
+        death = _parallel._POOLS[size].submit(_dies_in_worker, 2)
+        assert isinstance(death.exception(timeout=60), BrokenProcessPool)
+        assert map_chunks(_dies_in_worker, [(2,), (3,)], 2) == [4, 9]
+        assert _parallel._BROKEN is True
+        assert size not in _parallel._POOLS
 
     def test_pool_that_cannot_start_falls_back(self, monkeypatch):
         def no_pool(*args, **kwargs):
