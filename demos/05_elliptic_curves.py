@@ -47,7 +47,7 @@ for v in (2, 3, 5, 7, 11, 13):
 
 print()
 print("torsion: this curve has none beyond the identity; y^2 = x^3 - x has")
-print("full 2-torsion, located by integral-model search and certified stable:")
+print("full 2-torsion, located by division polynomials and certified stable:")
 cxx = WeierstrassCurve(0, 0, 0, -1, 0)
 EX = EllipticGroup(cxx)
 for T in EX.torsion_elements():

@@ -716,14 +716,15 @@ class EllipticGroup:
     # -- torsion ------------------------------------------------------------
 
     def torsion_elements(self) -> tuple[EcPoint, ...]:
-        """All rational torsion points, by gcd bounding plus integral search.
+        """All rational torsion points, O first, then by (x, y).
 
-        The torsion order divides gcd |E(F_v)| over the first 8 odd good
-        primes (torsion injects into E(F_v) for odd good v, Silverman AEC
-        VII.3.1; at v = 2 it need not: 15a with Z/8 has |E(F_2)| = 4);
-        candidates come from integral points on the rescaled integral model
-        Y^2 = X^3 - 27*c4*X - 54*c6 whose Y = 0 or Y^2 divides its
-        discriminant, mapped back and confirmed by finite order.
+        |E(Q)_tors| divides gcd |E(F_v)| over the first 8 odd good primes
+        (torsion injects into E(F_v) for odd good v, Silverman AEC VII.3.1;
+        at v = 2 it need not: 15a with Z/8 has |E(F_2)| = 4). A point of
+        order n <= 12 (Mazur) has on Y^2 = F(X) = X^3 + A*X + B an integral
+        X (Nagell-Lutz), a root of F (n = 2) or of g_n, which are simple mod
+        a good v >= 13: lifted v-adically, X is kept if F(X) is a square and
+        n kills the point.
         """
         return self._torsion
 
@@ -739,61 +740,47 @@ class EllipticGroup:
 
     def torsion_order(self, T: EcPoint) -> int:
         acc = T
-        for k in range(1, 25):
+        for k in range(1, 13):
             if acc.is_identity:
                 return k
             acc = self.curve.add(acc, T)
-        raise ValueError(f"{T!r} is not torsion (no order up to 24)")
+        raise ValueError(f"{T!r} is not torsion (no order up to 12)")
 
     @cached_property
     def _torsion(self) -> tuple[EcPoint, ...]:
         """`torsion_elements`, computed once per group."""
-        disc = self.curve.discriminant
         good = []
         v = 3
         while len(good) < 8:
-            if numth.is_prime(v) and disc % v != 0:
+            if numth.is_prime(v) and self.curve.discriminant % v != 0:
                 good.append(v)
             v += 1
-        bound = 0
-        for v in good:
-            bound = math.gcd(bound, self.group_order_mod(v))
+        bound = math.gcd(*(self.group_order_mod(v) for v in good))
         if bound == 1:
             return (EC_IDENTITY,)
         shift, A, B = self.curve.short_model
+        R = math.isqrt(abs(4 * A**3 + 27 * B * B) + abs(A) + abs(B)) + 1  # |X| < R, as Y = 0 or Y^2 | 4A^3 + 27B^2
+        v = next(p for p in good if p >= 13)  # at most 4 of the 8 lie below 13
         torsion = {EC_IDENTITY}
-        for X, Y in self._integral_model_candidates(A, B):
-            x = Fraction(X - shift, 36)
-            y = Fraction(Fraction(Y, 108) - self.curve.a1 * x - self.curve.a3, 2)
-            P = EcPoint(x, y)
-            if not self.curve.contains(P):
-                continue
-            acc = P
-            for _ in range(min(bound, 24)):
-                if acc.is_identity:
-                    torsion.add(P)
-                    break
-                acc = self.curve.add(acc, P)
+        for n in [n for n in (2, 3, 4, 5, 6, 7, 8, 9, 10, 12) if bound % n == 0]:
+            for r in [r for r in range(v) if _division_value(n, r, A, B, v) == 0]:
+                # g(r + t*q) = g(r) + t*q*g'(r) mod q*v; c = 1/g'(r) mod v, a unit at a simple root.
+                c = pow((_division_value(n, r + v, A, B, v * v) - _division_value(n, r, A, B, v * v)) // v, -1, v)
+                q = v
+                while q <= 2 * R:
+                    r = (r - _division_value(n, r, A, B, q * v) // q * c * q) % (q * v)
+                    q *= v
+                X = r if 2 * r < q else r - q
+                F = X**3 + A * X + B
+                Y = math.isqrt(max(F, 0))
+                if Y * Y != F:
+                    continue
+                x = Fraction(X - shift, 36)
+                for y in (Y, -Y):
+                    P = EcPoint(x, Fraction(Fraction(y, 108) - self.curve.a1 * x - self.curve.a3, 2))
+                    if self.curve.mul(n, P).is_identity:
+                        torsion.add(P)
         return tuple(sorted(torsion, key=_order_key))
-
-    @staticmethod
-    def _integral_model_candidates(A: int, B: int):
-        """Integral (X, Y) on Y^2 = X^3 + A*X + B with Y = 0 or Y^2 | disc."""
-        d = 16 * abs(4 * A**3 + 27 * B * B)
-        square_root_part = 1
-        for p, e in numth.factor(d).factors:
-            square_root_part *= p ** (e // 2)
-        ys = {0}
-        for y in _divisors(square_root_part):
-            ys.add(y)
-        out = []
-        for y in sorted(ys):
-            c = B - y * y
-            for X in _integer_cubic_roots(A, c):
-                out.append((X, y))
-                if y:
-                    out.append((X, -y))
-        return out
 
     def encode(self) -> str:
         return self.curve.encode()
@@ -814,29 +801,22 @@ class EllipticGroup:
         return f"EllipticGroup({self.curve.encode()!r})"
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in numth.factor(n).factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def _integer_cubic_roots(A: int, C: int) -> list[int]:
-    """Integer roots of x^3 + A*x + C (monic, so every root divides C)."""
-    if C == 0:
-        roots = {0}
-        # Remaining factor x^2 + A: integer roots need -A to be a square.
-        if A <= 0:
-            r = math.isqrt(-A)
-            if r * r == -A:
-                roots.update((r, -r))
-        return sorted(roots)
-    roots = set()
-    for d in _divisors(abs(C)):
-        for r in (d, -d):
-            if r**3 + A * r + C == 0:
-                roots.add(r)
-    return sorted(roots)
+def _division_value(n: int, x: int, A: int, B: int, m: int) -> int:
+    """F(x) at n = 2, else g_n(x), mod an odd m, on Y^2 = F(X) = X^3 + A*X + B:
+    g_n is psi_n, over Y for even n, by its recurrence with F^2 for Y^4 (AEC Ex. 3.7)."""
+    F = (x**3 + A * x + B) % m
+    if n == 2:
+        return F
+    g = [0, 1, 2, (3 * x**4 + 6 * A * x * x + 12 * B * x - A * A) % m,
+         4 * (x**6 + 5 * A * x**4 + 20 * B * x**3 - 5 * A * A * x * x - 4 * A * B * x - 8 * B * B - A**3) % m]
+    for k in range(5, n + 1):
+        h = k // 2
+        if k % 2:
+            s, t = g[h + 2] * g[h] ** 3, g[h - 1] * g[h + 1] ** 3
+            g.append((s * F * F - t if h % 2 == 0 else s - t * F * F) % m)
+        else:
+            g.append(g[h] * (g[h + 2] * g[h - 1] ** 2 - g[h - 2] * g[h + 1] ** 2) * ((m + 1) // 2) % m)
+    return g[n]
 
 
 # ---------------------------------------------------------------------------

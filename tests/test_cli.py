@@ -218,6 +218,31 @@ class TestUsageErrors:
         assert code == USAGE_ERROR
         assert "nontorsion base point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            # P has infinite order; the 25-digit prime 4923049000010615435846167
+            # divides the short model's discriminant.
+            (("--backend", "ec:0,1000003,0,999996999997,0", "--p", "(1,999999)",
+              "--q", "(27777611111138889555556/111110888889,"
+                     "-4629597222300925773148194445129630/37036925926037037)",
+              "--primes", "3..3000"), OK, '"d": 2'),
+            # (0,0) has order 2; the discriminant has 204 bits.
+            (("--backend", "ec:0,1000000000039,0,1000000000000000003,0", "--p", "(0,0)",
+              "--q", "(0,0)", "--primes", "3..300"), USAGE_ERROR, "recover needs a nontorsion base point"),
+        ],
+        ids=["nontorsion", "two-torsion"],
+    )
+    def test_recover_torsion_check_at_large_coefficients(self, argv, code, expected):
+        # In a child with a timeout, so a torsion test that factors the
+        # discriminant fails here instead of stalling the suite.
+        proc = subprocess.run(
+            [sys.executable, "-m", "mwlab", "recover", *argv],
+            capture_output=True, text=True, cwd="src", timeout=30,
+        )
+        assert proc.returncode == code
+        assert expected in (proc.stdout if code == OK else proc.stderr)
+
     def test_recover_identity_target_is_still_found(self, capsys):
         code, out = run_cli(capsys, "recover", "--p", "1", "--q", "1")
         assert code == OK

@@ -17,7 +17,7 @@ from mwlab.mwgroup import (
     torsion_order_stability,
     unit_relations,
 )
-from mwlab.numth import PrimeRange, primes_in
+from mwlab.numth import PrimeRange, factor, primes_in
 
 C37 = WeierstrassCurve(0, 0, 1, -1, 0)  # y^2 + y = x^3 - x, discriminant 37
 CXX = WeierstrassCurve(0, 0, 0, -1, 0)  # y^2 = x^3 - x, discriminant 64
@@ -60,6 +60,45 @@ def brute_torsion(curve, x_max=500):
                     found.add(P)
                     break
                 acc = curve.add(acc, P)
+    return found
+
+
+def divisors(n):
+    out = [1]
+    for p, e in factor(n).factors:
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return out
+
+
+def nagell_lutz_torsion(curve):
+    """Oracle: the older `torsion_elements`, a Nagell-Lutz enumeration on the
+    integral short model Y^2 = X^3 + A*X + B. It factors 16*|4A^3 + 27B^2|,
+    tries Y = 0 and every Y whose square divides that, takes the integer
+    roots X of X^3 + A*X + B - Y^2 among the divisors of its constant term,
+    and keeps the points of order at most 12 (Mazur)."""
+    shift, A, B = curve.short_model
+    root = 1
+    for p, e in factor(16 * abs(4 * A**3 + 27 * B * B)).factors:
+        root *= p ** (e // 2)
+    found = {EC_IDENTITY}
+    for Y in [0] + divisors(root):
+        C = B - Y * Y
+        if C == 0:  # X = 0, or X^2 = -A
+            r = math.isqrt(max(-A, 0))
+            xs = [0, r, -r] if r * r == -A else [0]
+        else:
+            xs = [s * d for d in divisors(abs(C)) for s in (1, -1)]
+        for X in xs:
+            if X**3 + A * X + C != 0:
+                continue
+            x = Fraction(X - shift, 36)
+            for y in (Y, -Y):
+                P = acc = EcPoint(x, (Fraction(y, 108) - curve.a1 * x - curve.a3) / 2)
+                for _ in range(12):
+                    if acc.is_identity:
+                        found.add(P)
+                        break
+                    acc = curve.add(acc, P)
     return found
 
 
@@ -421,18 +460,45 @@ class TestTorsion:
         assert got == expected
 
     @pytest.mark.parametrize(
-        "coeffs",
-        [(1, 1, 1, 35, -28), (1, 1, 1, -10, -10), (1, 0, 0, -4, -1), (1, -1, 1, -1, -14),
-         (0, -1, 1, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 0, 1), (0, 0, 0, -1, 0)],
-        ids=["15a-Z8", "15a-Z2xZ4", "21a-Z2xZ4", "17a-Z4", "11a-Z5", "37a", "x3+1", "x3-x"],
+        "coeffs, group",
+        [((1, 1, 1, 35, -28), (8,)), ((1, 1, 1, -10, -10), (2, 4)), ((1, 0, 0, -4, -1), (2, 4)),
+         ((1, -1, 1, -1, -14), (4,)), ((0, -1, 1, 0, 0), (5,)), ((0, 0, 1, -1, 0), ()),
+         ((0, 0, 0, 0, 1), (6,)), ((0, 0, 0, -1, 0), (2, 2)),
+         # With those, one curve for each of the 15 groups in Mazur's list.
+         ((1, -1, 0, -10, -12), (2,)), ((0, 0, 1, 0, 0), (3,)), ((1, -1, 1, -3, 3), (7,)),
+         ((1, -1, 1, -14, 29), (9,)), ((1, 0, 0, -45, 81), (10,)), ((1, -1, 1, -122, 1721), (12,)),
+         ((1, 0, 1, -19, 26), (2, 6)), ((1, 0, 0, -1070, 7812), (2, 8))],
+        ids=["15a-Z8", "15a-Z2xZ4", "21a-Z2xZ4", "17a-Z4", "11a-Z5", "37a", "x3+1", "x3-x",
+             "Z2", "Z3", "Z7", "Z9", "Z10", "Z12", "Z2xZ6", "Z2xZ8"],
     )
-    def test_against_brute_force(self, coeffs):
+    def test_against_brute_force(self, coeffs, group):
         # The first six have good reduction at 2, where |E(F_2)| can be
         # smaller than the 2-power torsion: 15a with Z/8 has |E(F_2)| = 4.
         c = WeierstrassCurve(*coeffs)
         got = EllipticGroup(c).torsion_elements()
+        brute = brute_torsion(c)
         assert len(got) == len(set(got))
-        assert set(got) == brute_torsion(c)
+        assert set(got) == brute == nagell_lutz_torsion(c)
+        # The order and the 2-torsion tell Z/2 x Z/2m from Z/4m.
+        assert len(brute) == math.prod(group)
+        assert sum(c.add(T, T).is_identity for T in brute) == 2 ** sum(n % 2 == 0 for n in group)
+
+    def test_against_nagell_lutz(self):
+        # A quarter each: random coefficients; y^2 = x^3 + a*x^2 + b*x, where
+        # (0,0) has order 2; and Tate normal forms where (0,0) has order 5 or 7.
+        rng = random.Random(21)
+        curves = []
+        while len(curves) < 100:
+            a, b, t = rng.randint(-12, 12), rng.randint(-12, 12), rng.randint(-6, 6)
+            family = [tuple(rng.randint(-12, 12) for _ in range(5)), (0, a, 0, b, 0),
+                      (1 - t, -t, -t, 0, 0), (1 + t - t * t, t * t - t**3, t * t - t**3, 0, 0)]
+            try:
+                curves.append(WeierstrassCurve(*family[len(curves) % 4]))
+            except ValueError:  # singular
+                pass
+        for c in curves:
+            expected = tuple(sorted(nagell_lutz_torsion(c), key=mwgroup._order_key))
+            assert EllipticGroup(c).torsion_elements() == expected, c
 
     def test_order_eight_points(self):
         c = WeierstrassCurve(1, 1, 1, 35, -28)
