@@ -196,7 +196,9 @@ def _rho_split(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # unreachable at desk scale
 
 
-@lru_cache(maxsize=1 << 16)
+# Only a warm process scanning windows again reads a factorization again: a
+# query-stream pass asks for 1,941 distinct values, so 2**12 holds them twice.
+@lru_cache(maxsize=1 << 12)
 def factor(n: int) -> Factorization:
     """Exact factorization: trial division by the primes up to 2**12, then
     Miller-Rabin and Pollard rho.
@@ -247,23 +249,21 @@ def multiplicative_order(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise ValueError(f"{p} divides the base; no multiplicative order")
-    order = p - 1
-    for q, _ in factor(p - 1).factors:
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
-    return order
+    return multiplicative_orders((a,), p)[0]
 
 
 def multiplicative_orders(bases, p: int) -> list[int]:
-    """The orders of bases prime to p, stripped from p-1 together in one
-    pass over the prime factors of p-1."""
-    orders = [p - 1] * len(bases)
-    for q, _ in factor(p - 1).factors:
-        for i, x in enumerate(bases):
-            t = orders[i]
+    """The orders of bases prime to p, each stripped from p-1 over one
+    factorization of p-1. A base divisible by p is the caller's error and
+    is not checked; the Erdős test screens such primes first."""
+    factors = factor(p - 1).factors
+    orders = []
+    for x in bases:
+        t = p - 1
+        for q, _ in factors:
             while t % q == 0 and pow(x, t // q, p) == 1:
                 t //= q
-            orders[i] = t
+        orders.append(t)
     return orders
 
 

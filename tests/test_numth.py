@@ -1,11 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwlab import numth
+from mwlab import (
+    EllipticGroup, MulPoint, MultiplicativeGroup, SubgroupSpec, WeierstrassCurve,
+    detect_dependence, numth, scan_corrales_schoof, scan_erdos_union,
+)
 from mwlab.numth import (
     Factorization,
     PrimeRange,
@@ -381,6 +385,43 @@ class TestMultiplicativeOrder:
             bases = [2, p - 1, 10**6 + 3, *(rng.randrange(1, p) for _ in range(3))]
             bases = [b for b in bases if b % p]
             assert multiplicative_orders(bases, p) == [multiplicative_order(b, p) for b in bases]
+
+    def test_orders_in_one_pass_against_brute_force(self):
+        for p in primes_in(PrimeRange(3, 300)):
+            bases = [b for b in (2, 3, 5, 6, 7, 10, 12, p - 1) if b % p]
+            assert multiplicative_orders(bases, p) == [brute_order(b, p) for b in bases]
+
+    def test_unreduced_base(self):
+        for p in primes_in(PrimeRange(3, 300)):
+            assert multiplicative_order(p + 2, p) == multiplicative_order(2, p)
+
+
+class TestFactorCache:
+    def test_warm_working_set_fits(self):
+        # A query-stream-shaped mix, run twice in one process: the second
+        # round must find every factorization it needs still cached.
+        window, M = PrimeRange(3, 10_000), MultiplicativeGroup()
+
+        def mix():
+            for xs, ys in (([2, 3], [3, 2]), ([6, 10], [10, 6])):
+                assert scan_erdos_union(xs, ys, window, workers=1).verdict == "holds_on_scan"
+            for g1, g2 in ((6, 10), (2, 3), (3, 5), (2, 7), (10, 21), (5, 6)):
+                gens = [MulPoint(Fraction(g1)), MulPoint(Fraction(g2))]
+                P = MulPoint(Fraction(g1 * g2))
+                assert detect_dependence([P], SubgroupSpec(gens, M), window, workers=1).certificate
+            for curve in ("ec:0,0,1,-1,0", "ec:0,1,1,-2,0", "ec:0,0,1,1,0"):
+                E = EllipticGroup(WeierstrassCurve.parse(curve))
+                P = E.parse_point("(0,0)")
+                report = scan_corrales_schoof(P, E.scale(2, P), E, PrimeRange(3, 900), workers=1)
+                assert report.verdict == "holds_on_scan"
+
+        factor.cache_clear()
+        mix()
+        misses = factor.cache_info().misses
+        mix()
+        info = factor.cache_info()
+        assert info.misses == misses
+        assert info.currsize < info.maxsize
 
 
 class TestExactValuation:
