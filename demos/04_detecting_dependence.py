@@ -37,7 +37,9 @@ subgroup = SubgroupSpec((MulPoint(6), MulPoint(10)), backend)
 
 print("local looks at 360 against the subgroup generated by 6 and 10:")
 for v in (7, 11, 13, 101):
-    print(f"  mod {v}: member = {member_mod(MulPoint(360), subgroup, v)}")
+    raw_gens = [backend.reduce_raw(L, v) for L in subgroup.generators]
+    member = member_mod(backend, backend.reduce_raw(MulPoint(360), v), raw_gens, v)
+    print(f"  mod {v}: member = {member}")
 
 print()
 print("scan plus exact certificate:")

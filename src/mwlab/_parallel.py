@@ -15,9 +15,10 @@ runs in-process before anything is dispatched: a witness there (or the
 hit limit) ends the scan with no pool round trip, and a window of at most
 HEAD primes never reaches the pool. Only the rest of the window is split
 across the workers. Worker pools are persistent (one per pool size: the
-worker count capped at the CPU count) and fork based. The pool machinery
-(`concurrent.futures`, `multiprocessing`) is imported at the first
-dispatch, so a serial scan, or one that ends in its head, never loads it.
+worker count capped at the CPU count) and run no thread: each worker is an
+`os.fork`ed process with its own task and result pipes, and the dispatching
+thread writes the tasks and `select`s the replies itself. Only `pickle` and
+`select` load at the first dispatch, so a serial scan never imports them.
 An exception raised by a test propagates once, as it would serially; only
 a pool that cannot start, or one whose worker process died, makes the
 dispatched chunks run in-process, with identical output.
@@ -28,11 +29,7 @@ from __future__ import annotations
 import atexit
 import os
 
-# concurrent.futures' pool class, bound at the first dispatch. It is a
-# module global so that a test can put a stand-in pool in its place.
-ProcessPoolExecutor = None
-
-_POOLS: dict[int, ProcessPoolExecutor] = {}
+_POOLS: dict[int, _Pool] = {}
 _BROKEN = False
 
 BAD_PRIME = object()
@@ -43,13 +40,90 @@ BAD_PRIME = object()
 HEAD = 64
 
 
+class _Pool:
+    """`size` forked workers; worker i answers each pickled (fn, args) on
+    tasks[i] with a pickled (True, fn(*args)) or (False, exc) on results[i]."""
+
+    def __init__(self, size: int):
+        self.pids, self.tasks, self.results = [], [], []
+        try:
+            for _ in range(size):
+                self._fork()
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self):
+        import pickle
+
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        self.tasks.append(open(task_w, "wb"))
+        self.results.append(open(result_r, "rb"))
+        try:
+            pid = os.fork()
+            if pid == 0:  # the worker, until its task pipe closes; it never returns
+                try:
+                    for pool in (*_POOLS.values(), self):  # its own parent ends too
+                        for f in (*pool.tasks, *pool.results):
+                            f.close()
+                    tasks, results = open(task_r, "rb"), open(result_w, "wb")
+                    while True:
+                        fn, args = pickle.load(tasks)
+                        try:
+                            reply = pickle.dumps((True, fn(*args)))
+                        except Exception as exc:
+                            reply = pickle.dumps((False, exc))
+                        results.write(reply)
+                        results.flush()
+                finally:
+                    os._exit(0)
+        finally:  # only the parent gets here, whether or not the fork worked
+            os.close(task_r)
+            os.close(result_w)
+        self.pids.append(pid)
+
+    def run(self, fn, tasks: list[tuple]) -> list[tuple] | None:
+        """The (ok, value) reply to each task, in task order, or None when a
+        worker died (an end of file or a broken pipe)."""
+        import pickle
+        import select
+
+        replies, idle, busy, sent = [None] * len(tasks), list(range(len(self.pids))), {}, 0
+        try:
+            while sent < len(tasks) or busy:
+                while idle and sent < len(tasks):
+                    w = idle.pop()
+                    self.tasks[w].write(pickle.dumps((fn, tasks[sent])))
+                    self.tasks[w].flush()
+                    busy[self.results[w]] = w, sent
+                    sent += 1
+                for f in select.select(list(busy), (), ())[0]:
+                    w, i = busy.pop(f)
+                    replies[i] = pickle.load(f)
+                    idle.append(w)
+        except (EOFError, OSError, pickle.UnpicklingError):
+            return None
+        return replies
+
+    def close(self):
+        """Close the pipes, then kill and reap every worker."""
+        import signal
+
+        for f in (*self.tasks, *self.results):
+            try:
+                f.close()
+            except OSError:
+                pass  # the flush of a task that a dead worker never read
+        for pid in self.pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+@atexit.register
 def _shutdown():
     for pool in _POOLS.values():
-        pool.shutdown(cancel_futures=True)
-    _POOLS.clear()
-
-
-atexit.register(_shutdown)
+        pool.close()
 
 
 def split_chunks(items: list, parts: int) -> list[list]:
@@ -112,38 +186,27 @@ def map_chunks(fn, tasks: list[tuple], workers: int) -> list:
 
 
 def _pool_map(fn, tasks: list[tuple], workers: int) -> list:
-    global _BROKEN, ProcessPoolExecutor
+    global _BROKEN
     # Chunks are split by `workers`; the pool itself never forks more
     # processes than there are CPUs, and one pool serves each capped size.
     size = min(workers, os.cpu_count() or 1)
+    replies = None
     try:
-        from concurrent.futures.process import BrokenProcessPool
-
-        pool = _POOLS.get(size)
-        if pool is None:
-            import multiprocessing as mp
-
-            if ProcessPoolExecutor is None:
-                from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=size, mp_context=mp.get_context("fork"))
-            _POOLS[size] = pool
-        futures = [pool.submit(fn, *t) for t in tasks]
-    except (ImportError, OSError, RuntimeError, ValueError):
-        # No usable process pool (restricted sandbox, missing fork), or a
-        # worker died while tasks were still queuing (submit then raises
-        # BrokenProcessPool, a RuntimeError): drop that pool and run the
-        # identical chunks in-process, so output bytes are unchanged.
+        pool = _POOLS.get(size) or _POOLS.setdefault(size, _Pool(size))
+    except (AttributeError, OSError):
+        pass  # no os.fork, or no process to be had (a restricted sandbox)
+    else:
+        try:
+            replies = pool.run(fn, tasks)
+        finally:
+            if replies is None:
+                # A worker died, or the parent was interrupted mid-dispatch
+                # while busy workers still owed replies: the pool goes.
+                _POOLS.pop(size).close()
+    if replies is None:  # rerun the identical chunks in-process: same bytes
         _BROKEN = True
-        if size in _POOLS:
-            _POOLS.pop(size).shutdown(cancel_futures=True)
         return [fn(*t) for t in tasks]
-    try:
-        return [f.result() for f in futures]
-    except BrokenProcessPool:
-        # A worker process died; the pool cannot be reused.
-        _BROKEN = True
-        _POOLS.pop(size).shutdown(cancel_futures=True)
-        return [fn(*t) for t in tasks]
-    finally:
-        for f in futures:
-            f.cancel()
+    for ok, value in replies:
+        if not ok:
+            raise value
+    return [value for _, value in replies]

@@ -50,16 +50,7 @@ class RecoveryResult(namedtuple("RecoveryResult", "d detail status")):
     __slots__ = ()
 
 
-def member_mod(P, subgroup: SubgroupSpec, v: int) -> bool:
-    """Is the reduction of P at v inside the reduced subgroup? See `_member_raw`."""
-    backend = subgroup.backend
-    if not backend.good_prime([P] + list(subgroup.generators), v):
-        raise ValueError(f"{v} is a bad prime for these points")
-    raws = [backend.reduce_raw(L, v) for L in subgroup.generators]
-    return _member_raw(backend, backend.reduce_raw(P, v), raws, v)
-
-
-def _member_raw(backend, raw, raw_gens, v: int) -> bool:
+def member_mod(backend, raw, raw_gens, v: int) -> bool:
     """Is the reduced point raw in the subgroup H of the reduced group G
     generated by raw_gens?
 
@@ -94,19 +85,15 @@ def _detect_test(Ps, subgroup: SubgroupSpec, v):
     backend, generators = subgroup.backend, subgroup.generators
     if not backend.good_prime([*Ps, *generators], v):
         return BAD_PRIME
+    raw_gens = [backend.reduce_raw(L, v) for L in generators]
     for P in Ps:
-        if member_mod(P, subgroup, v):
+        if member_mod(backend, backend.reduce_raw(P, v), raw_gens, v):
             return None
-    n = math.lcm(*(backend.order_mod(L, v) for L in generators)) if generators else 1
+    n = exponent_from_multiple(backend, raw_gens, backend.group_order_mod(v), v)
     orders = [backend.order_mod(P, v) for P in Ps]
-    return Witness(
-        v=v,
-        n=n,
-        detail=(
-            f"no P_i lies in the reduced subgroup at {v}; n={n} kills every "
-            f"generator mod {v} while ord_v(P_i)={orders}"
-        ),
-    )
+    return Witness(v=v, n=n, detail=(
+        f"no P_i lies in the reduced subgroup at {v}; n={n} kills every "
+        f"generator mod {v} while ord_v(P_i)={orders}"))
 
 
 def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,

@@ -24,6 +24,9 @@ HEAVY = (
     "mwlab.support", "mwlab.dependence", "mwlab.primesearch", "mwlab.experiments",
 )
 
+# What the first dispatch to the fork pool imports.
+POOL = ("pickle", "select")
+
 # The public names of the package, by the submodule that defines them.
 EXPORTS = {
     "dependence": (
@@ -63,12 +66,12 @@ def cold(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 
 # Runs one command line through cli.main, then prints, as its last stdout
-# line, the HEAVY modules it loaded.
+# line, the HEAVY and POOL modules it loaded.
 RUN_AND_LIST = f"""
 import json, sys
 from mwlab import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps({{"code": code, "loaded": [m for m in {HEAVY!r} if m in sys.modules]}}))
+print(json.dumps({{"code": code, "loaded": [m for m in {HEAVY + POOL!r} if m in sys.modules]}}))
 """
 
 
@@ -87,8 +90,7 @@ class TestColdStart:
             "cs-check", "--backend", "ec:0,0,1,-1,0", "--x", "(0,0)", "--y", "(1,0)",
             "--primes", "3..200", "--workers", "1",
         )
-        assert "multiprocessing" not in status["loaded"]
-        assert "concurrent.futures" not in status["loaded"]
+        assert not {"concurrent.futures", "multiprocessing", *POOL} & set(status["loaded"])
 
     def test_dispatch_loads_the_pool_and_keeps_the_bytes(self):
         # The supports agree everywhere, so the scan holds and the rest of
@@ -97,7 +99,10 @@ class TestColdStart:
         serial, serial_status = run_and_list(*argv, "--workers", "1")
         pooled, pooled_status = run_and_list(*argv, "--workers", "2")
         assert serial_status["code"] == pooled_status["code"] == 0
-        assert "concurrent.futures" in pooled_status["loaded"]
+        # The fork pool dispatches on pipes and needs no executor machinery.
+        assert "select" in pooled_status["loaded"]
+        assert "concurrent.futures" not in pooled_status["loaded"]
+        assert "multiprocessing" not in pooled_status["loaded"]
         assert pooled == serial
 
     def test_submodule_resolves_after_a_bare_import(self):

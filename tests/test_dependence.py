@@ -59,18 +59,16 @@ def brute_membership(p_val, gen_vals, alpha_bound=6, lam_bound=8):
 
 class TestMemberMod:
     def test_generator_is_member(self):
-        lam = SubgroupSpec((MulPoint(3),), M)
-        assert member_mod(MulPoint(3), lam, 11) is True
+        assert member_mod(M, 3, [3], 11) is True
 
     def test_known_values(self):
-        lam = SubgroupSpec((MulPoint(3),), M)
-        assert member_mod(MulPoint(2), lam, 11) is False
-        assert member_mod(MulPoint(4), lam, 11) is True
+        assert member_mod(M, 2, [3], 11) is False
+        assert member_mod(M, 4, [3], 11) is True
 
     def test_rejects_bad_prime(self):
-        lam = SubgroupSpec((MulPoint(3),), M)
+        # The raw-level test takes reductions; a bad prime fails in reduce_raw.
         with pytest.raises(ValueError):
-            member_mod(MulPoint(22), lam, 11)
+            member_mod(M, M.reduce_raw(MulPoint(22), 11), [3], 11)
 
     def test_against_enumeration(self):
         rng = random.Random(29)
@@ -82,23 +80,23 @@ class TestMemberMod:
             x = rng.randint(2, 40)
             if any(g % p == 0 for g in gens) or x % p == 0:
                 continue
-            lam = SubgroupSpec(tuple(MulPoint(g) for g in gens), M)
+            raws = [M.reduce_raw(MulPoint(g), p) for g in gens]
             literal = x % p in enumerate_subgroup(gens, p)
-            assert member_mod(MulPoint(x), lam, p) == literal
+            assert member_mod(M, M.reduce_raw(MulPoint(x), p), raws, p) == literal
             checked += 1
 
     def test_elliptic_closure_and_lagrange(self):
         E = EllipticGroup(C37)
         G = C37.point(0, 0)
-        lam = SubgroupSpec((C37.mul(2, G),), E)
         from mwlab.mwgroup import subgroup_closure_mod
 
         for v in primes_in(PrimeRange(3, 100)):
             if 37 % v == 0:
                 continue
-            closure = subgroup_closure_mod(E, [E.reduce_raw(C37.mul(2, G), v)], v)
+            raw_gens = [E.reduce_raw(C37.mul(2, G), v)]
+            closure = subgroup_closure_mod(E, raw_gens, v)
             assert E.group_order_mod(v) % len(closure) == 0
-            member = member_mod(G, lam, v)
+            member = member_mod(E, E.reduce_raw(G, v), raw_gens, v)
             assert member == (E.reduce_raw(G, v) in closure)
 
 

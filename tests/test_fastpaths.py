@@ -24,7 +24,6 @@ from mwlab._parallel import BAD_PRIME
 from mwlab.dependence import (
     SubgroupSpec,
     _bounded_membership_search,
-    _member_raw,
     member_mod,
 )
 from mwlab.mwgroup import (
@@ -411,7 +410,8 @@ class TestSylowMembership:
             for gens in subsets:
                 closure = subgroup_closure_mod(E, [E.reduce_raw(L, v) for L in gens], v)
                 for P in Ps:
-                    got = member_mod(P, SubgroupSpec(gens, E), v)
+                    raw_gens = [E.reduce_raw(L, v) for L in gens]
+                    got = member_mod(E, E.reduce_raw(P, v), raw_gens, v)
                     assert got == (E.reduce_raw(P, v) in closure), (v, gens, P)
                     answers.add(got)
         assert answers == {True, False}
@@ -438,7 +438,7 @@ class TestSylowMembership:
                 for subset in itertools.combinations(gens, r):
                     closure = subgroup_closure_mod(E, list(subset), v)
                     for raw in targets:
-                        got = _member_raw(E, raw, list(subset), v)
+                        got = member_mod(E, raw, list(subset), v)
                         assert got == (raw in closure), (v, subset, raw)
                         answers.add(got)
         assert answers == {True, False}
@@ -476,7 +476,7 @@ class TestCyclicMembership:
                 for P in targets:
                     raw = M.reduce_raw(P, v)
                     orders.clear()
-                    got = _member_raw(M, raw, raws, v)
+                    got = member_mod(M, raw, raws, v)
                     assert got == (raw in closure), (gens, P, v)
                     assert orders == []  # m comes from one strip of v - 1
                     answers.add(got)

@@ -1,6 +1,9 @@
 import os
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
+import pickle
+import signal
+import threading
+import time
+import warnings
 
 import pytest
 
@@ -31,6 +34,17 @@ def _dies_in_worker(x):
     return x * x
 
 
+def _killed_in_worker(x):
+    if os.getpid() != _PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
+def _slow_echo(x):
+    time.sleep(0.2)
+    return x
+
+
 def _witness_at(target, bad, v):
     """A witness at v == target, BAD_PRIME at v in bad, nothing otherwise."""
     if v in bad:
@@ -49,6 +63,25 @@ def _odd_test(bad, v):
     if v in bad:
         return BAD_PRIME
     return v if v % 2 else None
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """A fresh pool table, not broken; every pool left in it is closed after
+    the test, so no worker outlives it."""
+    monkeypatch.setattr(_parallel, "_BROKEN", False)
+    monkeypatch.setattr(_parallel, "_POOLS", {})
+    yield _parallel._POOLS
+    for pool in _parallel._POOLS.values():
+        pool.close()
+
+
+def _reaped(pid) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 class TestScanChunk:
@@ -73,8 +106,7 @@ class TestScanChunk:
 
 
 class TestMapChunksFailures:
-    def test_task_error_propagates_once(self, monkeypatch):
-        monkeypatch.setattr(_parallel, "_BROKEN", False)
+    def test_task_error_propagates_once(self, pools):
         _CALLS.clear()
         with pytest.raises(TaskFailed):
             map_chunks(_failing_task, [(1,), (2,)], 2)
@@ -82,88 +114,151 @@ class TestMapChunksFailures:
         # The tasks ran in worker processes only, never again in this one.
         assert _CALLS == []
 
-    def test_dead_worker_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setattr(_parallel, "_BROKEN", False)
+    def test_dead_worker_falls_back_to_serial(self, pools):
         assert map_chunks(_dies_in_worker, [(2,), (3,)], 3) == [4, 9]
         assert _parallel._BROKEN is True
-        assert min(3, os.cpu_count() or 1) not in _parallel._POOLS
+        assert pools == {}
 
-    def test_worker_death_seen_at_submit_drops_the_pool(self, monkeypatch):
-        # A harmless dispatch builds the pool, then a worker of it dies, so
-        # the next dispatch meets BrokenProcessPool at submit, not at result.
-        monkeypatch.setattr(_parallel, "_BROKEN", False)
-        monkeypatch.setattr(_parallel, "_POOLS", {})
+    def test_worker_killed_mid_dispatch_falls_back_to_serial(self, pools):
+        assert map_chunks(_killed_in_worker, [(2,), (3,), (4,)], 2) == [4, 9, 16]
+        assert _parallel._BROKEN is True
+        assert pools == {}
+
+    def test_worker_death_seen_at_submit_drops_the_pool(self, pools):
+        # A harmless dispatch builds the pool, then a worker of it dies
+        # between dispatches, so the next dispatch meets a broken pipe or
+        # an end of file before any reply.
         size = min(2, os.cpu_count() or 1)
         assert map_chunks(pow, [(2, 3), (3, 2)], 2) == [8, 9]
-        death = _parallel._POOLS[size].submit(_dies_in_worker, 2)
-        assert isinstance(death.exception(timeout=60), BrokenProcessPool)
+        pool = pools[size]
+        os.kill(pool.pids[0], signal.SIGKILL)
+        os.waitid(os.P_PID, pool.pids[0], os.WEXITED | os.WNOWAIT)
         assert map_chunks(_dies_in_worker, [(2,), (3,)], 2) == [4, 9]
         assert _parallel._BROKEN is True
-        assert size not in _parallel._POOLS
+        assert pools == {}
+        assert all(_reaped(pid) for pid in pool.pids)
 
-    def test_pool_that_cannot_start_falls_back(self, monkeypatch):
-        def no_pool(*args, **kwargs):
+    def test_pool_that_cannot_start_falls_back(self, pools, monkeypatch):
+        def no_pool(size):
             raise OSError("no processes here")
 
-        monkeypatch.setattr(_parallel, "_BROKEN", False)
-        monkeypatch.setattr(_parallel, "_POOLS", {})
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(_parallel, "_Pool", no_pool)
         assert map_chunks(pow, [(2, 3), (3, 2)], 2) == [8, 9]
         assert _parallel._BROKEN is True
 
-    def test_pool_size_is_capped_at_the_cpu_count(self, monkeypatch):
+    def test_no_fork_on_the_platform_falls_back(self, pools, monkeypatch):
+        # The supports agree everywhere, so the scan dispatches past its head.
+        scan = PrimeRange(3, 2000)
+        serial = scan_erdos_union([2, 3], [3, 2], scan, workers=1)
+        monkeypatch.delattr(os, "fork")
+        pooled = scan_erdos_union([2, 3], [3, 2], scan, workers=2)
+        assert _parallel._BROKEN is True
+        assert pools == {}
+        assert pooled.to_dict() == serial.to_dict()
+
+    def test_pool_size_is_capped_at_the_cpu_count(self, pools, monkeypatch):
         # The recorder starts no process: it notes the requested size and
         # refuses, so the chunks run in-process.
         sizes = []
 
-        def recorder(*args, max_workers, **kwargs):
-            sizes.append(max_workers)
+        def recorder(size):
+            sizes.append(size)
             raise OSError("recorded, not started")
 
-        monkeypatch.setattr(_parallel, "_BROKEN", False)
-        monkeypatch.setattr(_parallel, "_POOLS", {})
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", recorder)
+        monkeypatch.setattr(_parallel, "_Pool", recorder)
         tasks = [(2, 3), (3, 2), (5, 2)]
         assert map_chunks(pow, tasks, 10**5) == [pow(*t) for t in tasks]
         assert sizes and sizes[0] <= (os.cpu_count() or 1)
 
-    def test_one_pool_per_capped_size(self, monkeypatch):
-        # An inline executor stands in for the process pool: it records each
-        # pool built and runs tasks in-process.
+    def test_one_pool_per_capped_size(self, pools, monkeypatch):
+        # An inline pool stands in for the forked one: it records each pool
+        # built and runs tasks in-process.
         built = []
 
-        class InlineExecutor:
-            def __init__(self, max_workers, mp_context=None):
-                built.append(max_workers)
+        class InlinePool:
+            def __init__(self, size):
+                built.append(size)
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def run(self, fn, tasks):
+                return [(True, fn(*t)) for t in tasks]
 
-        monkeypatch.setattr(_parallel, "_BROKEN", False)
-        monkeypatch.setattr(_parallel, "_POOLS", {})
-        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", InlineExecutor)
+            def close(self):
+                pass
+
+        monkeypatch.setattr(_parallel, "_Pool", InlinePool)
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
         tasks = [(2, 3), (3, 2), (5, 2), (7, 2)]
         assert map_chunks(pow, tasks, 3) == [pow(*t) for t in tasks]
         assert map_chunks(pow, tasks, 4) == [pow(*t) for t in tasks]
         assert built == [2]
-        assert list(_parallel._POOLS) == [2]
+        assert list(pools) == [2]
+
+
+class TestForkPool:
+    def test_dispatch_starts_no_thread(self, pools):
+        assert map_chunks(pow, [(2, 3), (3, 2)], 2) == [8, 9]
+        assert pools
+        assert threading.active_count() == 1
+
+    def test_second_pool_size_forks_without_a_warning(self, pools, monkeypatch):
+        # Python 3.12 and later warn when a process with threads forks; the
+        # second pool is forked while the first one's workers are live. The
+        # warnings are recorded, not raised: the interpreter drops an
+        # exception that an "error" filter makes of this warning.
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
+        tasks = [(2, 3), (3, 2), (5, 2)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert map_chunks(pow, tasks, 2) == [8, 9, 25]
+            assert map_chunks(pow, tasks, 3) == [8, 9, 25]
+        assert [str(w.message) for w in caught] == []
+        assert sorted(pools) == [2, 3]
+
+    def test_worker_leaves_when_its_task_pipe_closes(self, pools, monkeypatch):
+        # A later pool's workers hold no pipe end of an earlier pool, so
+        # closing a pool's task pipes alone ends its workers, as the death
+        # of the parent process would.
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 4)
+        assert map_chunks(pow, [(2, 3), (3, 2)], 2) == [8, 9]
+        assert map_chunks(pow, [(2, 3), (3, 2)], 3) == [8, 9]
+        first = pools.pop(2)
+        for f in first.tasks:
+            f.close()
+        deadline = time.monotonic() + 30
+        for pid in first.pids:
+            while not os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                assert time.monotonic() < deadline, f"worker {pid} did not leave"
+                time.sleep(0.01)
+        first.close()
+
+    def test_close_reaps_every_worker(self):
+        pool = _parallel._Pool(2)
+        assert pool.run(pow, [(2, 5), (3, 3)]) == [(True, 32), (True, 27)]
+        pool.close()
+        assert len(pool.pids) == 2
+        assert all(_reaped(pid) for pid in pool.pids)
+
+    def test_error_in_the_parent_drops_the_pool(self, pools, monkeypatch):
+        # The second task cannot be pickled, so the parent raises while the
+        # first is still running; its reply must not reach a later dispatch.
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            map_chunks(_slow_echo, [("stale",), (lambda: None,)], 2)
+        assert pools == {}
+        assert _parallel._BROKEN is False
+        assert map_chunks(_slow_echo, [("a",), ("b",)], 2) == ["a", "b"]
 
 
 class NoPool:
-    """Stands in for ProcessPoolExecutor where no pool may be built."""
+    """Stands in for the fork pool where no pool may be built."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, size):
         pytest.fail("a process pool was built")
 
 
 @pytest.fixture
-def no_pool(monkeypatch):
-    monkeypatch.setattr(_parallel, "_BROKEN", False)
-    monkeypatch.setattr(_parallel, "_POOLS", {})
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", NoPool)
+def no_pool(pools, monkeypatch):
+    monkeypatch.setattr(_parallel, "_Pool", NoPool)
 
 
 class TestSerialHead:
