@@ -17,8 +17,9 @@ HEAD primes never reaches the pool. Only the rest of the window is split
 across the workers. Worker pools are persistent (one per pool size: the
 worker count capped at the CPU count) and run no thread: each worker is an
 `os.fork`ed process with its own task and result pipes, and the dispatching
-thread writes the tasks and `select`s the replies itself. Only `pickle` and
-`select` load at the first dispatch, so a serial scan never imports them.
+thread writes one task per worker per round and reads that round's replies
+in task order. Only `pickle` loads at the first dispatch, so a serial scan
+never imports it.
 An exception raised by a test propagates once, as it would serially; only
 a pool that cannot start, or one whose worker process died, makes the
 dispatched chunks run in-process, with identical output.
@@ -87,21 +88,15 @@ class _Pool:
         """The (ok, value) reply to each task, in task order, or None when a
         worker died (an end of file or a broken pipe)."""
         import pickle
-        import select
 
-        replies, idle, busy, sent = [None] * len(tasks), list(range(len(self.pids))), {}, 0
+        replies = []
         try:
-            while sent < len(tasks) or busy:
-                while idle and sent < len(tasks):
-                    w = idle.pop()
-                    self.tasks[w].write(pickle.dumps((fn, tasks[sent])))
-                    self.tasks[w].flush()
-                    busy[self.results[w]] = w, sent
-                    sent += 1
-                for f in select.select(list(busy), (), ())[0]:
-                    w, i = busy.pop(f)
-                    replies[i] = pickle.load(f)
-                    idle.append(w)
+            for start in range(0, len(tasks), len(self.pids)):
+                batch = tasks[start : start + len(self.pids)]
+                for f, task in zip(self.tasks, batch):
+                    f.write(pickle.dumps((fn, task)))
+                    f.flush()
+                replies += [pickle.load(f) for f in self.results[: len(batch)]]
         except (EOFError, OSError, pickle.UnpicklingError):
             return None
         return replies

@@ -192,52 +192,38 @@ def exact_membership_multiplicative(P, subgroup: SubgroupSpec) -> RelationCertif
 # Bounded elliptic search
 
 
-# The bounded search walks the combinations on their reductions at this many
-# good primes above 2**31. Exact arithmetic decides every match, so these
-# only set how rarely an exact sum is spent on a match by chance.
-_SCREEN_PRIMES = 2
+# The bounded search walks the combinations on their reductions at the first
+# good prime above this. Exact arithmetic decides every match, so it only
+# sets how rarely an exact sum is spent on a match by chance.
 _SCREEN_FROM = 1 << 31
 
 
-class _Reductions:
-    """The backend's group law on reductions at a few large primes that are
-    good for the given points: an element is the tuple of its raw points."""
+class _AtPrime:
+    """The backend's group law on reductions at one prime v, the three
+    methods `bounded_combinations` calls."""
 
-    __slots__ = ("backend", "primes")
-
-    def __init__(self, backend, points):
-        self.backend = backend
-        self.primes = []
-        v = _SCREEN_FROM
-        while len(self.primes) < _SCREEN_PRIMES:
-            v += 1
-            if numth.is_prime(v) and backend.good_prime(points, v):
-                self.primes.append(v)
-
-    def reduce(self, P):
-        return tuple(self.backend.reduce_raw(P, v) for v in self.primes)
+    def __init__(self, backend, v):
+        self.backend, self.v = backend, v
 
     def identity(self):
-        return tuple(self.backend.raw_identity(v) for v in self.primes)
+        return self.backend.raw_identity(self.v)
 
     def combine(self, a, b):
-        combine = self.backend.raw_combine
-        return tuple(combine(x, y, v) for x, y, v in zip(a, b, self.primes))
+        return self.backend.raw_combine(a, b, self.v)
 
     def invert(self, a):
-        scale = self.backend.raw_scale
-        return tuple(scale(-1, x, v) for x, v in zip(a, self.primes))
+        return self.backend.raw_scale(-1, a, self.v)
 
 
 def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> RelationCertificate | None:
     """Search alpha in [1, bound], |lambda_j| <= bound for alpha*P = sum lambda_j L_j.
 
     The least such alpha wins, with the first lambda in product order. The
-    walk over the combinations runs on reductions at a few good primes, with
-    the targets alpha*P keyed by their reductions; an exact match matches at
-    every good prime, so none is missed. A match with alpha = 1 is summed in
-    exact arithmetic at once and ends the walk when it holds; the matches
-    with alpha > 1 are summed only after the walk, by alpha and then in walk
+    walk over the combinations runs on reductions at one good prime v, with
+    the targets alpha*P keyed by their reductions; an exact match matches
+    mod v, so none is missed. A match with alpha = 1 is summed in exact
+    arithmetic at once and ends the walk when it holds; the matches with
+    alpha > 1 are summed only after the walk, by alpha and then in walk
     order, up to the first that holds. Exhaustion is inconclusive, never a
     refutation. Certificates with alpha*P = identity are not real
     memberships and are skipped.
@@ -246,18 +232,21 @@ def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> Relatio
     generators = subgroup.generators
     if backend.is_identity(P):
         return None  # every alpha*P is the identity
-    reductions = _Reductions(backend, [P, *generators])
-    rP = reductions.reduce(P)
+    v = _SCREEN_FROM + 1
+    while not (numth.is_prime(v) and backend.good_prime([P, *generators], v)):
+        v += 1
+    law = _AtPrime(backend, v)
+    rP = backend.reduce_raw(P, v)
     targets: dict = {}  # reduction of alpha*P -> its alphas, ascending
-    acc = reductions.identity()
+    acc = law.identity()
     for alpha in range(1, bound + 1):
-        acc = reductions.combine(acc, rP)
+        acc = law.combine(acc, rP)
         targets.setdefault(acc, []).append(alpha)
-    raw_gens = [reductions.reduce(L) for L in generators]
+    raw_gens = [backend.reduce_raw(L, v) for L in generators]
 
     def matches():  # (alpha, lambda) in the order they are summed exactly
         later = []  # the matches with alpha > 1, in walk order
-        for vec, acc in bounded_combinations(reductions, raw_gens, bound):
+        for vec, acc in bounded_combinations(law, raw_gens, bound):
             for alpha in targets.get(acc, ()):
                 if alpha > 1:
                     later.append((alpha, vec))

@@ -44,12 +44,16 @@ def two_sided_gap(a, b) -> tuple[int, int] | None:
     the least unmatched order n and its side (0 for a, 1 for b). At n a point
     of that side is killed and none of the other side is.
     """
-    unmatched_a = [ai for ai in a if not any(ai % bj == 0 for bj in b)]
-    unmatched_b = [bj for bj in b if not any(bj % ai == 0 for ai in a)]
-    if not (unmatched_a or unmatched_b):
-        return None
-    n = min(unmatched_a + unmatched_b)
-    return n, 0 if n in unmatched_a else 1
+    gap = None
+    for side, u, w in ((0, a, b), (1, b, a)):
+        for t in u:
+            for s in w:
+                if t % s == 0:
+                    break
+            else:
+                if gap is None or t < gap[0]:
+                    gap = t, side
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -78,22 +82,18 @@ def _erdos_test(bases, xi, yi, p):
     orders = numth.multiplicative_orders(bases, p)
     a = [orders[i] for i in xi]
     b = [orders[i] for i in yi]
-    for u, w in ((a, b), (b, a)):
-        for t in u:
-            for s in w:
-                if t % s == 0:
-                    break
-            else:
-                n, side = two_sided_gap(a, b)
-                return Witness(
-                    v=p,
-                    n=n,
-                    detail=(
-                        f"orders xs={a} ys={b}; at n={n} the prime {p} lies in the "
-                        f"{('xs', 'ys')[side]}-side support union only"
-                    ),
-                )
-    return None
+    gap = two_sided_gap(a, b)
+    if gap is None:
+        return None
+    n, side = gap
+    return Witness(
+        v=p,
+        n=n,
+        detail=(
+            f"orders xs={a} ys={b}; at n={n} the prime {p} lies in the "
+            f"{('xs', 'ys')[side]}-side support union only"
+        ),
+    )
 
 
 def _cover_test(condition_id, P, Qs, backend, v):

@@ -689,6 +689,48 @@ class TestBoundedMembershipSearch:
                 found.add(None if got is None else min(got.coefficients[0], 2))
         assert found == {None, 1, 2}
 
+    def test_chance_matches_at_small_screen_primes(self, monkeypatch):
+        # At a screen prime near 200 many combinations match some alpha*P
+        # mod v by chance. Each exact sum adds one multiple per generator
+        # through EllipticGroup.combine, which nothing else in the search
+        # calls, so the sums beyond a certificate's own are chance matches
+        # that exact arithmetic rejected.
+        sums = {"n": 0}
+        inner = EllipticGroup.combine
+
+        def counted(self, P, Q):
+            sums["n"] += 1
+            return inner(self, P, Q)
+
+        monkeypatch.setattr(EllipticGroup, "combine", counted)
+        rng = random.Random(20)
+        cases = []
+        for curve, basis, torsion in [
+            (C37, [(0, 0)], []),
+            (C389, [(0, 0), (1, 0)], []),
+            (CN5, [(-4, 6)], [(0, 0), (5, 0)]),
+        ]:
+            basis = [curve.point(*xy) for xy in basis]
+            torsion = [curve.point(*xy) for xy in torsion]
+            cases += [(200, subgroup, P, bound)
+                      for subgroup, P in self._cases(rng, curve, basis, torsion, 25)
+                      for bound in (0, 1, 3)]
+        # 23*A lies in <A, B> only with lambda = 23, past the bound. A chance
+        # match at a new alpha costs the exact multiple alpha*23*A, seconds
+        # for all 20 near v = 200, so this search screens near 30000: 18
+        # chance matches there need only alpha <= 9.
+        A, B = C389.point(0, 0), C389.point(1, 0)
+        cases.append((30000, SubgroupSpec((A, B), EllipticGroup(C389)), C389.mul(23, A), 20))
+        chance = {200: 0, 30000: 0}
+        for screen, subgroup, P, bound in cases:
+            monkeypatch.setattr(dependence, "_SCREEN_FROM", screen)
+            before = sums["n"]
+            got = _bounded_membership_search(P, subgroup, bound)
+            chance[screen] += (sums["n"] - before) // len(subgroup.generators) - (got is not None)
+            assert got == _span_search(P, subgroup, bound), (subgroup.generators, P, bound)
+        assert got is None
+        assert min(chance.values()) > 0, chance
+
     def test_torsion_relations_among_generators(self):
         # G + T1 needs alpha = 2 against <G> alone; with T1 among the
         # generators alpha = 1 has several lambdas, and the first in product

@@ -45,6 +45,24 @@ def _slow_echo(x):
     return x
 
 
+def _sleep_then_echo(seconds, x):
+    time.sleep(seconds)
+    return x
+
+
+def _fails_at_three(x):
+    _CALLS.append(x)
+    if x == 3:
+        raise TaskFailed(f"task {x} failed")
+    return x * x
+
+
+def _killed_at_three(x):
+    if x == 3 and os.getpid() != _PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
 def _witness_at(target, bad, v):
     """A witness at v == target, BAD_PRIME at v in bad, nothing otherwise."""
     if v in bad:
@@ -192,6 +210,36 @@ class TestMapChunksFailures:
         assert map_chunks(pow, tasks, 4) == [pow(*t) for t in tasks]
         assert built == [2]
         assert list(pools) == [2]
+
+
+class TestRounds:
+    """More tasks than workers: two workers take five tasks in three rounds."""
+
+    def test_replies_come_in_task_order(self):
+        # The earlier task of each round sleeps longer, so a reply read in
+        # the order the workers finish would come out of task order.
+        pool = _parallel._Pool(2)
+        try:
+            tasks = [(0.05 * (5 - i), i) for i in range(5)]
+            assert pool.run(_sleep_then_echo, tasks) == [(True, i) for i in range(5)]
+        finally:
+            pool.close()
+
+    def test_error_in_the_second_round_propagates_once(self, pools, monkeypatch):
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        _CALLS.clear()
+        with pytest.raises(TaskFailed, match="task 3 failed"):
+            map_chunks(_fails_at_three, [(x,) for x in range(1, 6)], 2)
+        assert _CALLS == []
+        assert _parallel._BROKEN is False
+        assert list(pools) == [2]
+
+    def test_worker_killed_in_the_second_round_falls_back_to_serial(self, pools, monkeypatch):
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        tasks = [(x,) for x in range(1, 6)]
+        assert map_chunks(_killed_at_three, tasks, 2) == [1, 4, 9, 16, 25]
+        assert _parallel._BROKEN is True
+        assert pools == {}
 
 
 class TestForkPool:

@@ -178,7 +178,33 @@ class TestCorralesSchoof:
             assert cs_holds(x, y, p) == literal
 
 
+def list_two_sided_gap(a, b):
+    """Oracle for support.two_sided_gap: collect each side's unmatched
+    orders, then take the least of them and its side."""
+    unmatched_a = [ai for ai in a if not any(ai % bj == 0 for bj in b)]
+    unmatched_b = [bj for bj in b if not any(bj % ai == 0 for ai in a)]
+    if not (unmatched_a or unmatched_b):
+        return None
+    n = min(unmatched_a + unmatched_b)
+    return n, 0 if n in unmatched_a else 1
+
+
 class TestDivisibilityCover:
+    def test_gap_against_the_list_oracle(self):
+        # Orders from 1..12 divide each other often; sides may be empty and
+        # repeat entries.
+        rng = random.Random(24)
+        cases = [([], []), ([], [3]), ([3], []), ([1], [2]), ([1, 1], [1]), ([2, 2], [4, 4])]
+        while len(cases) < 20000:
+            cases.append(tuple([rng.randint(1, 12) for _ in range(rng.randint(0, 4))]
+                               for _ in range(2)))
+        gaps = set()
+        for a, b in cases:
+            want = list_two_sided_gap(a, b)
+            assert support.two_sided_gap(a, b) == want, (a, b)
+            gaps.add(None if want is None else want[1])
+        assert gaps == {None, 0, 1}
+
     def test_self_cover(self):
         assert thm2_holds(MulPoint(2), [MulPoint(2)], 11)
 
