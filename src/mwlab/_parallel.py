@@ -10,16 +10,17 @@ module-level test, which returns BAD_PRIME, None (nothing at v) or a hit
 Scans split their prime list into contiguous ascending chunks, run
 `scan_chunk` on each through `map_chunks`, and merge the results so that
 the report is a pure function of the inputs, never of the chunk count.
-With more than one worker, the first HEAD primes form a head chunk that
+With a pool of more than one process (`pool_size`: the worker count
+capped at the CPU count), the first HEAD primes form a head chunk that
 runs in-process before anything is dispatched: a witness there (or the
 hit limit) ends the scan with no pool round trip, and a window of at most
-HEAD primes never reaches the pool. Only the rest of the window is split
-across the workers. Worker pools are persistent (one per pool size: the
-worker count capped at the CPU count) and run no thread: each worker is an
-`os.fork`ed process with its own task and result pipes, and the dispatching
-thread writes one task per worker per round and reads that round's replies
-in task order. Only `pickle` loads at the first dispatch, so a serial scan
-never imports it.
+HEAD primes never reaches the pool. Only the rest of the window is split,
+into one chunk per process of the pool. Worker pools are persistent (one
+per pool size) and run no thread: each worker is an `os.fork`ed process
+with its own task and result pipes, and the dispatching thread writes one
+task per worker per round and reads that round's replies in task order.
+Only `pickle` loads at the first dispatch, so a serial scan never imports
+it.
 An exception raised by a test propagates once, as it would serially; only
 a pool that cannot start, or one whose worker process died, makes the
 dispatched chunks run in-process, with identical output.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import atexit
 import os
+from functools import cache
 
 _POOLS: dict[int, _Pool] = {}
 _BROKEN = False
@@ -121,6 +123,13 @@ def _shutdown():
         pool.close()
 
 
+@cache  # os.cpu_count reads sysfs, a few microseconds per small scan
+def pool_size(workers: int) -> int:
+    """The processes of the pool that serves `workers`, and the number of
+    chunks a scan splits the dispatched part of its window into."""
+    return min(workers, os.cpu_count() or 1)
+
+
 def split_chunks(items: list, parts: int) -> list[list]:
     """Split into contiguous ascending chunks.
 
@@ -182,9 +191,7 @@ def map_chunks(fn, tasks: list[tuple], workers: int) -> list:
 
 def _pool_map(fn, tasks: list[tuple], workers: int) -> list:
     global _BROKEN
-    # Chunks are split by `workers`; the pool itself never forks more
-    # processes than there are CPUs, and one pool serves each capped size.
-    size = min(workers, os.cpu_count() or 1)
+    size = pool_size(workers)  # one pool serves each capped size
     replies = None
     try:
         pool = _POOLS.get(size) or _POOLS.setdefault(size, _Pool(size))

@@ -107,74 +107,77 @@ def _parse_verify(text: str) -> tuple[int, int]:
     return v, n
 
 
+# Each command's help line, then its arguments in the order its help lists
+# them. Both the one-command parsers and the full parser are built from here.
+_REQUIRED, _REQUIRED_INT = {"required": True}, {"type": int, "required": True}
+_BACKEND = ("--backend", {"default": "mul"})
+_COMMON = (
+    ("--primes", {"help": "scan window lo..hi"}),
+    ("--format", {"dest": "fmt", "default": "json", "choices": ("json", "csv", "text")}),
+    ("--workers", {"type": int}),
+)
+# Only the commands whose reports carry a witness can recheck one.
+_VERIFY = ("--verify", {"help": "v:n - recheck a reported witness instead of scanning"})
+_COMMANDS = {
+    "support-check": ("support-union condition on natural numbers",
+                      ("--xs", _REQUIRED), ("--ys", _REQUIRED), *_COMMON, _VERIFY),
+    "cs-check": ("order-divisibility condition on two points",
+                 ("--x", _REQUIRED), ("--y", _REQUIRED), _BACKEND, *_COMMON, _VERIFY),
+    "find-primes": ("primes realizing a valuation pattern",
+                    ("--points", _REQUIRED), ("--l", _REQUIRED_INT), ("--ks", _REQUIRED),
+                    ("--max-hits", {"type": int, "default": 10}),
+                    ("--density", {"action": "store_true", "help":
+                                   "report hit frequency over the window instead of hits"}),
+                    _BACKEND, *_COMMON),
+    "replay": ("witness hunt refuting the one-sided cover",
+               ("--p", _REQUIRED), ("--qs", _REQUIRED), ("--l", _REQUIRED_INT),
+               _BACKEND, *_COMMON, _VERIFY),
+    "detect": ("membership hypothesis scan plus conclusion certificate",
+               ("--points", _REQUIRED),
+               ("--lambda", {"dest": "lam", "required": True,
+                             "help": "generators of the subgroup"}),
+               ("--coeff-bound", {"type": int, "default": 20}), _BACKEND, *_COMMON, _VERIFY),
+    "recover": ("solve Q = d*P by reduced discrete logs",
+                ("--p", _REQUIRED), ("--q", _REQUIRED), _BACKEND, *_COMMON),
+    "experiment": ("seeded randomized oracle-comparison suites",
+                   ("--suite", {"required": True,
+                                "choices": ("erdos", "cs", "detect", "ec-detect")}),
+                   ("--trials", _REQUIRED_INT), ("--seed", {"type": int, "default": 0}),
+                   *_COMMON),
+}
+
+
+def _add_arguments(parser: _Parser, command: str) -> _Parser:
+    for flag, kwargs in _COMMANDS[command][1:]:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+@cache
+def _command_parser(command: str) -> _Parser:
+    """One command's parser, built the first time the command is parsed;
+    the same parser the full one has for it."""
+    return _add_arguments(_Parser(prog=f"mwlab {command}"), command)
+
+
 @cache
 def _build_parser() -> _Parser:
-    """The argument parser, built once per process: `_Parser.error` raises,
-    so parsing leaves no state behind in it."""
+    """The full parser, for a line that names no command: its top-level
+    help and errors. Built once per process: `_Parser.error` raises, so
+    parsing leaves no state behind in it, nor in a one-command parser."""
     parser = _Parser(prog="mwlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, backend=True):
-        if backend:
-            p.add_argument("--backend", default="mul")
-        p.add_argument("--primes", default=None, help="scan window lo..hi")
-        p.add_argument("--format", dest="fmt", default="json",
-                       choices=("json", "csv", "text"))
-        p.add_argument("--workers", type=int, default=None)
-
-    p = sub.add_parser("support-check", help="support-union condition on natural numbers")
-    p.add_argument("--xs", required=True)
-    p.add_argument("--ys", required=True)
-    common(p, backend=False)
-
-    p = sub.add_parser("cs-check", help="order-divisibility condition on two points")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    common(p)
-
-    p = sub.add_parser("find-primes", help="primes realizing a valuation pattern")
-    p.add_argument("--points", required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--ks", required=True)
-    p.add_argument("--max-hits", type=int, default=10)
-    p.add_argument("--density", action="store_true",
-                   help="report hit frequency over the window instead of hits")
-    common(p)
-
-    p = sub.add_parser("replay", help="witness hunt refuting the one-sided cover")
-    p.add_argument("--p", required=True)
-    p.add_argument("--qs", required=True)
-    p.add_argument("--l", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("detect", help="membership hypothesis scan plus conclusion certificate")
-    p.add_argument("--points", required=True)
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="generators of the subgroup")
-    p.add_argument("--coeff-bound", type=int, default=20)
-    common(p)
-
-    p = sub.add_parser("recover", help="solve Q = d*P by reduced discrete logs")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    common(p)
-
-    p = sub.add_parser("experiment", help="seeded randomized oracle-comparison suites")
-    p.add_argument("--suite", required=True, choices=("erdos", "cs", "detect", "ec-detect"))
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    common(p, backend=False)
-
-    # Only the commands whose reports carry a witness can recheck one.
-    for name in ("support-check", "cs-check", "replay", "detect"):
-        sub.choices[name].add_argument(
-            "--verify", default=None, help="v:n - recheck a reported witness instead of scanning"
-        )
+    for command, (help_line, *_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_line), command)
     return parser
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        ns = _command_parser(argv[0]).parse_args(argv[1:])
+        ns.command = argv[0]
+    else:
+        ns = _build_parser().parse_args(argv)
     backend = _parse_backend(ns.backend) if hasattr(ns, "backend") else mwgroup.MultiplicativeGroup()
     scan = _parse_scan(ns.primes) if ns.primes else None
     if scan is None and ns.command != "experiment":

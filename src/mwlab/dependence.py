@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import cache
 
 from . import numth
-from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
+from ._parallel import BAD_PRIME, map_chunks, pool_size, scan_chunk, split_chunks
 from .mwgroup import bounded_combinations, exponent_from_multiple
 from .mwgroup import subgroup_closure_mod, unit_relations
 from .numth import PrimeRange
@@ -63,10 +64,13 @@ def member_mod(backend, raw, raw_gens, v: int) -> bool:
     such an l | m, one kill test by m with its l-part removed says whether
     the l-part of raw is 0; only where it is not are the l-parts, scaled by
     c = N / l^e (N = |G|, e = v_l(N), an automorphism of the l-Sylow
-    subgroup), closed explicitly. ord raw is never computed.
+    subgroup), closed explicitly. ord raw is never computed. An exponent m
+    equal to N makes G cyclic and H = G, so then raw is in H at once.
     """
     n = backend.group_order_mod(v)
     m = exponent_from_multiple(backend, raw_gens, n, v)
+    if m == n:
+        return True
     if not backend.raw_kills(m, raw, v):
         return False
     bound = math.gcd(backend.noncyclic_bound(v), m)
@@ -108,7 +112,7 @@ def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
     Ps = list(Ps)
     backend = subgroup.backend
     primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, workers)
+    chunks = split_chunks(primes, pool_size(workers))
     results = map_chunks(
         scan_chunk, [(_detect_test, (tuple(Ps), subgroup), c) for c in chunks], workers
     )
@@ -254,16 +258,18 @@ def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> Relatio
                     yield alpha, vec
         yield from sorted(later, key=lambda match: match[0])
 
-    multiples: dict = {}  # alpha -> alpha*P exactly, None for the identity
+    # Formed exactly only when a match first needs them: alpha ascends past
+    # the alpha = 1 matches, so alpha*P is a running sum.
+    multiples = [backend.identity()]  # alpha*P at index alpha
+    term = cache(lambda j, k: backend.scale(k, generators[j]))  # k*L_j
     for alpha, vec in matches():
-        if alpha not in multiples:
-            A = backend.scale(alpha, P)
-            multiples[alpha] = None if backend.is_identity(A) else A
-        if multiples[alpha] is None:
+        while len(multiples) <= alpha:
+            multiples.append(backend.combine(multiples[-1], P))
+        if backend.is_identity(multiples[alpha]):
             continue
         total = backend.identity()
-        for k, L in zip(vec, generators):
-            total = backend.combine(total, backend.scale(k, L))
+        for j, k in enumerate(vec):
+            total = backend.combine(total, term(j, k))
         if total == multiples[alpha]:
             return RelationCertificate(kind="membership", coefficients=(alpha, *vec))
     return None

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import numth
-from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
+from ._parallel import BAD_PRIME, map_chunks, pool_size, scan_chunk, split_chunks
 from .numth import PrimeRange
 from .reports import ConditionReport, Witness, merge_scan_results
 
@@ -32,7 +32,7 @@ class MulPoint:
     __slots__ = ("value", "numerator", "denominator", "signed")
 
     def __init__(self, value):
-        f = Fraction(value)
+        f = value if isinstance(value, Fraction) else Fraction(value)
         if f == 0:
             raise ValueError("0 is not a point of the multiplicative group")
         self.value = f
@@ -153,12 +153,13 @@ class WeierstrassCurve:
         return b2, b4, b6, b8
 
     def contains(self, P: EcPoint) -> bool:
+        """The equation at x = X/u, y = Y/w, multiplied by u^3 w^2, in integers."""
         if P.is_identity:
             return True
-        x, y = P.x, P.y
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x**3 + self.a2 * x * x + self.a4 * x + self.a6
-        return lhs == rhs
+        X, u, Y, w = P.x.numerator, P.x.denominator, P.y.numerator, P.y.denominator
+        uu = u * u
+        lhs = uu * Y * (Y * u + (self.a1 * X + self.a3 * u) * w)
+        return lhs == w * w * (X * (X * (X + self.a2 * u) + self.a4 * uu) + self.a6 * uu * u)
 
     def point(self, x, y) -> EcPoint:
         P = EcPoint(Fraction(x), Fraction(y))
@@ -840,7 +841,7 @@ def torsion_order_stability(backend, T, scan: PrimeRange, workers: int = 1) -> C
     """
     expected = backend.torsion_order(T)
     primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, workers)
+    chunks = split_chunks(primes, pool_size(workers))
     results = map_chunks(
         scan_chunk, [(_torsion_stability_test, (backend, T, expected), c) for c in chunks], workers
     )

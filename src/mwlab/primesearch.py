@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from . import numth
-from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
+from ._parallel import BAD_PRIME, map_chunks, pool_size, scan_chunk, split_chunks
 from .numth import PrimeRange
 from .reports import Witness
 
@@ -86,7 +86,7 @@ def _pattern_test(points, pattern, backend, v):
 
 def _scan(test, args, scan: PrimeRange, workers: int, limit: int | None = 1) -> list[dict]:
     """The chunk results of one scan of the window, in ascending order."""
-    chunks = split_chunks(numth.primes_in(scan), workers)
+    chunks = split_chunks(numth.primes_in(scan), pool_size(workers))
     return map_chunks(scan_chunk, [(test, args, c, limit) for c in chunks], workers)
 
 

@@ -10,7 +10,7 @@ bound only the prime, never n.
 from __future__ import annotations
 
 from . import numth
-from ._parallel import BAD_PRIME, map_chunks, scan_chunk, split_chunks
+from ._parallel import BAD_PRIME, map_chunks, pool_size, scan_chunk, split_chunks
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
 
@@ -137,7 +137,7 @@ def _cor22_test(Ps, Qs, backend, v):
 
 
 def _scan(condition_id, test, args, scan: PrimeRange, workers: int) -> ConditionReport:
-    chunks = split_chunks(numth.primes_in(scan), workers)
+    chunks = split_chunks(numth.primes_in(scan), pool_size(workers))
     results = map_chunks(scan_chunk, [(test, args, c) for c in chunks], workers)
     return merge_scan_results(condition_id, scan, results)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -77,6 +79,130 @@ class TestParse:
         assert config.workers == 4
         config = parse_args(["recover", "--p", "2", "--q", "4", "--workers", "2"])
         assert config.workers == 2
+
+
+# Each command with every flag it takes (--verify left to VERIFY).
+EVERY_FLAG = [
+    ("support-check", "--xs", "2,3", "--ys", "3,2", "--primes", "3..400", "--format", "csv",
+     "--workers", "2", "--verify", "7:1"),
+    ("cs-check", "--x", "(0,0)", "--y", "(1,0)", *EC37, "--primes", "3..300", "--format", "text",
+     "--workers", "1", "--verify", "5:4"),
+    ("find-primes", "--points", "2,3", "--l", "3", "--ks", "1,0", "--max-hits", "4", "--density",
+     "--backend", "S={5}", "--primes", "3..500", "--format", "json", "--workers", "3"),
+    ("replay", "--p", "2", "--qs", "3", "--l", "5", "--backend", "mul", "--primes", "3..1000",
+     "--format", "csv", "--workers", "1", "--verify", "31:5"),
+    ("detect", "--points", "(0,0)", "--lambda", "(1,-1)", "--coeff-bound", "3", *EC37,
+     "--primes", "3..300", "--format", "text", "--workers", "2", "--verify", "5:4"),
+    ("recover", "--p", "2", "--q", "1024", "--backend", "mul", "--primes", "3..500",
+     "--format", "csv", "--workers", "1"),
+    ("experiment", "--suite", "ec-detect", "--trials", "2", "--seed", "5", "--primes", "3..200",
+     "--format", "text", "--workers", "2"),
+    ("find-primes", "--points=2", "--l=5", "--ks=1", "--prim", "3..90", "--work", "1"),
+    ("support-check", "--ys", "8", "--xs", "2"),
+]
+
+# The lines of TestUsageErrors and TestVerifyMode's refusals, and argparse's
+# own errors: unknown, repeated, abbreviated, misplaced and malformed flags.
+USAGE_LINES = [
+    ("recover", "--p", "2", "--q", "4", "--zap"), ("recover", "--p", "zero", "--q", "4"),
+    ("recover", "--p", "0", "--q", "4"),
+    ("detect", *EC37, "--points", "(2,1)", "--lambda", "(0,0)"),
+    ("support-check", "--xs", "2", "--ys", "3", "--primes", "9..3"),
+    ("support-check", "--xs", "2", "--ys", "3", "--primes", "10000000000..10200000000"),
+    ("cs-check", "--x", "2", "--y", "4", "--backend", "weird"),
+    ("cs-check", "--x", "2", "--y", "4", "--backend", "S={4}"),
+    ("cs-check", "--x", "2", "--y", "4", "--backend", "ec:0,0,0,0,0"),
+    ("replay", "--p", "2", "--qs", "3", "--l", "4"),
+    ("find-primes", "--points", "2,3", "--l", "5", "--ks", "1"),
+    ("find-primes", "--points", "2", "--l", "5", "--ks", "1", "--max-hits", "0"),
+    ("find-primes", "--points", "2", "--l", "3", "--max-hits", "x"),
+    ("detect", "--points", "360", "--lambda", "6,10", "--coeff-bound", "-1"),
+    ("recover", "--p", "-1", "--q", "-1"), ("recover", *EC37, "--p", "O", "--q", "(0,0)"),
+    ("experiment", "--suite", "cs", "--trials", "3", "--primes", "3..50"),
+    ("support-check", "--xs", "2", "--ys", "8", "--verify", "9:2"),
+    ("support-check", "--xs", "2", "--ys", "8", "--verify", "7:0"),
+    ("cs-check", "--x", "2", "--y", "4", "--verify", "2:1"),
+    ("recover", "--p", "2", "--q", "1024", "--verify", "5:1"),
+    ("experiment", "--suite", "cs", "--trials", "3", "--verify", "5:1"),
+    ("support-check",), ("support-check", "--xs"), ("support-check", "--xs", "2", "extra"),
+    ("support-check", "--xs", "2", "--ys", "3", "--backend", "mul"),
+    ("support-check", "--xs", "2", "--ys", "3", "--format", "xml"),
+    ("support-check", "--xs", "2", "--ys", "3", "--workers", "x"),
+    ("support-check", "--xs", "2", "--ys", "3", "--workers", "0"),
+    ("support-check", "--xs", "2", "--ys", "-3"), ("support-check", "--xs", "2", "--ys", "3", "--", "x"),
+    ("find-primes", "--points", "2", "--l", "3", "--ks", "1", "--m", "2"),
+    ("detect", "--points", "2", "--lamb", "3", "--lam", "5"),
+    ("experiment", "--suite", "nope", "--trials", "1"), ("experiment", "--trials", "2"),
+    ("replay", "--p", "2", "--p", "3", "--qs", "3", "--l", "x"),
+]
+
+# Lines that name no command, for the full parser's help and errors.
+NO_COMMAND = [(), ("-h",), ("--help",), ("frobnicate",), ("--xs", "2"), ("-x",),
+              ("--", "support-check"), ("Support-check",), ("support",)]
+
+
+def _parse(argv):
+    """What parse_args makes of a line: its config, its usage error or its
+    exit code, with what argparse printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = ("config", parse_args(list(argv)))
+    except cli.UsageError as exc:
+        result = ("usage", str(exc))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return (*result, out.getvalue(), err.getvalue())
+
+
+class _Nested:
+    """The oracle: the full parser's subparser path, in place of a
+    one-command parser."""
+
+    def __init__(self, command):
+        self.command = command
+
+    def parse_args(self, rest):
+        return cli._build_parser().parse_args([self.command, *rest])
+
+
+class TestParsePaths:
+    """A line that names a command goes to that command's own parser; the
+    full parser's nested parse must read every line the same way."""
+
+    @pytest.mark.parametrize("argv", [
+        *EVERY_FLAG, *USAGE_LINES, *((name, "-h") for name in cli._COMMANDS),
+        *((name, "--help") for name in cli._COMMANDS),
+        *((name, "--primes", "3..50", "-h") for name in cli._COMMANDS),
+    ])
+    def test_same_as_the_nested_parse(self, argv, monkeypatch):
+        got = _parse(argv)
+        monkeypatch.setattr(cli, "_command_parser", _Nested)
+        assert got == _parse(argv)
+        if "-h" in argv or "--help" in argv:
+            assert got[:2] == ("exit", 0) and got[2].startswith(f"usage: mwlab {argv[0]} ")
+
+    def test_every_flag_parses(self):
+        for argv in EVERY_FLAG:
+            assert _parse(argv)[0] == "config", argv
+        assert {argv[0] for argv in EVERY_FLAG} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", NO_COMMAND)
+    def test_no_command_takes_the_full_parser(self, argv, monkeypatch):
+        def no_command_parser(command):
+            pytest.fail(f"a one-command parser was built for {command!r}")
+
+        monkeypatch.setattr(cli, "_command_parser", no_command_parser)
+        kind, value, out, err = _parse(argv)
+        if argv and argv[0] in ("-h", "--help"):
+            assert (kind, value, out) == ("exit", 0, cli._build_parser().format_help())
+        else:
+            assert kind == "usage" and "command" in value, value
+
+    def test_one_parser_per_command(self):
+        for name in cli._COMMANDS:
+            assert cli._command_parser(name) is cli._command_parser(name)
+            assert cli._command_parser(name).prog == f"mwlab {name}"
 
 
 class TestUsageErrors:

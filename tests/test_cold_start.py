@@ -106,6 +106,17 @@ class TestColdStart:
         assert "multiprocessing" not in pooled_status["loaded"]
         assert pooled == serial
 
+    def test_a_command_builds_only_its_own_parser(self):
+        # The full parser, all seven subcommands, is for lines that name no
+        # command; a cold support-check builds one parser, its own.
+        code = ("import sys; from mwlab import cli; cli.main(sys.argv[1:]); print("
+                "cli._build_parser.cache_info().currsize, cli._command_parser.cache_info())")
+        out = cold(code, "support-check", "--xs", "2", "--ys", "8", "--primes", "3..100",
+                   "--workers", "1").stdout
+        full, _, own = out.rstrip("\n").rpartition("\n")[2].partition(" ")
+        assert full == "0"
+        assert own == "CacheInfo(hits=0, misses=1, maxsize=None, currsize=1)"
+
     def test_submodule_resolves_after_a_bare_import(self):
         code = ("import sys, mwlab; assert 'mwlab.numth' not in sys.modules; "
                 "print(mwlab.numth.is_prime(7), mwlab.numth.__name__)")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from mwlab import cli, dependence, mwgroup, primesearch, support
+from mwlab import cli, dependence, mwgroup, numth, primesearch, support
 from mwlab._parallel import BAD_PRIME
 from mwlab.dependence import (
     SubgroupSpec,
@@ -403,19 +403,25 @@ class TestSylowMembership:
               C389.add(C389.mul(2, B), C389.neg(A)), C389.mul(6, B)]
         subsets = [s for r in range(3) for s in itertools.combinations((A, B), r)]
         closures = _count_closures(monkeypatch)
-        answers = set()
+        watch = _watch_shortcut(monkeypatch, E)
+        answers, whole = set(), 0
         for v in good_primes(C389, 3, 1500):
             if not E.good_prime(Ps, v):
                 continue
-            for gens in subsets:
-                closure = subgroup_closure_mod(E, [E.reduce_raw(L, v) for L in gens], v)
+            n = E.group_order_mod(v)
+            # A, B and two more points of E(F_v) often generate all of it.
+            full = [E.reduce_raw(A, v), E.reduce_raw(B, v), *affine_points(C389, v, 2)]
+            for raw_gens in [*([E.reduce_raw(L, v) for L in gens] for gens in subsets), full]:
+                closure = subgroup_closure_mod(E, raw_gens, v)
+                whole += len(closure) == n
                 for P in Ps:
-                    raw_gens = [E.reduce_raw(L, v) for L in gens]
                     got = member_mod(E, E.reduce_raw(P, v), raw_gens, v)
-                    assert got == (E.reduce_raw(P, v) in closure), (v, gens, P)
+                    assert got == (E.reduce_raw(P, v) in closure), (v, raw_gens, P)
+                    assert _shortcut_ok(watch, n, got), (v, raw_gens, P)
                     answers.add(got)
         assert answers == {True, False}
         assert closures["n"] > 0  # some 2- or 3-Sylow part needed closing
+        assert whole > 0 and watch["taken"] > 0, (whole, watch)
 
     def test_full_two_torsion_against_closure(self, monkeypatch):
         # Reduced 2-torsion T1, T2 spans E[2] = Z/2 x Z/2, so the 2-Sylow
@@ -423,7 +429,8 @@ class TestSylowMembership:
         E = EllipticGroup(CXX)
         T1, T2 = CXX.point(0, 0), CXX.point(1, 0)
         closures = _count_closures(monkeypatch)
-        answers = set()
+        watch = _watch_shortcut(monkeypatch, E)
+        answers, whole = set(), 0
         for v in good_primes(CXX, 3, 1500):
             t1, t2 = E.reduce_raw(T1, v), E.reduce_raw(T2, v)
             extra = [p for p in affine_points(CXX, v, 6) if p[1]]
@@ -434,15 +441,20 @@ class TestSylowMembership:
             targets = [None, t1, t2, r1, r2, _ec_add_mod(CXX, r1, t2, v),
                        _ec_add_mod(CXX, r2, t1, v), _ec_add_mod(CXX, r1, r2, v),
                        _ec_add_mod(CXX, r1, r1, v)]
+            n = E.group_order_mod(v)
             for r in range(len(gens) + 1):
                 for subset in itertools.combinations(gens, r):
                     closure = subgroup_closure_mod(E, list(subset), v)
+                    whole += len(closure) == n
                     for raw in targets:
                         got = member_mod(E, raw, list(subset), v)
                         assert got == (raw in closure), (v, subset, raw)
+                        assert _shortcut_ok(watch, n, got), (v, subset, raw)
                         answers.add(got)
         assert answers == {True, False}
         assert closures["n"] > 0
+        # E(F_v) is never cyclic here, so even H = G is decided past m.
+        assert whole > 0 and watch["taken"] == 0, (whole, watch)
 
 
 class TestCyclicMembership:
@@ -465,23 +477,33 @@ class TestCyclicMembership:
             return MultiplicativeGroup.raw_order(M, raw, v)
 
         monkeypatch.setattr(M, "raw_order", counted_order)
-        answers = set()
-        for gens in gen_sets:
+        watch = _watch_shortcut(monkeypatch, M)
+        answers, whole = set(), 0
+        for gens in [*gen_sets, ()]:
             points = [MulPoint(g) for g in gens]
             for v in primes_in(PrimeRange(3, 2000)):
                 if not M.good_prime(points + targets, v):
                     continue
-                raws = [M.reduce_raw(L, v) for L in points]
+                # No generators stands for a primitive root mod v: H = G.
+                raws = [M.reduce_raw(L, v) for L in points] or [_primitive_root(v)]
                 closure = subgroup_closure_mod(M, raws, v)
+                whole += len(closure) == v - 1
                 for P in targets:
                     raw = M.reduce_raw(P, v)
                     orders.clear()
                     got = member_mod(M, raw, raws, v)
                     assert got == (raw in closure), (gens, P, v)
                     assert orders == []  # m comes from one strip of v - 1
+                    assert _shortcut_ok(watch, v - 1, got), (gens, P, v)
                     answers.add(got)
         assert answers == {True, False}
         assert closures["n"] == 0
+        assert whole > 0 and watch["taken"] > 0, (whole, watch)
+
+
+def _primitive_root(v):
+    return next(g for g in range(2, v) if all(
+        pow(g, (v - 1) // q, v) != 1 for q, _ in numth.factor(v - 1).factors))
 
 
 def literal_order(backend, raw, v):
@@ -632,6 +654,35 @@ def _count_closures(monkeypatch):
     return calls
 
 
+def _watch_shortcut(monkeypatch, backend):
+    """Watch member_mod on one backend, without changing it: "m" is the
+    last subgroup exponent it computed, "tests" the kill tests it ran after
+    that, and "taken" counts the calls that `_shortcut_ok` saw stop at m."""
+    watch = {"m": None, "tests": 0, "taken": 0}
+    exponent, kills = dependence.exponent_from_multiple, backend.raw_kills
+
+    def watched_exponent(*args):
+        watch["m"], watch["tests"] = exponent(*args), 0
+        return watch["m"]
+
+    def watched_kills(*args):
+        watch["tests"] += 1
+        return kills(*args)
+
+    monkeypatch.setattr(dependence, "exponent_from_multiple", watched_exponent)
+    monkeypatch.setattr(backend, "raw_kills", watched_kills)
+    return watch
+
+
+def _shortcut_ok(watch, n, got):
+    """An exponent m = n = |G| must answer True with no test past m; any
+    other m must run the kill test by m."""
+    if watch["m"] != n:
+        return watch["tests"] > 0
+    watch["taken"] += 1
+    return got and watch["tests"] == 0
+
+
 def _span_search(P, subgroup, bound):
     """Oracle: store the sum of every combination in [-bound, bound]^s
     (first vector in product order), then look up alpha*P for alpha = 1, 2, ..."""
@@ -691,18 +742,23 @@ class TestBoundedMembershipSearch:
 
     def test_chance_matches_at_small_screen_primes(self, monkeypatch):
         # At a screen prime near 200 many combinations match some alpha*P
-        # mod v by chance. Each exact sum adds one multiple per generator
-        # through EllipticGroup.combine, which nothing else in the search
-        # calls, so the sums beyond a certificate's own are chance matches
-        # that exact arithmetic rejected.
-        sums = {"n": 0}
-        inner = EllipticGroup.combine
+        # mod v by chance. Each exact sum ends in the one comparison of
+        # rational points the search makes, so the comparisons beyond a
+        # certificate's own are chance matches that exact arithmetic
+        # rejected. Each multiple lambda_j*L_j is scaled once per search.
+        sums, scaled = {"n": 0}, []
+        eq, scale = mwgroup.EcPoint.__eq__, EllipticGroup.scale
 
-        def counted(self, P, Q):
+        def counted_eq(self, other):
             sums["n"] += 1
-            return inner(self, P, Q)
+            return eq(self, other)
 
-        monkeypatch.setattr(EllipticGroup, "combine", counted)
+        def counted_scale(self, k, L):
+            scaled.append((k, id(L)))
+            return scale(self, k, L)
+
+        monkeypatch.setattr(mwgroup.EcPoint, "__eq__", counted_eq)
+        monkeypatch.setattr(EllipticGroup, "scale", counted_scale)
         rng = random.Random(20)
         cases = []
         for curve, basis, torsion in [
@@ -716,17 +772,21 @@ class TestBoundedMembershipSearch:
                       for subgroup, P in self._cases(rng, curve, basis, torsion, 25)
                       for bound in (0, 1, 3)]
         # 23*A lies in <A, B> only with lambda = 23, past the bound. A chance
-        # match at a new alpha costs the exact multiple alpha*23*A, seconds
-        # for all 20 near v = 200, so this search screens near 30000: 18
-        # chance matches there need only alpha <= 9.
+        # match at a new alpha costs one more exact addition of 23*A, whose
+        # multiples grow quadratically in height: about 2 s for all 20 near
+        # v = 200, so this search screens near 30000, where 18 chance
+        # matches need only alpha <= 9.
         A, B = C389.point(0, 0), C389.point(1, 0)
         cases.append((30000, SubgroupSpec((A, B), EllipticGroup(C389)), C389.mul(23, A), 20))
         chance = {200: 0, 30000: 0}
         for screen, subgroup, P, bound in cases:
             monkeypatch.setattr(dependence, "_SCREEN_FROM", screen)
             before = sums["n"]
+            scaled.clear()
             got = _bounded_membership_search(P, subgroup, bound)
-            chance[screen] += (sums["n"] - before) // len(subgroup.generators) - (got is not None)
+            chance[screen] += sums["n"] - before - (got is not None)
+            ids = [id(L) for L in subgroup.generators]
+            assert all(scaled.count(c) <= ids.count(c[1]) for c in scaled), scaled
             assert got == _span_search(P, subgroup, bound), (subgroup.generators, P, bound)
         assert got is None
         assert min(chance.values()) > 0, chance

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlab import mwgroup
 from mwlab.mwgroup import (
@@ -180,6 +182,27 @@ class TestCurve:
         assert C37.point(0, 0) == EcPoint(Fraction(0), Fraction(0))
         with pytest.raises(ValueError):
             C37.point(2, 1)
+
+    # Curves with a point of infinite order; the last has a1 and a3 nonzero.
+    BASES = [(C37, (0, 0)), (WeierstrassCurve(0, 1, 1, -2, 0), (1, 0)),
+             (WeierstrassCurve(0, 0, 0, -25, 0), (-4, 6)), (WeierstrassCurve(1, -1, -1, -3, 0), (0, 1))]
+
+    @given(st.sampled_from(BASES), st.integers(-12, 12),
+           st.fractions(max_denominator=60), st.fractions(max_denominator=60))
+    @settings(max_examples=300, deadline=None)
+    def test_contains_against_the_fraction_formula(self, base, n, dx, dy):
+        # n*P lies on the curve; moving either coordinate by a fraction
+        # mostly leaves it, and (dx, dy) is a point anywhere.
+        curve, xy = base
+        Q = curve.mul(n, curve.point(*xy))
+        assert curve.contains(Q)
+        if Q.is_identity:
+            Q = EcPoint(dx, dy)
+        for R in (Q, EcPoint(Q.x + dx, Q.y), EcPoint(Q.x, Q.y + dy), EcPoint(dx, dy)):
+            x, y = R.x, R.y
+            on = y * y + curve.a1 * x * y + curve.a3 * y == (
+                x**3 + curve.a2 * x * x + curve.a4 * x + curve.a6)
+            assert curve.contains(R) == on, (curve, R)
 
 
 class TestGroupLaw:

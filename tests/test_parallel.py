@@ -85,11 +85,14 @@ def _odd_test(bad, v):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """A fresh pool table, not broken; every pool left in it is closed after
-    the test, so no worker outlives it."""
+    """A fresh pool table, not broken, and pool sizes read afresh from a
+    CPU count the test may patch; every pool left in the table is closed
+    after the test, so no worker outlives it."""
     monkeypatch.setattr(_parallel, "_BROKEN", False)
     monkeypatch.setattr(_parallel, "_POOLS", {})
+    _parallel.pool_size.cache_clear()
     yield _parallel._POOLS
+    _parallel.pool_size.cache_clear()
     for pool in _parallel._POOLS.values():
         pool.close()
 
@@ -168,6 +171,7 @@ class TestMapChunksFailures:
         # The supports agree everywhere, so the scan dispatches past its head.
         scan = PrimeRange(3, 2000)
         serial = scan_erdos_union([2, 3], [3, 2], scan, workers=1)
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
         monkeypatch.delattr(os, "fork")
         pooled = scan_erdos_union([2, 3], [3, 2], scan, workers=2)
         assert _parallel._BROKEN is True
@@ -210,6 +214,30 @@ class TestMapChunksFailures:
         assert map_chunks(pow, tasks, 4) == [pow(*t) for t in tasks]
         assert built == [2]
         assert list(pools) == [2]
+
+    def test_scan_splits_by_the_pool_size(self, pools, monkeypatch):
+        # Five workers on two CPUs: past the head, the window is split in
+        # two chunks, one per pool process, so it runs in one round.
+        rounds = []
+
+        class InlinePool:
+            def __init__(self, size):
+                self.size = size
+
+            def run(self, fn, tasks):
+                rounds.append(-(-len(tasks) // self.size))
+                return [(True, fn(*t)) for t in tasks]
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(_parallel, "_Pool", InlinePool)
+        monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+        scan = PrimeRange(3, 2000)
+        serial = scan_erdos_union([2, 3], [3, 2], scan, workers=1)
+        for workers in (2, 5):
+            assert scan_erdos_union([2, 3], [3, 2], scan, workers=workers) == serial
+        assert rounds == [1, 1]
 
 
 class TestRounds:
