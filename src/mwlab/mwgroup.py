@@ -572,6 +572,10 @@ class MultiplicativeGroup:
             raise ValueError(f"{v} is a bad prime for {P!r}")
         return self.raw_order(self.reduce_raw(P, v), v)
 
+    def orders_mod(self, points, v: int) -> list[int]:
+        """The orders of points at a good prime v, over one factorization of v-1."""
+        return numth.multiplicative_orders([self.reduce_raw(P, v) for P in points], v)
+
     def raw_order(self, raw, v: int) -> int:
         """Exact order of a reduced residue in F_v*."""
         return numth.multiplicative_order(raw, v)
@@ -677,6 +681,10 @@ class EllipticGroup:
         if not self.good_prime([P], v):
             raise ValueError(f"{v} is a bad prime for {P!r}")
         return self.raw_order(self.reduce_raw(P, v), v)
+
+    def orders_mod(self, points, v: int) -> list[int]:
+        """The orders of points at a good prime v."""
+        return [self.raw_order(self.reduce_raw(P, v), v) for P in points]
 
     def raw_order(self, raw, v: int) -> int:
         """Exact order of a reduced point, stripped from |E(F_v)|."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import numth
 from ._parallel import BAD_PRIME, map_chunks, pool_size, scan_chunk, split_chunks
+from .mwgroup import MulPoint, MultiplicativeGroup
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
 
@@ -61,39 +62,38 @@ def two_sided_gap(a, b) -> tuple[int, int] | None:
 # processes can pickle them; each returns BAD_PRIME, None or a Witness.
 
 
-def _erdos_args(xs, ys):
-    """The distinct bases of xs and ys, and the index tuples of xs and ys
-    into them: the arguments of `_erdos_test`."""
-    bases = tuple(dict.fromkeys((*xs, *ys)))
-    index = {x: i for i, x in enumerate(bases)}
-    return bases, tuple(index[x] for x in xs), tuple(index[y] for y in ys)
+def _two_sided_args(Ps, Qs):
+    """The distinct points of Ps and Qs, and the index tuples of Ps and Qs
+    into them: the points and indices of `_two_sided_test`."""
+    Ps, Qs = tuple(Ps), tuple(Qs)
+    points = tuple(dict.fromkeys((*Ps, *Qs)))
+    index = {P: i for i, P in enumerate(points)}
+    return points, tuple(index[P] for P in Ps), tuple(index[Q] for Q in Qs)
 
 
-def _erdos_test(bases, xi, yi, p):
-    """erdos_union: the n-sets of the two support unions agree at p iff every
-    ord_p(x_i) is a multiple of some ord_p(y_j) and vice versa.
+def _two_sided_test(condition_id, points, pi, qi, backend, v):
+    """erdos_union and cor22: every order on the P side is a multiple of
+    some order on the Q side and vice versa. On Q* with natural points this
+    says the n-sets of the two support unions agree at v.
 
-    bases are the distinct entries of xs and ys; xi and yi index into them.
+    points are the distinct points of both sides; pi and qi index into them.
     """
-    # Raw ints, not points: bad means p divides an entry.
-    for x in bases:
-        if x % p == 0:
-            return BAD_PRIME
-    orders = numth.multiplicative_orders(bases, p)
-    a = [orders[i] for i in xi]
-    b = [orders[i] for i in yi]
+    if not backend.good_prime(points, v):
+        return BAD_PRIME
+    orders = backend.orders_mod(points, v)
+    a = [orders[i] for i in pi]
+    b = [orders[i] for i in qi]
     gap = two_sided_gap(a, b)
     if gap is None:
         return None
     n, side = gap
-    return Witness(
-        v=p,
-        n=n,
-        detail=(
-            f"orders xs={a} ys={b}; at n={n} the prime {p} lies in the "
-            f"{('xs', 'ys')[side]}-side support union only"
-        ),
-    )
+    if condition_id == "erdos_union":
+        detail = (f"orders xs={a} ys={b}; at n={n} the prime {v} lies in the "
+                  f"{('xs', 'ys')[side]}-side support union only")
+    else:
+        detail = (f"orders P={a} Q={b}; n={n} kills a point on the {('P', 'Q')[side]} side "
+                  f"and none on the other")
+    return Witness(v=v, n=n, detail=detail)
 
 
 def _cover_test(condition_id, P, Qs, backend, v):
@@ -116,26 +116,6 @@ def _cover_test(condition_id, P, Qs, backend, v):
     return Witness(v=v, n=tp, detail=detail)
 
 
-def _cor22_test(Ps, Qs, backend, v):
-    """cor22: the two-sided cover of the order lists of Ps and Qs."""
-    if not backend.good_prime([*Ps, *Qs], v):
-        return BAD_PRIME
-    a = [backend.order_mod(P, v) for P in Ps]
-    b = [backend.order_mod(Q, v) for Q in Qs]
-    gap = two_sided_gap(a, b)
-    if gap is None:
-        return None
-    n, side = gap
-    return Witness(
-        v=v,
-        n=n,
-        detail=(
-            f"orders P={a} Q={b}; n={n} kills a point on the {('P', 'Q')[side]} side "
-            f"and none on the other"
-        ),
-    )
-
-
 def _scan(condition_id, test, args, scan: PrimeRange, workers: int) -> ConditionReport:
     chunks = split_chunks(numth.primes_in(scan), pool_size(workers))
     results = map_chunks(scan_chunk, [(test, args, c) for c in chunks], workers)
@@ -147,7 +127,9 @@ def scan_erdos_union(xs, ys, scan: PrimeRange, workers: int = 1) -> ConditionRep
     xs, ys = tuple(int(x) for x in xs), tuple(int(y) for y in ys)
     if any(v < 2 for v in xs + ys):
         raise ValueError("support-union condition takes natural numbers >= 2")
-    return _scan("erdos_union", _erdos_test, _erdos_args(xs, ys), scan, workers)
+    args = ("erdos_union", *_two_sided_args(map(MulPoint, xs), map(MulPoint, ys)),
+            MultiplicativeGroup())
+    return _scan("erdos_union", _two_sided_test, args, scan, workers)
 
 
 def scan_corrales_schoof(x, y, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
@@ -160,7 +142,8 @@ def scan_thm2(P, Qs, backend, scan: PrimeRange, workers: int = 1) -> ConditionRe
 
 
 def scan_cor22(Ps, Qs, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
-    return _scan("cor22", _cor22_test, (tuple(Ps), tuple(Qs), backend), scan, workers)
+    args = ("cor22", *_two_sided_args(Ps, Qs), backend)
+    return _scan("cor22", _two_sided_test, args, scan, workers)
 
 
 def verify_witness(condition_id: str, inputs: dict, v: int, n: int, backend=None) -> bool:

@@ -67,9 +67,12 @@ def cold(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 
 # Runs one command line through cli.main, then prints, as its last stdout
-# line, the HEAVY and POOL modules it loaded.
+# line, the HEAVY and POOL modules it loaded. The child counts two CPUs, so
+# --workers 2 dispatches to the pool on any machine: pool_size caps the
+# workers at os.cpu_count(), and at one CPU every chunk runs in-process.
 RUN_AND_LIST = f"""
-import json, sys
+import json, os, sys
+os.cpu_count = lambda: 2
 from mwlab import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps({{"code": code, "loaded": [m for m in {HEAVY + POOL!r} if m in sys.modules]}}))

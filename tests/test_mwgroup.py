@@ -330,6 +330,21 @@ class TestOrderMod:
             if 37 % v:
                 assert E.group_order_mod(v) % E.order_mod(G, v) == 0
 
+    def test_orders_mod_matches_order_mod_per_point(self):
+        # Signed and fractional points on Q*, and the identity, a point and
+        # its negative on 37a, at every prime good for all of them.
+        M, E = MultiplicativeGroup(), EllipticGroup(C37)
+        G = C37.point(0, 0)
+        cases = (
+            (M, [MulPoint(v) for v in (2, -3, Fraction(5, 7), 2, 1, -1)]),
+            (E, [G, C37.neg(G), C37.mul(2, G), EC_IDENTITY, G]),
+        )
+        for group, points in cases:
+            for v in primes_in(PrimeRange(2, 400)):
+                if group.good_prime(points, v):
+                    want = [group.order_mod(P, v) for P in points]
+                    assert group.orders_mod(points, v) == want, (group, v)
+
     def test_scalar_consistency(self):
         # ord_v(nP) = ord_v(P) / gcd(n, ord_v(P))
         M = MultiplicativeGroup()

@@ -7,7 +7,7 @@ import pytest
 
 from mwlab import support
 from mwlab._parallel import BAD_PRIME
-from mwlab.mwgroup import MulPoint, MultiplicativeGroup
+from mwlab.mwgroup import EllipticGroup, MulPoint, MultiplicativeGroup, WeierstrassCurve
 from mwlab.numth import PrimeRange, factor, multiplicative_order, primes_in
 from mwlab.reports import Witness
 from mwlab.support import (
@@ -22,6 +22,7 @@ from mwlab.support import (
 )
 
 M = MultiplicativeGroup()
+E37 = EllipticGroup(WeierstrassCurve(0, 0, 1, -1, 0))  # 37a, discriminant 37
 
 
 def literal_support_union(xs, n, bound):
@@ -44,13 +45,18 @@ def brute_erdos_at_prime(xs, ys, p, n_bound):
     return True
 
 
+def two_sided_test(condition_id, Ps, Qs, backend, v):
+    """support._two_sided_test on the arguments its scans pass it."""
+    return support._two_sided_test(condition_id, *support._two_sided_args(Ps, Qs), backend, v)
+
+
 def erdos_test(xs, ys, p):
-    """support._erdos_test on the arguments scan_erdos_union passes it."""
-    return support._erdos_test(*support._erdos_args(xs, ys), p)
+    """The erdos_union test on the points scan_erdos_union passes it."""
+    return two_sided_test("erdos_union", map(MulPoint, xs), map(MulPoint, ys), M, p)
 
 
 def erdos_test_per_entry(xs, ys, p):
-    """Oracle for support._erdos_test: one order per list entry, repeats
+    """Oracle for the erdos_union test: one order per list entry, repeats
     included, and the same witness."""
     if any(val % p == 0 for val in (*xs, *ys)):
         return BAD_PRIME
@@ -66,6 +72,27 @@ def erdos_test_per_entry(xs, ys, p):
         detail=(
             f"orders xs={a} ys={b}; at n={n} the prime {p} lies in the "
             f"{('xs', 'ys')[side]}-side support union only"
+        ),
+    )
+
+
+def cor22_test_per_entry(Ps, Qs, backend, v):
+    """Oracle for the cor22 test: one order_mod per list entry, repeats
+    included, and the same witness."""
+    if not backend.good_prime([*Ps, *Qs], v):
+        return BAD_PRIME
+    a = [backend.order_mod(P, v) for P in Ps]
+    b = [backend.order_mod(Q, v) for Q in Qs]
+    gap = support.two_sided_gap(a, b)
+    if gap is None:
+        return None
+    n, side = gap
+    return Witness(
+        v=v,
+        n=n,
+        detail=(
+            f"orders P={a} Q={b}; n={n} kills a point on the {('P', 'Q')[side]} side "
+            f"and none on the other"
         ),
     )
 
@@ -126,6 +153,26 @@ class TestErdosExact:
                 kinds.add(type(want))
         assert kinds == {type(BAD_PRIME), type(None), Witness}
 
+    def test_repeated_elliptic_points_match_per_entry_orders(self):
+        # On 37a: a point repeated on both sides, and a point beside its
+        # negative, which reduces to a distinct point of the same order.
+        c = E37.curve
+        P = c.point(0, 0)
+        pairs = [
+            ([P, P], [P]),
+            ([P, P, c.mul(2, P)], [c.mul(2, P), P, c.mul(2, P)]),
+            ([P, P], [c.mul(2, P), c.mul(2, P)]),
+            ([P, c.neg(P)], [c.neg(P)]),
+            ([P, c.neg(P)], [c.mul(3, P), c.neg(P)]),
+        ]
+        kinds = set()
+        for v in primes_in(PrimeRange(2, 600)):
+            for Ps, Qs in pairs:
+                want = cor22_test_per_entry(Ps, Qs, E37, v)
+                assert two_sided_test("cor22", Ps, Qs, E37, v) == want, (Ps, Qs, v)
+                kinds.add(type(want))
+        assert kinds == {type(BAD_PRIME), type(None), Witness}
+
     def test_against_brute_force(self):
         rng = random.Random(3)
         primes = primes_in(PrimeRange(3, 200))
@@ -150,7 +197,7 @@ def thm2_holds(P, Qs, v):
 
 
 def cor22_holds(Ps, Qs, v):
-    return support._cor22_test(tuple(Ps), tuple(Qs), M, v) is None
+    return two_sided_test("cor22", Ps, Qs, M, v) is None
 
 
 class TestCorralesSchoof:
@@ -295,6 +342,34 @@ class TestScans:
     def test_scan_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             scan_erdos_union([1], [2], PrimeRange(3, 100))
+
+
+class TestTwoSidedBackends:
+    def test_erdos_union_and_cor22_agree_on_q_star(self):
+        # The Erdos condition on naturals is cor22 on their MulPoints: same
+        # verdict, witness (v, n) and skipped primes; only the detail differs.
+        rng = random.Random(17)
+        scan = PrimeRange(3, 3000)
+        verdicts = set()
+
+        def key(report):
+            witness = report.witness and (report.witness.v, report.witness.n)
+            return report.verdict, witness, report.skipped_primes
+
+        for _ in range(100):
+            xs = [rng.randint(2, 60) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                ys = rng.sample(xs, len(xs))
+            else:
+                ys = [rng.randint(2, 60) for _ in range(rng.randint(1, 3))]
+            for workers in (1, 2):
+                erdos = scan_erdos_union(xs, ys, scan, workers=workers)
+                cor22 = scan_cor22(
+                    [MulPoint(x) for x in xs], [MulPoint(y) for y in ys], M, scan, workers=workers
+                )
+                assert key(erdos) == key(cor22), (xs, ys, workers)
+                verdicts.add(erdos.verdict)
+        assert verdicts == {"violated", "holds_on_scan"}
 
 
 class TestWorkerDeterminism:
