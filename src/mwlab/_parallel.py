@@ -1,11 +1,13 @@
 """Deterministic chunked execution for prime-range scans.
 
 Every scan is one loop: walk the primes of a window in ascending order,
-skip the bad ones, run an exact per-prime test at each good prime v, and
-stop at the first witness (pattern searches stop at a hit limit, density
-counts never stop). `scan_chunk` is that loop; a scan supplies only its
-module-level test, which returns BAD_PRIME, None (nothing at v) or a hit
-(a Witness for the condition scans, v and the orders for pattern searches).
+skip the bad ones, reduce the points once at each good prime v, run an
+exact per-prime test on the reductions, and stop at the first witness
+(pattern searches stop at a hit limit, density counts never stop).
+`scan_chunk` is that loop, and the only place that asks the backend whether
+v is good; a scan supplies its backend, its points and its module-level
+test, which returns None (nothing at v) or a hit (a Witness for the
+condition scans, v and the orders for pattern searches).
 
 Scans split their prime list into contiguous ascending chunks, run
 `scan_chunk` on each through `map_chunks`, and merge the results so that
@@ -34,8 +36,6 @@ from functools import cache
 
 _POOLS: dict[int, _Pool] = {}
 _BROKEN = False
-
-BAD_PRIME = object()
 
 # Primes a scan tests in-process before it dispatches the rest of its
 # window: a false hypothesis is usually refuted within the first few good
@@ -150,21 +150,24 @@ def split_chunks(items: list, parts: int) -> list[list]:
     return chunks
 
 
-def scan_chunk(test, args: tuple, chunk: list[int], limit: int | None = 1) -> dict:
-    """Run test(*args, v) at each prime v of an ascending chunk.
+def scan_chunk(test, args: tuple, backend, points, chunk: list[int], limit: int | None = 1) -> dict:
+    """Run test(*args, backend, raws, v) at each good prime v of an
+    ascending chunk, raws being the points reduced at v, each once.
 
-    Bad primes go to "bads", good ones are counted in "goods", and hits are
+    Primes that `backend.good_prime` rejects for the points go to "bads" and
+    are never tested; good ones are counted in "goods", and hits are
     collected in "hits" until there are `limit` of them (no limit: None).
     "witness" is the hit the chunk stopped at, or None when it ran to its
     end; merge_scan_results keeps the smallest-v one.
     """
     hits, bads, goods = [], [], 0
+    good_prime, reduce_raw = backend.good_prime, backend.reduce_raw
     for v in chunk:
-        hit = test(*args, v)
-        if hit is BAD_PRIME:
+        if not good_prime(points, v):
             bads.append(v)
             continue
         goods += 1
+        hit = test(*args, backend, [reduce_raw(P, v) for P in points], v)
         if hit is not None:
             hits.append(hit)
             if len(hits) == limit:

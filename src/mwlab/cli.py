@@ -221,11 +221,15 @@ def parse_args(argv: list[str]) -> RunConfig:
         elif ns.command == "replay":
             payload["P"] = backend.parse_point(ns.p)
             payload["Qs"] = [backend.parse_point(t) for t in _split_points(ns.qs)]
+            if not payload["Qs"]:
+                raise UsageError("--qs needs at least one entry")
             if not numth.is_prime(ns.l):
                 raise UsageError(f"--l {ns.l} is not prime")
             payload["l"] = ns.l
         elif ns.command == "detect":
             payload["Ps"] = [backend.parse_point(t) for t in _split_points(ns.points)]
+            if not payload["Ps"]:
+                raise UsageError("--points needs at least one entry")
             payload["generators"] = [backend.parse_point(t) for t in _split_points(ns.lam)]
             if ns.coeff_bound < 0:
                 raise UsageError("--coeff-bound must be >= 0")

@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import cache
 
 from . import numth
-from ._parallel import BAD_PRIME, map_chunks, pool_size, scan_chunk, split_chunks
+from ._parallel import map_chunks, pool_size, scan_chunk, split_chunks
 from .mwgroup import bounded_combinations, exponent_from_multiple
 from .mwgroup import subgroup_closure_mod, unit_relations
 from .numth import PrimeRange
@@ -85,16 +85,14 @@ def member_mod(backend, raw, raw_gens, v: int) -> bool:
     return True
 
 
-def _detect_test(Ps, subgroup: SubgroupSpec, v):
-    backend, generators = subgroup.backend, subgroup.generators
-    if not backend.good_prime([*Ps, *generators], v):
-        return BAD_PRIME
-    raw_gens = [backend.reduce_raw(L, v) for L in generators]
-    for P in Ps:
-        if member_mod(backend, backend.reduce_raw(P, v), raw_gens, v):
+def _detect_test(k, backend, raws, v):
+    """raws are the k points P_i, then the generators."""
+    raw_gens = raws[k:]
+    for raw in raws[:k]:
+        if member_mod(backend, raw, raw_gens, v):
             return None
     n = exponent_from_multiple(backend, raw_gens, backend.group_order_mod(v), v)
-    orders = [backend.order_mod(P, v) for P in Ps]
+    orders = backend.raw_orders(raws[:k], v)
     return Witness(v=v, n=n, detail=(
         f"no P_i lies in the reduced subgroup at {v}; n={n} kills every "
         f"generator mod {v} while ord_v(P_i)={orders}"))
@@ -111,12 +109,10 @@ def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
     """
     Ps = list(Ps)
     backend = subgroup.backend
-    primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, pool_size(workers))
-    results = map_chunks(
-        scan_chunk, [(_detect_test, (tuple(Ps), subgroup), c) for c in chunks], workers
-    )
-    report = merge_scan_results("detect", scan, results)
+    chunks = split_chunks(numth.primes_in(scan), pool_size(workers))
+    points = (*Ps, *subgroup.generators)
+    tasks = [(_detect_test, (len(Ps),), backend, points, c) for c in chunks]
+    report = merge_scan_results("detect", scan, map_chunks(scan_chunk, tasks, workers))
     if report.verdict == "violated":
         return DetectionResult(report, None, None, None)
     if backend.kind == "multiplicative":

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import numth
-from ._parallel import BAD_PRIME, map_chunks, pool_size, scan_chunk, split_chunks
+from ._parallel import map_chunks, pool_size, scan_chunk, split_chunks
 from .numth import PrimeRange
 from .reports import ConditionReport, Witness, merge_scan_results
 
@@ -572,9 +572,9 @@ class MultiplicativeGroup:
             raise ValueError(f"{v} is a bad prime for {P!r}")
         return self.raw_order(self.reduce_raw(P, v), v)
 
-    def orders_mod(self, points, v: int) -> list[int]:
-        """The orders of points at a good prime v, over one factorization of v-1."""
-        return numth.multiplicative_orders([self.reduce_raw(P, v) for P in points], v)
+    def raw_orders(self, raws, v: int) -> list[int]:
+        """The orders of reduced residues, over one factorization of v-1."""
+        return numth.multiplicative_orders(raws, v)
 
     def raw_order(self, raw, v: int) -> int:
         """Exact order of a reduced residue in F_v*."""
@@ -682,9 +682,9 @@ class EllipticGroup:
             raise ValueError(f"{v} is a bad prime for {P!r}")
         return self.raw_order(self.reduce_raw(P, v), v)
 
-    def orders_mod(self, points, v: int) -> list[int]:
-        """The orders of points at a good prime v."""
-        return [self.raw_order(self.reduce_raw(P, v), v) for P in points]
+    def raw_orders(self, raws, v: int) -> list[int]:
+        """The orders of reduced points."""
+        return [self.raw_order(raw, v) for raw in raws]
 
     def raw_order(self, raw, v: int) -> int:
         """Exact order of a reduced point, stripped from |E(F_v)|."""
@@ -832,10 +832,8 @@ def _division_value(n: int, x: int, A: int, B: int, m: int) -> int:
 # Module-level operation surface
 
 
-def _torsion_stability_test(backend, T, expected: int, v: int):
-    if not backend.good_prime([T], v):
-        return BAD_PRIME
-    got = backend.order_mod(T, v)
+def _torsion_stability_test(expected: int, backend, raws, v: int):
+    got = backend.raw_order(raws[0], v)
     if got == expected:
         return None
     return Witness(v=v, n=got, detail=f"ord_v T = {got} but ord T = {expected}")
@@ -848,12 +846,9 @@ def torsion_order_stability(backend, T, scan: PrimeRange, workers: int = 1) -> C
     reported as a witness with n = the divergent local order.
     """
     expected = backend.torsion_order(T)
-    primes = numth.primes_in(scan)
-    chunks = split_chunks(primes, pool_size(workers))
-    results = map_chunks(
-        scan_chunk, [(_torsion_stability_test, (backend, T, expected), c) for c in chunks], workers
-    )
-    return merge_scan_results("torsion_stability", scan, results)
+    chunks = split_chunks(numth.primes_in(scan), pool_size(workers))
+    tasks = [(_torsion_stability_test, (expected,), backend, (T,), c) for c in chunks]
+    return merge_scan_results("torsion_stability", scan, map_chunks(scan_chunk, tasks, workers))
 
 
 def unit_relations(values) -> list[list[int]]:

@@ -255,8 +255,8 @@ def multiplicative_order(a: int, p: int) -> int:
 def multiplicative_orders(bases, p: int) -> list[int]:
     """The orders of bases prime to p, each stripped from p-1 over one
     factorization of p-1. A base divisible by p is the caller's error and
-    is not checked; `MultiplicativeGroup.orders_mod` passes only points
-    reduced at a good prime."""
+    is not checked; `scan_chunk` hands `MultiplicativeGroup.raw_orders` only
+    points reduced at a good prime."""
     factors = factor(p - 1).factors
     orders = []
     for x in bases:

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from . import numth
-from ._parallel import BAD_PRIME, map_chunks, pool_size, scan_chunk, split_chunks
+from ._parallel import map_chunks, pool_size, scan_chunk, split_chunks
 from .numth import PrimeRange
 from .reports import Witness
 
@@ -60,7 +60,7 @@ def _verified_order(backend, P, v: int, order: int) -> bool:
     return True
 
 
-def _pattern_test(points, pattern, backend, v):
+def _pattern_test(points, pattern, backend, raws, v):
     """The orders at v when they realize the pattern; shared by the hit
     search and the density count.
 
@@ -69,25 +69,27 @@ def _pattern_test(points, pattern, backend, v):
     n * l^(k-1) does not: at most two kill tests per point. Only a match
     computes its orders.
     """
-    if not backend.good_prime(points, v):
-        return BAD_PRIME
     l = pattern.l
     n = backend.group_order_mod(v)
     while n % l == 0:
         n //= l
-    for P, k in zip(points, pattern.ks):
-        raw = backend.reduce_raw(P, v)
+    for raw, k in zip(raws, pattern.ks):
         if not backend.raw_kills(n * l**k, raw, v):
             return None  # v_l(ord P) > k
         if k and backend.raw_kills(n * l ** (k - 1), raw, v):
             return None  # v_l(ord P) < k
+    # From the points, not the raws: on Q* windows these hits are the only
+    # callers of MultiplicativeGroup.order_mod and numth.multiplicative_order,
+    # two sites bench/run.py's trace must see.
     return v, tuple(backend.order_mod(P, v) for P in points)
 
 
-def _scan(test, args, scan: PrimeRange, workers: int, limit: int | None = 1) -> list[dict]:
+def _scan(test, args, backend, points, scan: PrimeRange, workers: int,
+          limit: int | None = 1) -> list[dict]:
     """The chunk results of one scan of the window, in ascending order."""
     chunks = split_chunks(numth.primes_in(scan), pool_size(workers))
-    return map_chunks(scan_chunk, [(test, args, c, limit) for c in chunks], workers)
+    tasks = [(test, args, backend, points, c, limit) for c in chunks]
+    return map_chunks(scan_chunk, tasks, workers)
 
 
 def find_pattern_primes(points, pattern: ValuationPattern, backend, scan: PrimeRange,
@@ -103,7 +105,7 @@ def find_pattern_primes(points, pattern: ValuationPattern, backend, scan: PrimeR
         raise ValueError("one pattern exponent per point required")
     if max_hits < 1:
         raise ValueError("max_hits must be positive")
-    results = _scan(_pattern_test, (points, pattern, backend), scan, workers, max_hits)
+    results = _scan(_pattern_test, (points, pattern), backend, points, scan, workers, max_hits)
     found = [hit for res in results for hit in res["hits"]][:max_hits]
     # Certified after the merge: only the hits returned pay for it.
     return [
@@ -116,21 +118,20 @@ def find_pattern_primes(points, pattern: ValuationPattern, backend, scan: PrimeR
     ]
 
 
-def _replay1_test(P, Qs, l, backend, v):
-    """l | ord_v(Q_i) exactly when m, the l-free part of N = |G|, does not
-    kill Q_i; the orders of the Q_i are computed only for a witness."""
-    if not backend.good_prime([P, *Qs], v):
-        return BAD_PRIME
-    raws = [backend.reduce_raw(Q, v) for Q in Qs]
+def _replay1_test(l, backend, raws, v):
+    """raws are P and the Q_i. l | ord_v(Q_i) exactly when m, the l-free
+    part of N = |G|, does not kill Q_i; the orders of the Q_i are computed
+    only for a witness."""
+    rqs = raws[1:]
     m = backend.group_order_mod(v)
     while m % l == 0:
         m //= l
-    if any(backend.raw_kills(m, raw, v) for raw in raws):
+    if any(backend.raw_kills(m, raw, v) for raw in rqs):
         return None
-    n = backend.order_mod(P, v)
-    if any(backend.raw_kills(n, raw, v) for raw in raws):
+    n = backend.raw_order(raws[0], v)
+    if any(backend.raw_kills(n, raw, v) for raw in rqs):
         return None
-    q_orders = [backend.order_mod(Q, v) for Q in Qs]
+    q_orders = backend.raw_orders(rqs, v)
     detail = (
         f"ord_v(P)={n} with ord_v(Q_i)={q_orders}; n={n} kills P mod {v} "
         f"and kills no Q_i ({l} divides every ord_v(Q_i))"
@@ -146,7 +147,7 @@ def replay_step1(P, Qs, l: int, backend, scan: PrimeRange, workers: int = 1) -> 
     """
     if not numth.is_prime(l):
         raise ValueError(f"{l} is not prime")
-    results = _scan(_replay1_test, (P, tuple(Qs), l, backend), scan, workers)
+    results = _scan(_replay1_test, (l,), backend, (P, *Qs), scan, workers)
     for res in results:
         if res["witness"] is not None:
             return res["witness"]
@@ -181,7 +182,7 @@ def pattern_density(points, pattern: ValuationPattern, backend, scan: PrimeRange
     points = list(points)
     if len(points) != len(pattern.ks):
         raise ValueError("one pattern exponent per point required")
-    results = _scan(_pattern_test, (points, pattern, backend), scan, workers, None)
+    results = _scan(_pattern_test, (points, pattern), backend, points, scan, workers, None)
     hits = sum(len(r["hits"]) for r in results)
     goods = sum(r["goods"] for r in results)
     ratio = hits / goods if goods else 0.0

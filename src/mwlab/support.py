@@ -10,7 +10,7 @@ bound only the prime, never n.
 from __future__ import annotations
 
 from . import numth
-from ._parallel import BAD_PRIME, map_chunks, pool_size, scan_chunk, split_chunks
+from ._parallel import map_chunks, pool_size, scan_chunk, split_chunks
 from .mwgroup import MulPoint, MultiplicativeGroup
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
@@ -58,29 +58,30 @@ def two_sided_gap(a, b) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Per-prime tests and scanning verifiers. Tests are module level so worker
-# processes can pickle them; each returns BAD_PRIME, None or a Witness.
+# Per-prime tests and scanning verifiers. scan_chunk skips the bad primes
+# and hands each test the scan's points reduced at a good prime v; tests are
+# module level so worker processes can pickle them, and return None or a
+# Witness.
 
 
 def _two_sided_args(Ps, Qs):
     """The distinct points of Ps and Qs, and the index tuples of Ps and Qs
-    into them: the points and indices of `_two_sided_test`."""
+    into them: the points a two-sided scan reduces and the indices of
+    `_two_sided_test`."""
     Ps, Qs = tuple(Ps), tuple(Qs)
     points = tuple(dict.fromkeys((*Ps, *Qs)))
     index = {P: i for i, P in enumerate(points)}
     return points, tuple(index[P] for P in Ps), tuple(index[Q] for Q in Qs)
 
 
-def _two_sided_test(condition_id, points, pi, qi, backend, v):
+def _two_sided_test(condition_id, pi, qi, backend, raws, v):
     """erdos_union and cor22: every order on the P side is a multiple of
     some order on the Q side and vice versa. On Q* with natural points this
     says the n-sets of the two support unions agree at v.
 
-    points are the distinct points of both sides; pi and qi index into them.
+    raws are the distinct points of both sides; pi and qi index into them.
     """
-    if not backend.good_prime(points, v):
-        return BAD_PRIME
-    orders = backend.orders_mod(points, v)
+    orders = backend.raw_orders(raws, v)
     a = [orders[i] for i in pi]
     b = [orders[i] for i in qi]
     gap = two_sided_gap(a, b)
@@ -96,19 +97,17 @@ def _two_sided_test(condition_id, points, pi, qi, backend, v):
     return Witness(v=v, n=n, detail=detail)
 
 
-def _cover_test(condition_id, P, Qs, backend, v):
-    """corrales_schoof (one Q) and thm2: n = ord_v(P) kills P but no Q_i.
+def _cover_test(condition_id, backend, raws, v):
+    """corrales_schoof (one Q) and thm2: n = ord_v(P) kills P but no Q_i;
+    raws are P and the Q_i.
 
     ord_v(Q_i) divides n exactly when n * Q_i = 0, so the orders of the Q_i
     are computed only for a witness.
     """
-    if not backend.good_prime([P, *Qs], v):
-        return BAD_PRIME
-    tp = backend.order_mod(P, v)
-    for Q in Qs:
-        if backend.raw_kills(tp, backend.reduce_raw(Q, v), v):
-            return None
-    tq = [backend.order_mod(Q, v) for Q in Qs]
+    tp = backend.raw_order(raws[0], v)
+    if any(backend.raw_kills(tp, raw, v) for raw in raws[1:]):
+        return None
+    tq = backend.raw_orders(raws[1:], v)
     if condition_id == "corrales_schoof":
         detail = f"ord_v(x)={tp}, ord_v(y)={tq[0]}; n={tp} kills x but not y"
     else:
@@ -116,10 +115,11 @@ def _cover_test(condition_id, P, Qs, backend, v):
     return Witness(v=v, n=tp, detail=detail)
 
 
-def _scan(condition_id, test, args, scan: PrimeRange, workers: int) -> ConditionReport:
+def _scan(test, args, backend, points, scan: PrimeRange, workers: int) -> ConditionReport:
+    """The report of one scan; args[0] is the condition id."""
     chunks = split_chunks(numth.primes_in(scan), pool_size(workers))
-    results = map_chunks(scan_chunk, [(test, args, c) for c in chunks], workers)
-    return merge_scan_results(condition_id, scan, results)
+    tasks = [(test, args, backend, points, c) for c in chunks]
+    return merge_scan_results(args[0], scan, map_chunks(scan_chunk, tasks, workers))
 
 
 def scan_erdos_union(xs, ys, scan: PrimeRange, workers: int = 1) -> ConditionReport:
@@ -127,23 +127,22 @@ def scan_erdos_union(xs, ys, scan: PrimeRange, workers: int = 1) -> ConditionRep
     xs, ys = tuple(int(x) for x in xs), tuple(int(y) for y in ys)
     if any(v < 2 for v in xs + ys):
         raise ValueError("support-union condition takes natural numbers >= 2")
-    args = ("erdos_union", *_two_sided_args(map(MulPoint, xs), map(MulPoint, ys)),
-            MultiplicativeGroup())
-    return _scan("erdos_union", _two_sided_test, args, scan, workers)
+    points, pi, qi = _two_sided_args(map(MulPoint, xs), map(MulPoint, ys))
+    return _scan(_two_sided_test, ("erdos_union", pi, qi), MultiplicativeGroup(), points,
+                 scan, workers)
 
 
 def scan_corrales_schoof(x, y, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
-    args = ("corrales_schoof", x, (y,), backend)
-    return _scan("corrales_schoof", _cover_test, args, scan, workers)
+    return _scan(_cover_test, ("corrales_schoof",), backend, (x, y), scan, workers)
 
 
 def scan_thm2(P, Qs, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
-    return _scan("thm2", _cover_test, ("thm2", P, tuple(Qs), backend), scan, workers)
+    return _scan(_cover_test, ("thm2",), backend, (P, *Qs), scan, workers)
 
 
 def scan_cor22(Ps, Qs, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
-    args = ("cor22", *_two_sided_args(Ps, Qs), backend)
-    return _scan("cor22", _two_sided_test, args, scan, workers)
+    points, pi, qi = _two_sided_args(Ps, Qs)
+    return _scan(_two_sided_test, ("cor22", pi, qi), backend, points, scan, workers)
 
 
 def verify_witness(condition_id: str, inputs: dict, v: int, n: int, backend=None) -> bool:

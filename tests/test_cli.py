@@ -134,6 +134,8 @@ USAGE_LINES = [
     ("detect", "--points", "2", "--lamb", "3", "--lam", "5"),
     ("experiment", "--suite", "nope", "--trials", "1"), ("experiment", "--trials", "2"),
     ("replay", "--p", "2", "--p", "3", "--qs", "3", "--l", "x"),
+    ("detect", "--points", ",", "--lambda", "2", "--primes", "3..50"),
+    ("replay", "--p", "2", "--qs", ",", "--l", "3", "--primes", "3..50"),
 ]
 
 # Lines that name no command, for the full parser's help and errors.
@@ -322,6 +324,15 @@ class TestUsageErrors:
             capsys, "find-primes", "--points", "2", "--l", "5", "--ks", "1", "--max-hits", "0"
         )
         assert code == USAGE_ERROR
+
+    def test_empty_point_lists(self, capsys):
+        # No P_i, or no Q_i, would make every witness or verdict vacuous.
+        code = cli.main(["detect", "--points", ",", "--lambda", "2", "--primes", "3..50"])
+        assert code == USAGE_ERROR
+        assert "--points needs at least one entry" in capsys.readouterr().err
+        code = cli.main(["replay", "--p", "2", "--qs", ",", "--l", "3", "--primes", "3..50"])
+        assert code == USAGE_ERROR
+        assert "--qs needs at least one entry" in capsys.readouterr().err
 
     def test_negative_coeff_bound(self, capsys):
         code, _ = run_cli(

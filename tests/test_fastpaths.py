@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from mwlab import cli, dependence, mwgroup, numth, primesearch, support
-from mwlab._parallel import BAD_PRIME
+from mwlab._parallel import scan_chunk
 from mwlab.dependence import (
     SubgroupSpec,
     _bounded_membership_search,
@@ -533,10 +533,20 @@ class TestSubgroupExponent:
                 assert got == want
 
 
+BAD = "bad prime"
+
+
+def at_prime(test, args, backend, points, v):
+    """What scan_chunk makes of a per-prime test at v: BAD where it skips v
+    as a bad prime, else the test's result."""
+    res = scan_chunk(test, args, backend, points, [v], None)
+    return BAD if res["bads"] else (res["hits"] or [None])[0]
+
+
 def pattern_test_by_orders(points, pattern, backend, v):
     """Oracle: the pattern read off the full orders at v."""
     if not backend.good_prime(points, v):
-        return BAD_PRIME
+        return BAD
     orders = tuple(backend.order_mod(P, v) for P in points)
     if all(exact_valuation(pattern.l, k, t) for k, t in zip(pattern.ks, orders)):
         return v, orders
@@ -562,12 +572,18 @@ class TestPatternByValuations:
         kinds = set()
         for v in primes_in(scan):
             want = pattern_test_by_orders(points, pattern, backend, v)
-            assert primesearch._pattern_test(points, pattern, backend, v) == want, v
+            got = at_prime(primesearch._pattern_test, (points, pattern), backend, points, v)
+            assert got == want, v
             kinds.add(type(want))
-        assert kinds == {type(BAD_PRIME), type(None), tuple}
+        assert kinds == {type(BAD), type(None), tuple}
         hits = find_pattern_primes(points, pattern, backend, scan, max_hits=25)
         density = pattern_density(points, pattern, backend, scan)
-        monkeypatch.setattr(primesearch, "_pattern_test", pattern_test_by_orders)
+
+        def by_orders(points, pattern, backend, raws, v):
+            # Never called at a bad prime, so BAD never comes back as a hit.
+            return pattern_test_by_orders(points, pattern, backend, v)
+
+        monkeypatch.setattr(primesearch, "_pattern_test", by_orders)
         assert hits == find_pattern_primes(points, pattern, backend, scan, max_hits=25)
         assert density == pattern_density(points, pattern, backend, scan)
 
@@ -576,7 +592,7 @@ def cover_test_by_orders(condition_id, P, Qs, backend, v):
     """Oracle: the cover read off the full orders at v, as some ord Q_i
     dividing ord P."""
     if not backend.good_prime([P, *Qs], v):
-        return BAD_PRIME
+        return BAD
     tp = backend.order_mod(P, v)
     tq = [backend.order_mod(Q, v) for Q in Qs]
     if any(tp % t == 0 for t in tq):
@@ -602,15 +618,15 @@ class TestCoverByMultiple:
         kinds = set()
         for v in primes_in(PrimeRange(*window)):
             want = cover_test_by_orders(condition, P, Qs, backend, v)
-            assert support._cover_test(condition, P, Qs, backend, v) == want, v
+            assert at_prime(support._cover_test, (condition,), backend, (P, *Qs), v) == want, v
             kinds.add(type(want))
-        assert kinds == {type(BAD_PRIME), type(None), Witness}
+        assert kinds == {type(BAD), type(None), Witness}
 
 
 def replay1_test_by_orders(P, Qs, l, backend, v):
     """Oracle: the step-1 replay read off the full orders at v."""
     if not backend.good_prime([P, *Qs], v):
-        return BAD_PRIME
+        return BAD
     q_orders = [backend.order_mod(Q, v) for Q in Qs]
     n = backend.order_mod(P, v)
     if any(t % l for t in q_orders) or any(n % t == 0 for t in q_orders):
@@ -636,9 +652,9 @@ class TestReplayByKills:
         kinds = set()
         for v in primes_in(PrimeRange(*window)):
             want = replay1_test_by_orders(P, Qs, l, backend, v)
-            assert primesearch._replay1_test(P, Qs, l, backend, v) == want, v
+            assert at_prime(primesearch._replay1_test, (l,), backend, (P, *Qs), v) == want, v
             kinds.add(type(want))
-        assert kinds == {type(BAD_PRIME), type(None), Witness}
+        assert kinds == {type(BAD), type(None), Witness}
 
 
 def _count_closures(monkeypatch):

@@ -4,15 +4,16 @@ import signal
 import threading
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from mwlab import (
-    MulPoint, MultiplicativeGroup, PrimeRange, ValuationPattern, find_pattern_primes,
-    pattern_density, primes_in, scan_erdos_union,
+    EllipticGroup, MulPoint, MultiplicativeGroup, PrimeRange, ValuationPattern, WeierstrassCurve,
+    find_pattern_primes, pattern_density, primes_in, scan_erdos_union,
 )
 from mwlab import _parallel
-from mwlab._parallel import BAD_PRIME, HEAD, map_chunks, scan_chunk, split_chunks
+from mwlab._parallel import HEAD, map_chunks, scan_chunk, split_chunks
 from mwlab.reports import Witness, merge_scan_results
 
 _PARENT = os.getpid()
@@ -63,23 +64,33 @@ def _killed_at_three(x):
     return x * x
 
 
-def _witness_at(target, bad, v):
-    """A witness at v == target, BAD_PRIME at v in bad, nothing otherwise."""
-    if v in bad:
-        return BAD_PRIME
+class BadAt:
+    """A stub backend: the primes in `bad` are bad for any points, and a
+    point reduces at v to (point, v)."""
+
+    def __init__(self, bad=()):
+        self.bad = frozenset(bad)
+
+    def good_prime(self, points, v):
+        return v not in self.bad
+
+    def reduce_raw(self, P, v):
+        return P, v
+
+
+def _witness_at(target, backend, raws, v):
+    """A witness at v == target, nothing otherwise."""
     return Witness(v=v, n=1, detail=f"hit at {v}") if v == target else None
 
 
-def _fails_in_head(v):
+def _fails_in_head(backend, raws, v):
     _CALLS.append(v)
     if v == 11:
         raise TaskFailed(f"test failed at {v}")
 
 
-def _odd_test(bad, v):
-    """Hit at odd v, BAD_PRIME at v in bad, nothing otherwise."""
-    if v in bad:
-        return BAD_PRIME
+def _odd_test(backend, raws, v):
+    """Hit at odd v, nothing otherwise."""
     return v if v % 2 else None
 
 
@@ -105,14 +116,44 @@ def _reaped(pid) -> bool:
     return False
 
 
+E37 = EllipticGroup(WeierstrassCurve(0, 0, 1, -1, 0))  # 37a, discriminant 37
+
+
 class TestScanChunk:
     def test_bookkeeping_and_stop(self):
-        res = scan_chunk(_odd_test, ({2, 5},), [2, 3, 4, 5, 6, 7, 9], limit=2)
+        res = scan_chunk(_odd_test, (), BadAt({2, 5}), (), [2, 3, 4, 5, 6, 7, 9], limit=2)
         assert res == {"witness": 7, "hits": [3, 7], "bads": [2, 5], "goods": 4}
 
     def test_no_limit_runs_to_the_end(self):
-        res = scan_chunk(_odd_test, ({2},), [2, 3, 4, 5], limit=None)
+        res = scan_chunk(_odd_test, (), BadAt({2}), (), [2, 3, 4, 5], limit=None)
         assert res == {"witness": None, "hits": [3, 5], "bads": [2], "goods": 3}
+
+    @pytest.mark.parametrize("backend, points, bads", [
+        # 5 and 11 are bad only as primes of S; 3 divides a numerator, 7 a denominator.
+        (MultiplicativeGroup([5, 11]), [MulPoint(2), MulPoint(Fraction(3, 7))], [3, 5, 7, 11]),
+        # 3 divides the denominators of (-5/9, 8/27), 37 the discriminant.
+        (E37, [E37.curve.point(0, 0), E37.curve.point(Fraction(-5, 9), Fraction(8, 27))],
+         [3, 37]),
+    ], ids=["qstar-S", "37a"])
+    def test_each_good_prime_gets_each_point_reduced_once(self, backend, points, bads):
+        seen = []
+
+        def record(backend, raws, v):
+            seen.append((v, raws))
+            return v if v % 4 == 1 else None
+
+        primes = primes_in(PrimeRange(3, 200))
+        goods = [v for v in primes if v not in bads]
+        res = scan_chunk(record, (), backend, points, primes, None)
+        assert res == {"witness": None, "hits": [v for v in goods if v % 4 == 1],
+                       "bads": bads, "goods": len(goods)}
+        assert [v for v, _ in seen] == goods  # never called at a bad prime
+        for v, raws in seen:
+            assert raws == [backend.reduce_raw(P, v) for P in points], v
+        seen.clear()
+        res = scan_chunk(record, (), backend, points, primes, 3)
+        assert res["witness"] == res["hits"][-1] == [v for v in goods if v % 4 == 1][2]
+        assert seen[-1][0] == res["witness"]
 
     def test_split_is_contiguous(self):
         # A head of HEAD items, then the rest in near-equal chunks.
@@ -347,7 +388,7 @@ class TestSerialHead:
     def test_short_window_builds_no_pool(self, no_pool):
         primes = primes_in(PrimeRange(3, 313))
         assert len(primes) == HEAD
-        tasks = [(_witness_at, (None, {5}), c) for c in split_chunks(primes, 2)]
+        tasks = [(_witness_at, (None,), BadAt({5}), (), c) for c in split_chunks(primes, 2)]
         assert map_chunks(scan_chunk, tasks, 2) == [scan_chunk(*tasks[0])]
 
     @pytest.mark.parametrize("index", [HEAD - 2, HEAD - 1, HEAD, None],
@@ -359,7 +400,8 @@ class TestSerialHead:
         bad = {primes[3], primes[HEAD - 3], primes[HEAD + 1], primes[200]}
 
         def report(workers):
-            tasks = [(_witness_at, (target, bad), c) for c in split_chunks(primes, workers)]
+            tasks = [(_witness_at, (target,), BadAt(bad), (), c)
+                     for c in split_chunks(primes, workers)]
             results = map_chunks(scan_chunk, tasks, workers)
             return merge_scan_results("torsion_stability", PrimeRange(3, 2000), results).to_dict()
 
@@ -389,7 +431,7 @@ class TestSerialHead:
     def test_head_error_propagates_once(self, no_pool):
         _CALLS.clear()
         primes = primes_in(PrimeRange(3, 2000))
-        tasks = [(_fails_in_head, (), c) for c in split_chunks(primes, 2)]
+        tasks = [(_fails_in_head, (), BadAt(), (), c) for c in split_chunks(primes, 2)]
         with pytest.raises(TaskFailed):
             map_chunks(scan_chunk, tasks, 2)
         assert _CALLS == [3, 5, 7, 11]

@@ -6,7 +6,10 @@ witness, a find_pattern_primes hit list and a pattern_density report,
 recorded before the per-scan chunk loops were folded into
 `_parallel.scan_chunk`. Each must come out the same, byte for byte, at 1, 2
 and 5 workers. On elliptic curves torsion injects at every good prime of a
-window, so torsion_stability has only a holding elliptic case.
+window, so torsion_stability has only a holding elliptic case. Four cases
+were recorded before scan_chunk took over the bad-prime decision from the
+per-prime tests: two skip only the primes of S, and two skip a prime for a
+point's denominator as well as for the discriminant.
 """
 
 import json
@@ -21,6 +24,7 @@ from mwlab import (
 )
 
 M = MultiplicativeGroup()
+MS = MultiplicativeGroup([5, 11])
 E37 = EllipticGroup(WeierstrassCurve.parse("ec:0,0,1,-1,0"))
 E2 = EllipticGroup(WeierstrassCurve.parse("ec:0,1,1,-2,0"))
 E6 = EllipticGroup(WeierstrassCurve.parse("ec:0,0,0,0,1"))
@@ -113,6 +117,15 @@ CASES = {
     "find_pattern_primes-ec": hits(E37, e(E37, "(0,0)"), 2, (1,), 3, 600, 4),
     "pattern_density-mul": density(M, m(2, 3), 3, (0, 0), 3, 2000),
     "pattern_density-ec": density(E37, e(E37, "(0,0)"), 2, (0,), 3, 600),
+    "cor22-mul-S-holds": cond(scan_cor22, m(6, "1/10"), m(10, "1/6"), MS, lo=5, hi=100),
+    "detect-mul-S-holds": detect(MS, m(12), m(2, 3), 5, 100),
+    # (-5/9, 8/27) = 7 * (0,0) on 37a is bad at 3 for its denominators.
+    "corrales_schoof-ec-denominator-violated": cond(
+        scan_corrales_schoof, e(E37, "(-5/9,8/27)")[0], e(E37, "(0,0)")[0], E37, lo=3, hi=300
+    ),
+    "corrales_schoof-ec-denominator-holds": cond(
+        scan_corrales_schoof, e(E37, "(0,0)")[0], e(E37, "(-5/9,8/27)")[0], E37, lo=3, hi=300
+    ),
 }
 
 
@@ -424,6 +437,52 @@ EXPECTED = {
         "scanned_good_primes": 107,
         "ratio": 0.5607476635514018,
         "inconclusive": False,
+    },
+    "cor22-mul-S-holds": {
+        "condition_id": "cor22",
+        "verdict": "holds_on_scan",
+        "witness": None,
+        "scanned": {"lo": 5, "hi": 100},
+        "n_bound": None,
+        "skipped_primes": [5, 11],
+    },
+    "detect-mul-S-holds": {
+        "report": {
+            "condition_id": "detect",
+            "verdict": "holds_on_scan",
+            "witness": None,
+            "scanned": {"lo": 5, "hi": 100},
+            "n_bound": None,
+            "skipped_primes": [5, 11],
+        },
+        "certificate": {
+            "kind": "membership",
+            "index": 0,
+            "alpha": 1,
+            "lambdas": [2, 1],
+            "residual_torsion": None,
+        },
+        "note": None,
+    },
+    "corrales_schoof-ec-denominator-violated": {
+        "condition_id": "corrales_schoof",
+        "verdict": "violated",
+        "witness": {
+            "v": 43,
+            "n": 2,
+            "detail": "ord_v(x)=2, ord_v(y)=14; n=2 kills x but not y",
+        },
+        "scanned": {"lo": 3, "hi": 300},
+        "n_bound": None,
+        "skipped_primes": [3, 37],
+    },
+    "corrales_schoof-ec-denominator-holds": {
+        "condition_id": "corrales_schoof",
+        "verdict": "holds_on_scan",
+        "witness": None,
+        "scanned": {"lo": 3, "hi": 300},
+        "n_bound": None,
+        "skipped_primes": [3, 37],
     },
 }
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mwlab import support
-from mwlab._parallel import BAD_PRIME
+from mwlab._parallel import scan_chunk
 from mwlab.mwgroup import EllipticGroup, MulPoint, MultiplicativeGroup, WeierstrassCurve
 from mwlab.numth import PrimeRange, factor, multiplicative_order, primes_in
 from mwlab.reports import Witness
@@ -45,9 +45,20 @@ def brute_erdos_at_prime(xs, ys, p, n_bound):
     return True
 
 
+BAD = "bad prime"
+
+
+def at_prime(test, args, backend, points, v):
+    """What scan_chunk makes of a per-prime test at v: BAD where it skips v
+    as a bad prime, else the test's result."""
+    res = scan_chunk(test, args, backend, points, [v], None)
+    return BAD if res["bads"] else (res["hits"] or [None])[0]
+
+
 def two_sided_test(condition_id, Ps, Qs, backend, v):
-    """support._two_sided_test on the arguments its scans pass it."""
-    return support._two_sided_test(condition_id, *support._two_sided_args(Ps, Qs), backend, v)
+    """support._two_sided_test on the points and indices its scans pass it."""
+    points, pi, qi = support._two_sided_args(Ps, Qs)
+    return at_prime(support._two_sided_test, (condition_id, pi, qi), backend, points, v)
 
 
 def erdos_test(xs, ys, p):
@@ -59,7 +70,7 @@ def erdos_test_per_entry(xs, ys, p):
     """Oracle for the erdos_union test: one order per list entry, repeats
     included, and the same witness."""
     if any(val % p == 0 for val in (*xs, *ys)):
-        return BAD_PRIME
+        return BAD
     a = [multiplicative_order(x, p) for x in xs]
     b = [multiplicative_order(y, p) for y in ys]
     gap = support.two_sided_gap(a, b)
@@ -80,7 +91,7 @@ def cor22_test_per_entry(Ps, Qs, backend, v):
     """Oracle for the cor22 test: one order_mod per list entry, repeats
     included, and the same witness."""
     if not backend.good_prime([*Ps, *Qs], v):
-        return BAD_PRIME
+        return BAD
     a = [backend.order_mod(P, v) for P in Ps]
     b = [backend.order_mod(Q, v) for Q in Qs]
     gap = support.two_sided_gap(a, b)
@@ -151,7 +162,7 @@ class TestErdosExact:
                 want = erdos_test_per_entry(xs, ys, p)
                 assert erdos_test(xs, ys, p) == want, (xs, ys, p)
                 kinds.add(type(want))
-        assert kinds == {type(BAD_PRIME), type(None), Witness}
+        assert kinds == {type(BAD), type(None), Witness}
 
     def test_repeated_elliptic_points_match_per_entry_orders(self):
         # On 37a: a point repeated on both sides, and a point beside its
@@ -171,7 +182,7 @@ class TestErdosExact:
                 want = cor22_test_per_entry(Ps, Qs, E37, v)
                 assert two_sided_test("cor22", Ps, Qs, E37, v) == want, (Ps, Qs, v)
                 kinds.add(type(want))
-        assert kinds == {type(BAD_PRIME), type(None), Witness}
+        assert kinds == {type(BAD), type(None), Witness}
 
     def test_against_brute_force(self):
         rng = random.Random(3)
@@ -189,11 +200,12 @@ class TestErdosExact:
 
 
 def cs_holds(x, y, p):
-    return support._cover_test("corrales_schoof", MulPoint(x), (MulPoint(y),), M, p) is None
+    points = (MulPoint(x), MulPoint(y))
+    return at_prime(support._cover_test, ("corrales_schoof",), M, points, p) is None
 
 
 def thm2_holds(P, Qs, v):
-    return support._cover_test("thm2", P, tuple(Qs), M, v) is None
+    return at_prime(support._cover_test, ("thm2",), M, (P, *Qs), v) is None
 
 
 def cor22_holds(Ps, Qs, v):
