@@ -18,10 +18,10 @@ _EXPORTS = {
         "DetectionResult", "RecoveryResult", "SubgroupSpec", "detect_dependence",
         "exact_membership_multiplicative", "member_mod", "recover_exponent",
     ),
+    "elliptic": ("EC_IDENTITY", "EcPoint", "EllipticGroup", "WeierstrassCurve",
+                 "elliptic_independence_check"),
     "mwgroup": (
-        "EC_IDENTITY", "EcPoint", "EllipticGroup", "MulPoint", "MultiplicativeGroup",
-        "WeierstrassCurve", "elliptic_independence_check", "multiplicative_independence",
-        "torsion_order_stability",
+        "MulPoint", "MultiplicativeGroup", "multiplicative_independence", "torsion_order_stability",
     ),
     "numth": (
         "Factorization", "PrimeRange", "bsgs_dlog", "crt", "exact_valuation", "factor",

@@ -4,10 +4,10 @@ Every scan is one loop: walk the primes of a window in ascending order,
 skip the bad ones, reduce the points once at each good prime v, run an
 exact per-prime test on the reductions, and stop at the first witness
 (pattern searches stop at a hit limit, density counts never stop).
-`scan_chunk` is that loop, and the only place that asks the backend whether
-v is good; a scan supplies its backend, its points and its module-level
-test, which returns None (nothing at v) or a hit (a Witness for the
-condition scans, v and the orders for pattern searches).
+`scan_chunk` is that loop: one `backend.reduce` call per prime gives the
+reductions, or None at a bad prime. A scan supplies its backend, its points
+and its module-level test, which returns None (nothing at v) or a hit (a
+Witness for the condition scans, v and the orders for pattern searches).
 
 Scans split their prime list into contiguous ascending chunks, run
 `scan_chunk` on each through `map_chunks`, and merge the results so that
@@ -154,20 +154,20 @@ def scan_chunk(test, args: tuple, backend, points, chunk: list[int], limit: int 
     """Run test(*args, backend, raws, v) at each good prime v of an
     ascending chunk, raws being the points reduced at v, each once.
 
-    Primes that `backend.good_prime` rejects for the points go to "bads" and
-    are never tested; good ones are counted in "goods", and hits are
+    Primes where `backend.reduce` returns None for the points go to "bads"
+    and are never tested; good ones are counted in "goods", and hits are
     collected in "hits" until there are `limit` of them (no limit: None).
     "witness" is the hit the chunk stopped at, or None when it ran to its
     end; merge_scan_results keeps the smallest-v one.
     """
     hits, bads, goods = [], [], 0
-    good_prime, reduce_raw = backend.good_prime, backend.reduce_raw
+    reduce = backend.reduce
     for v in chunk:
-        if not good_prime(points, v):
+        if (raws := reduce(points, v)) is None:
             bads.append(v)
             continue
         goods += 1
-        hit = test(*args, backend, [reduce_raw(P, v) for P in points], v)
+        hit = test(*args, backend, raws, v)
         if hit is not None:
             hits.append(hit)
             if len(hits) == limit:

@@ -74,7 +74,9 @@ def _parse_backend(text: str):
             primes = [int(p) for p in inner.split(",") if p.strip()] if inner else []
             return mwgroup.MultiplicativeGroup(primes)
         if t.startswith("ec:"):
-            return mwgroup.EllipticGroup(mwgroup.WeierstrassCurve.parse(t))
+            from .elliptic import EllipticGroup, WeierstrassCurve
+
+            return EllipticGroup(WeierstrassCurve.parse(t))
     except ValueError as exc:
         raise UsageError(f"bad --backend {text!r}: {exc}") from exc
     raise UsageError(f"bad --backend {text!r} (use mul, S={{p1,p2}}, or ec:a1,a2,a3,a4,a6)")

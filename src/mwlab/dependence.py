@@ -15,8 +15,7 @@ from functools import cache
 
 from . import numth
 from ._parallel import map_chunks, pool_size, scan_chunk, split_chunks
-from .mwgroup import bounded_combinations, exponent_from_multiple
-from .mwgroup import subgroup_closure_mod, unit_relations
+from .mwgroup import bounded_combinations, subgroup_closure_mod, unit_relations
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
 from .support import verify_witness
@@ -68,7 +67,7 @@ def member_mod(backend, raw, raw_gens, v: int) -> bool:
     equal to N makes G cyclic and H = G, so then raw is in H at once.
     """
     n = backend.group_order_mod(v)
-    m = exponent_from_multiple(backend, raw_gens, n, v)
+    m = backend.raw_exponent(raw_gens, n, v)
     if m == n:
         return True
     if not backend.raw_kills(m, raw, v):
@@ -91,7 +90,7 @@ def _detect_test(k, backend, raws, v):
     for raw in raws[:k]:
         if member_mod(backend, raw, raw_gens, v):
             return None
-    n = exponent_from_multiple(backend, raw_gens, backend.group_order_mod(v), v)
+    n = backend.raw_exponent(raw_gens, backend.group_order_mod(v), v)
     orders = backend.raw_orders(raws[:k], v)
     return Witness(v=v, n=n, detail=(
         f"no P_i lies in the reduced subgroup at {v}; n={n} kills every "
@@ -108,6 +107,8 @@ def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
     oracle (multiplicative) or bounded search (elliptic).
     """
     Ps = list(Ps)
+    if not Ps:
+        raise ValueError("detection needs at least one point")
     backend = subgroup.backend
     chunks = split_chunks(numth.primes_in(scan), pool_size(workers))
     points = (*Ps, *subgroup.generators)
@@ -233,16 +234,15 @@ def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> Relatio
     if backend.is_identity(P):
         return None  # every alpha*P is the identity
     v = _SCREEN_FROM + 1
-    while not (numth.is_prime(v) and backend.good_prime([P, *generators], v)):
+    while not numth.is_prime(v) or (raws := backend.reduce([P, *generators], v)) is None:
         v += 1
     law = _AtPrime(backend, v)
-    rP = backend.reduce_raw(P, v)
+    rP, *raw_gens = raws
     targets: dict = {}  # reduction of alpha*P -> its alphas, ascending
     acc = law.identity()
     for alpha in range(1, bound + 1):
         acc = law.combine(acc, rP)
         targets.setdefault(acc, []).append(alpha)
-    raw_gens = [backend.reduce_raw(L, v) for L in generators]
 
     def matches():  # (alpha, lambda) in the order they are summed exactly
         later = []  # the matches with alpha > 1, in walk order

@@ -231,7 +231,7 @@ def ec_detect_suite(trials: int, seed: int, scan: PrimeRange | None = None,
     re-verifies exactly; independent points must be caught by some prime.
     Bounded-search exhaustion on a true statement counts as unresolved, not
     as an anomaly."""
-    from .mwgroup import EllipticGroup, WeierstrassCurve
+    from .elliptic import EllipticGroup, WeierstrassCurve
 
     scan = scan or PrimeRange(3, 300)
     rng = random.Random(seed)

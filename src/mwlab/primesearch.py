@@ -147,6 +147,8 @@ def replay_step1(P, Qs, l: int, backend, scan: PrimeRange, workers: int = 1) -> 
     """
     if not numth.is_prime(l):
         raise ValueError(f"{l} is not prime")
+    if not Qs:
+        raise ValueError("the replay needs at least one Q")
     results = _scan(_replay1_test, (l,), backend, (P, *Qs), scan, workers)
     for res in results:
         if res["witness"] is not None:

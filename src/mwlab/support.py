@@ -69,6 +69,8 @@ def _two_sided_args(Ps, Qs):
     into them: the points a two-sided scan reduces and the indices of
     `_two_sided_test`."""
     Ps, Qs = tuple(Ps), tuple(Qs)
+    if not (Ps and Qs):
+        raise ValueError("a two-sided condition needs at least one point on each side")
     points = tuple(dict.fromkeys((*Ps, *Qs)))
     index = {P: i for i, P in enumerate(points)}
     return points, tuple(index[P] for P in Ps), tuple(index[Q] for Q in Qs)
@@ -137,6 +139,8 @@ def scan_corrales_schoof(x, y, backend, scan: PrimeRange, workers: int = 1) -> C
 
 
 def scan_thm2(P, Qs, backend, scan: PrimeRange, workers: int = 1) -> ConditionReport:
+    if not Qs:
+        raise ValueError("thm2 needs at least one Q")
     return _scan(_cover_test, ("thm2",), backend, (P, *Qs), scan, workers)
 
 

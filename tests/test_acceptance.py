@@ -10,15 +10,8 @@ import pytest
 
 from mwlab import experiments
 from mwlab.dependence import recover_exponent
-from mwlab.mwgroup import (
-    EC_IDENTITY,
-    EllipticGroup,
-    MulPoint,
-    MultiplicativeGroup,
-    WeierstrassCurve,
-    _ec_add_mod,
-    torsion_order_stability,
-)
+from mwlab.elliptic import EC_IDENTITY, EllipticGroup, WeierstrassCurve, _ec_add_mod
+from mwlab.mwgroup import MulPoint, MultiplicativeGroup, torsion_order_stability
 from mwlab.numth import PrimeRange, multiplicative_order, primes_in
 from mwlab.primesearch import ValuationPattern, find_pattern_primes, replay_step1
 

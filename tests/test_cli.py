@@ -7,11 +7,11 @@ import sys
 
 import pytest
 
-from mwlab import cli, mwgroup
+from mwlab import cli, elliptic
 from mwlab.cli import INCONCLUSIVE, INTERNAL_ERROR, IO_ERROR, OK, USAGE_ERROR, VIOLATED, parse_args
 
 EC37 = ("--backend", "ec:0,0,1,-1,0")
-_E37 = mwgroup.EllipticGroup(mwgroup.WeierstrassCurve.parse("ec:0,0,1,-1,0"))
+_E37 = elliptic.EllipticGroup(elliptic.WeierstrassCurve.parse("ec:0,0,1,-1,0"))
 # 21*(0,0): a member of <(0,0)> whose least lambda, 21, is past the default
 # coefficient bound 20, so the certificate search is exhausted.
 P21 = _E37.scale(21, _E37.parse_point("(0,0)")).encode()

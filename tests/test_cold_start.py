@@ -18,10 +18,12 @@ import mwlab
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Modules no command needs before it runs: the pool machinery, the
-# dataclass machinery, and every checker the command line may not call.
+# dataclass machinery, every checker the command line may not call, and the
+# elliptic backend, which only an ec: backend needs.
 HEAVY = (
     "concurrent.futures", "multiprocessing", "dataclasses", "inspect",
     "mwlab.support", "mwlab.dependence", "mwlab.primesearch", "mwlab.experiments",
+    "mwlab.elliptic",
 )
 
 # What the first dispatch to the fork pool imports, and `select`, which its
@@ -34,10 +36,11 @@ EXPORTS = {
         "DetectionResult", "RecoveryResult", "SubgroupSpec", "detect_dependence",
         "exact_membership_multiplicative", "member_mod", "recover_exponent",
     ),
+    "elliptic": (
+        "EC_IDENTITY", "EcPoint", "EllipticGroup", "WeierstrassCurve", "elliptic_independence_check",
+    ),
     "mwgroup": (
-        "EC_IDENTITY", "EcPoint", "EllipticGroup", "MulPoint", "MultiplicativeGroup",
-        "WeierstrassCurve", "elliptic_independence_check", "multiplicative_independence",
-        "torsion_order_stability",
+        "MulPoint", "MultiplicativeGroup", "multiplicative_independence", "torsion_order_stability",
     ),
     "numth": (
         "Factorization", "PrimeRange", "bsgs_dlog", "crt", "exact_valuation", "factor",
@@ -108,6 +111,18 @@ class TestColdStart:
         assert "concurrent.futures" not in pooled_status["loaded"]
         assert "multiprocessing" not in pooled_status["loaded"]
         assert pooled == serial
+
+    @pytest.mark.parametrize("argv, elliptic", [
+        (("support-check", "--xs", "2,3", "--ys", "3,2"), False),
+        (("detect", "--points", "12", "--lambda", "2,3", "--primes", "3..300"), False),
+        (("find-primes", "--points", "2,3", "--l", "3", "--ks", "1,0", "--primes", "3..300"), False),
+        (("cs-check", "--backend", "ec:0,0,1,-1,0", "--x", "(0,0)", "--y", "(1,0)",
+          "--primes", "3..200"), True),
+    ], ids=["support-check", "detect", "find-primes", "ec-cs-check"])
+    def test_only_an_elliptic_command_loads_the_elliptic_backend(self, argv, elliptic):
+        _, status = run_and_list(*argv, "--workers", "1")
+        assert status["code"] in (0, 1, 2)
+        assert ("mwlab.elliptic" in status["loaded"]) is elliptic
 
     def test_a_command_builds_only_its_own_parser(self):
         # The full parser, all seven subcommands, is for lines that name no

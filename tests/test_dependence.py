@@ -14,13 +14,8 @@ from mwlab.dependence import (
     recover_exponent,
     verify_detect_witness,
 )
-from mwlab.mwgroup import (
-    EC_IDENTITY,
-    EllipticGroup,
-    MulPoint,
-    MultiplicativeGroup,
-    WeierstrassCurve,
-)
+from mwlab.elliptic import EC_IDENTITY, EllipticGroup, WeierstrassCurve
+from mwlab.mwgroup import MulPoint, MultiplicativeGroup
 from mwlab.numth import PrimeRange, primes_in
 
 M = MultiplicativeGroup()
@@ -225,6 +220,12 @@ class TestExactMembership:
 
 
 class TestDetect:
+    def test_rejects_no_points(self):
+        # No P_i would make every good prime a vacuous witness, ord_v(P_i)=[].
+        for backend, gens in ((M, (MulPoint(2),)), (EllipticGroup(C37), (C37.point(0, 0),))):
+            with pytest.raises(ValueError, match="at least one point"):
+                detect_dependence([], SubgroupSpec(gens, backend), PrimeRange(3, 50))
+
     def test_member_certified(self):
         lam = SubgroupSpec((MulPoint(6), MulPoint(10)), M)
         result = detect_dependence([MulPoint(360)], lam, PrimeRange(7, 10000))

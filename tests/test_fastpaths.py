@@ -19,18 +19,16 @@ from fractions import Fraction
 
 import pytest
 
-from mwlab import cli, dependence, mwgroup, numth, primesearch, support
+from mwlab import cli, dependence, elliptic, numth, primesearch, support
 from mwlab._parallel import scan_chunk
 from mwlab.dependence import (
     SubgroupSpec,
     _bounded_membership_search,
     member_mod,
 )
-from mwlab.mwgroup import (
+from mwlab.elliptic import (
     EC_IDENTITY,
     EllipticGroup,
-    MulPoint,
-    MultiplicativeGroup,
     WeierstrassCurve,
     _count_points_naive,
     _curve_order_mod,
@@ -39,8 +37,11 @@ from mwlab.mwgroup import (
     _shanks_mestre_order,
     _short_add,
     _to_short,
+)
+from mwlab.mwgroup import (
+    MulPoint,
+    MultiplicativeGroup,
     bounded_combinations,
-    exponent_from_multiple,
     subgroup_closure_mod,
 )
 from mwlab.numth import PrimeRange, exact_valuation, primes_in
@@ -108,10 +109,14 @@ class TestPointCount:
             fallbacks.append(v)
             return _count_points_naive(coeffs, v)
 
-        monkeypatch.setattr(mwgroup, "_count_points_naive", naive)
+        monkeypatch.setattr(elliptic, "_count_points_naive", naive)
         for v in primes:
             _curve_order_mod.__wrapped__(COEFFS[curve], v)  # bypass the cache
         assert len(fallbacks) <= 0.05 * len(primes)
+        # The count below _MESTRE_FROM enumerates, so the patch is the one
+        # the counts call, and the bound above is not met vacuously.
+        _curve_order_mod.__wrapped__(COEFFS[curve], 5)
+        assert fallbacks[-1:] == [5]
 
 
     @pytest.mark.parametrize("curve", [CXX, CX1, CX4, CX432], ids=["x3-x", "x3+1", "x3-4x", "x3-432"])
@@ -121,14 +126,14 @@ class TestPointCount:
         # still be the enumerated one wherever Shanks-Mestre answers, and
         # the single-hit exit must be taken at some points and not at others.
         shortcuts = []
-        inner = mwgroup._ec_walk
+        inner = elliptic._ec_walk
 
         def counted(a, P, target, k0, k1, limit, v):
             hits = inner(a, P, target, k0, k1, limit, v)
             shortcuts.append(len(hits) == 1)
             return hits
 
-        monkeypatch.setattr(mwgroup, "_ec_walk", counted)
+        monkeypatch.setattr(elliptic, "_ec_walk", counted)
         decided = 0
         for v in good_primes(curve, 3, 3000):
             got = _shanks_mestre_order(curve, v)
@@ -143,7 +148,7 @@ class TestPointCount:
         # Each point drawn is walked, so the side it is drawn from is read
         # off the generator's Legendre symbol.
         enumerated, twisted = [], []
-        inner_points, inner_naive = mwgroup._scaled_points, mwgroup._count_points_naive
+        inner_points, inner_naive = elliptic._scaled_points, elliptic._count_points_naive
 
         def points(A, B, v, chi):
             for point in inner_points(A, B, v, chi):
@@ -154,11 +159,11 @@ class TestPointCount:
             enumerated.append(v)
             return inner_naive(coeffs, v)
 
-        monkeypatch.setattr(mwgroup, "_scaled_points", points)
-        monkeypatch.setattr(mwgroup, "_count_points_naive", naive)
+        monkeypatch.setattr(elliptic, "_scaled_points", points)
+        monkeypatch.setattr(elliptic, "_count_points_naive", naive)
         for v in good_primes(curve, 3, 5000):
             assert _curve_order_mod.__wrapped__(COEFFS[curve], v) == inner_naive(COEFFS[curve], v), v
-        assert enumerated and max(enumerated) < mwgroup._MESTRE_FROM
+        assert enumerated and max(enumerated) < elliptic._MESTRE_FROM
         assert True in twisted
 
     @pytest.mark.parametrize("curve", [C37, CXX, CX1], ids=["37a", "x3-x", "x3+1"])
@@ -176,7 +181,7 @@ class TestPointCount:
             N = count(A % v, B % v)
             roots = sum((X**3 + A * X + B) % v == 0 for X in range(v))
             for chi, want in ((1, N), (v - 1, 2 * v + 2 - N)):
-                got = list(mwgroup._scaled_points(A, B, v, chi))
+                got = list(elliptic._scaled_points(A, B, v, chi))
                 assert len(got) == (want - 1 - roots) // 2, (v, chi)
                 for a, (x, y) in got:
                     fs = [f for f in range(1, v) if f * f % v == y and A * f * f % v == a
@@ -188,11 +193,11 @@ class TestPointCount:
 
     def test_one_walk_per_prime_on_a_non_cm_curve(self, monkeypatch):
         walks = []
-        inner = mwgroup._ec_walk
-        monkeypatch.setattr(mwgroup, "_ec_walk", lambda *args: walks.append(1) or inner(*args))
+        inner = elliptic._ec_walk
+        monkeypatch.setattr(elliptic, "_ec_walk", lambda *args: walks.append(1) or inner(*args))
         primes = good_primes(C37, 100_000, 120_000)
         assert all(_shanks_mestre_order(C37, v) is not None for v in primes)
-        assert len(walks) <= 1.1 * len(primes)
+        assert len(primes) <= len(walks) <= 1.1 * len(primes)  # a walk per point tried
 
 
 class TestEllipticWalk:
@@ -266,7 +271,7 @@ class TestEllipticDlog:
 def affine_multiple(curve, n, P, v):
     """Oracle: n*P by double-and-add on `_ec_add_mod` alone."""
     if n < 0:
-        n, P = -n, mwgroup._ec_neg_mod(curve, P, v)
+        n, P = -n, elliptic._ec_neg_mod(curve, P, v)
     acc = None
     while n:
         if n & 1:
@@ -302,10 +307,10 @@ class TestJacobianLadder:
                 for n in self._multipliers(curve, P, v, rng) if P else range(-3, 4):
                     want = affine_multiple(curve, n, P, v)
                     if v >= 5:  # the ladder on the short model, mapped there
-                        got = mwgroup._short_mul(curve.short_model[1] % v, n, _to_short(curve, P, v), v)
+                        got = elliptic._short_mul(curve.short_model[1] % v, n, _to_short(curve, P, v), v)
                         assert got == _to_short(curve, want, v), (v, P, n)
                     else:
-                        assert mwgroup._ec_mul_affine(curve, n, P, v) == want, (v, P, n)
+                        assert elliptic._ec_mul_affine(curve, n, P, v) == want, (v, P, n)
                     assert E.raw_kills(n, P, v) == (want is None), (v, P, n)
 
     def test_qstar_kills_against_literal_power(self):
@@ -514,6 +519,21 @@ def literal_order(backend, raw, v):
     return t
 
 
+def strip_exponent(backend, raws, m, v):
+    """Oracle: the generic strip each backend's raw_exponent replaced, one
+    `raw_kills` call per kill test."""
+    for q, _ in numth.factor(m).factors:
+        while m % q == 0:
+            for raw in raws:
+                if not backend.raw_kills(m // q, raw, v):
+                    break
+            else:
+                m //= q
+                continue
+            break
+    return m
+
+
 class TestSubgroupExponent:
     @pytest.mark.parametrize("backend, gen_sets", [
         (MultiplicativeGroup(), [(2,), (3, 5), (-1, 7), (4, 6, 10), (Fraction(2, 3), 9), ()]),
@@ -521,16 +541,20 @@ class TestSubgroupExponent:
         (EllipticGroup(CXX), [((0, 0),), ((0, 0), (1, 0)), ((1, 0), (-1, 0)), ()]),
     ], ids=["qstar", "389a", "x3-x"])
     def test_against_lcm_of_generator_orders(self, backend, gen_sets):
+        # From v = 2, so the elliptic strip also runs affine, below the short model.
         curve = getattr(backend, "curve", None)
         for gens in gen_sets:
             points = [backend.parse_point(str(g)) if curve is None else curve.point(*g) for g in gens]
-            for v in primes_in(PrimeRange(3, 1500)):
-                if not backend.good_prime(points, v):
+            for v in primes_in(PrimeRange(2, 1500)):
+                raws = backend.reduce(points, v)
+                if raws is None:
                     continue
-                raws = [backend.reduce_raw(L, v) for L in points]
                 want = math.lcm(*(literal_order(backend, g, v) for g in raws))
-                got = exponent_from_multiple(backend, raws, backend.group_order_mod(v), v)
-                assert got == want
+                n = backend.group_order_mod(v)
+                assert backend.raw_exponent(raws, n, v) == want, (gens, v)
+                assert strip_exponent(backend, raws, n, v) == want, (gens, v)
+                # A multiple of the exponent other than |G| strips to it too.
+                assert backend.raw_exponent(raws, 6 * want, v) == want, (gens, v)
 
 
 BAD = "bad prime"
@@ -675,7 +699,7 @@ def _watch_shortcut(monkeypatch, backend):
     last subgroup exponent it computed, "tests" the kill tests it ran after
     that, and "taken" counts the calls that `_shortcut_ok` saw stop at m."""
     watch = {"m": None, "tests": 0, "taken": 0}
-    exponent, kills = dependence.exponent_from_multiple, backend.raw_kills
+    exponent, kills = backend.raw_exponent, backend.raw_kills
 
     def watched_exponent(*args):
         watch["m"], watch["tests"] = exponent(*args), 0
@@ -685,7 +709,7 @@ def _watch_shortcut(monkeypatch, backend):
         watch["tests"] += 1
         return kills(*args)
 
-    monkeypatch.setattr(dependence, "exponent_from_multiple", watched_exponent)
+    monkeypatch.setattr(backend, "raw_exponent", watched_exponent)
     monkeypatch.setattr(backend, "raw_kills", watched_kills)
     return watch
 
@@ -763,7 +787,7 @@ class TestBoundedMembershipSearch:
         # certificate's own are chance matches that exact arithmetic
         # rejected. Each multiple lambda_j*L_j is scaled once per search.
         sums, scaled = {"n": 0}, []
-        eq, scale = mwgroup.EcPoint.__eq__, EllipticGroup.scale
+        eq, scale = elliptic.EcPoint.__eq__, EllipticGroup.scale
 
         def counted_eq(self, other):
             sums["n"] += 1
@@ -773,7 +797,7 @@ class TestBoundedMembershipSearch:
             scaled.append((k, id(L)))
             return scale(self, k, L)
 
-        monkeypatch.setattr(mwgroup.EcPoint, "__eq__", counted_eq)
+        monkeypatch.setattr(elliptic.EcPoint, "__eq__", counted_eq)
         monkeypatch.setattr(EllipticGroup, "scale", counted_scale)
         rng = random.Random(20)
         cases = []
@@ -870,7 +894,7 @@ _RECHECKS = {
 
 class TestRecheckIndependence:
     def test_elliptic_witnesses_and_hits_reverify_without_the_ladder(self, monkeypatch):
-        inner = mwgroup._ec_jacobian
+        inner = elliptic._ec_jacobian
         calls = {"n": 0}
 
         def guarded(*args):
@@ -881,7 +905,7 @@ class TestRecheckIndependence:
             calls["n"] += 1
             return inner(*args)
 
-        monkeypatch.setattr(mwgroup, "_ec_jacobian", guarded)
+        monkeypatch.setattr(elliptic, "_ec_jacobian", guarded)
         rng = random.Random(2008)
         groups = [(C37, [(0, 0)]), (C389, [(0, 0), (1, 0)]), (CN5, [(-4, 6), (0, 0)]),
                   (CA, [(0, 0)])]

@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwlab import mwgroup
+from mwlab import elliptic
+from mwlab.elliptic import EC_IDENTITY, EcPoint, EllipticGroup, WeierstrassCurve
 from mwlab.mwgroup import (
-    EC_IDENTITY,
-    EcPoint,
-    EllipticGroup,
     MulPoint,
     MultiplicativeGroup,
-    WeierstrassCurve,
     multiplicative_independence,
     torsion_order_stability,
     unit_relations,
@@ -286,6 +283,38 @@ class TestGoodPrimeAndReduce:
             MultiplicativeGroup().reduce_raw(MulPoint(Fraction(3, 2)), 2)
         assert EllipticGroup(C37).good_prime([C37.point(0, 0)], 37) is False
 
+    @staticmethod
+    def good_prime_by_points(backend, points, v):
+        """Oracle: the per-point bad-prime test that `reduce` replaced."""
+        if backend.kind == "multiplicative":
+            return v not in backend.excluded and all(
+                P.numerator % v and P.denominator % v for P in points)
+        return backend.curve.discriminant % v != 0 and all(
+            P.is_identity or (P.x.denominator % v and P.y.denominator % v) for P in points)
+
+    @pytest.mark.parametrize("backend, points", [
+        (MultiplicativeGroup([5, 11]), [2, -3, Fraction(3, 7), Fraction(-22, 35), 1, -1, 13]),
+        (MultiplicativeGroup(), [Fraction(-9, 4), 6, Fraction(1, 221)]),
+        # 5*(0,0) = (1/4, -5/8) and 7*(0,0) = (-5/9, 8/27) have denominators.
+        (EllipticGroup(C37), [(0, 0), (Fraction(1, 4), Fraction(-5, 8)),
+                              (Fraction(-5, 9), Fraction(8, 27)), "O"]),
+        (EllipticGroup(CXX), [(0, 0), (1, 0), (-1, 0), "O"]),
+    ], ids=["qstar-S", "qstar", "37a", "x3-x"])
+    def test_reduce_against_good_prime_then_reduce_raw(self, backend, points):
+        if backend.kind == "multiplicative":
+            points = [MulPoint(x) for x in points]
+        else:
+            points = [EC_IDENTITY if P == "O" else backend.curve.point(*P) for P in points]
+        seen = set()
+        for v in primes_in(PrimeRange(2, 600)):
+            for pts in (points, *([P] for P in points), []):
+                good = self.good_prime_by_points(backend, pts, v)
+                want = [backend.reduce_raw(P, v) for P in pts] if good else None
+                assert backend.reduce(pts, v) == want, (pts, v)
+                assert backend.good_prime(pts, v) is good
+                seen.add(good)
+        assert seen == {True, False}
+
 
 class TestCurveOrder:
     def test_known_values(self):
@@ -393,17 +422,17 @@ class TestModularGroupLaw:
             assert len(points) == EllipticGroup(curve).group_order_mod(v)
             for _ in range(60):
                 P, Q, R = (rng.choice(points) for _ in range(3))
-                PQ = mwgroup._ec_add_mod(curve, P, Q, v)
+                PQ = elliptic._ec_add_mod(curve, P, Q, v)
                 assert PQ in points
-                assert PQ == mwgroup._ec_add_mod(curve, Q, P, v)
-                lhs = mwgroup._ec_add_mod(curve, PQ, R, v)
-                rhs = mwgroup._ec_add_mod(
-                    curve, P, mwgroup._ec_add_mod(curve, Q, R, v), v
+                assert PQ == elliptic._ec_add_mod(curve, Q, P, v)
+                lhs = elliptic._ec_add_mod(curve, PQ, R, v)
+                rhs = elliptic._ec_add_mod(
+                    curve, P, elliptic._ec_add_mod(curve, Q, R, v), v
                 )
                 assert lhs == rhs
             for P in points:
-                neg = mwgroup._ec_neg_mod(curve, P, v)
-                assert mwgroup._ec_add_mod(curve, P, neg, v) is None
+                neg = elliptic._ec_neg_mod(curve, P, v)
+                assert elliptic._ec_add_mod(curve, P, neg, v) is None
 
 
 class TestReductionHomomorphism:
@@ -436,7 +465,7 @@ class TestReductionHomomorphism:
             assert len(good) >= 10
             for v in good:
                 lhs = E.reduce_raw(S, v)
-                rhs = mwgroup._ec_add_mod(C37, E.reduce_raw(P, v), E.reduce_raw(Q, v), v)
+                rhs = elliptic._ec_add_mod(C37, E.reduce_raw(P, v), E.reduce_raw(Q, v), v)
                 assert lhs == rhs
 
 
@@ -536,7 +565,7 @@ class TestTorsion:
             except ValueError:  # singular
                 pass
         for c in curves:
-            expected = tuple(sorted(nagell_lutz_torsion(c), key=mwgroup._order_key))
+            expected = tuple(sorted(nagell_lutz_torsion(c), key=elliptic._order_key))
             assert EllipticGroup(c).torsion_elements() == expected, c
 
     def test_order_eight_points(self):
@@ -659,21 +688,21 @@ class TestEllipticIndependenceCheck:
     def test_multiples_flagged_dependent(self):
         E = EllipticGroup(C37)
         G = C37.point(0, 0)
-        assert mwgroup.elliptic_independence_check(E, [G, C37.mul(3, G)], bound=4) is False
+        assert elliptic.elliptic_independence_check(E, [G, C37.mul(3, G)], bound=4) is False
 
     def test_torsion_flagged_dependent(self):
         E = EllipticGroup(CXX)
-        assert mwgroup.elliptic_independence_check(E, [CXX.point(0, 0)], bound=4) is False
+        assert elliptic.elliptic_independence_check(E, [CXX.point(0, 0)], bound=4) is False
 
     def test_independent_pair_passes(self):
         # rank-2 curve: (0,0) and (1,0) are independent generators
         c = WeierstrassCurve(0, 1, 1, -2, 0)
         E = EllipticGroup(c)
-        assert mwgroup.elliptic_independence_check(E, [c.point(0, 0), c.point(1, 0)], bound=4) is True
+        assert elliptic.elliptic_independence_check(E, [c.point(0, 0), c.point(1, 0)], bound=4) is True
 
     def test_single_nontorsion_passes(self):
         E = EllipticGroup(C37)
-        assert mwgroup.elliptic_independence_check(E, [C37.point(0, 0)], bound=6) is True
+        assert elliptic.elliptic_independence_check(E, [C37.point(0, 0)], bound=6) is True
 
 
 class TestEncodings:

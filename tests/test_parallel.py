@@ -71,11 +71,8 @@ class BadAt:
     def __init__(self, bad=()):
         self.bad = frozenset(bad)
 
-    def good_prime(self, points, v):
-        return v not in self.bad
-
-    def reduce_raw(self, P, v):
-        return P, v
+    def reduce(self, points, v):
+        return None if v in self.bad else [(P, v) for P in points]
 
 
 def _witness_at(target, backend, raws, v):

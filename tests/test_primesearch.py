@@ -136,6 +136,11 @@ class TestReplayStep1:
         with pytest.raises(ValueError):
             replay_step1(MulPoint(2), [MulPoint(3)], 6, M, PrimeRange(3, 100))
 
+    def test_rejects_no_q(self):
+        # With no Q_i, "l divides every ord_v(Q_i)" holds vacuously at v = 3.
+        with pytest.raises(ValueError, match="at least one Q"):
+            replay_step1(MulPoint(2), [], 3, M, PrimeRange(3, 50))
+
     def test_worker_determinism(self):
         w1 = replay_step1(MulPoint(2), [MulPoint(3)], 5, M, PrimeRange(3, 2000), workers=1)
         w8 = replay_step1(MulPoint(2), [MulPoint(3)], 5, M, PrimeRange(3, 2000), workers=8)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from mwlab.dependence import DetectionResult, RecoveryResult, SubgroupSpec
-from mwlab.mwgroup import EC_IDENTITY, EcPoint, EllipticGroup, MultiplicativeGroup, WeierstrassCurve
+from mwlab.elliptic import EC_IDENTITY, EcPoint, EllipticGroup, WeierstrassCurve
+from mwlab.mwgroup import MultiplicativeGroup
 from mwlab.numth import Factorization, PrimeRange, factor
 from mwlab.primesearch import DensityReport, PatternHit, ValuationPattern
 from mwlab.reports import ConditionReport, RelationCertificate, Witness

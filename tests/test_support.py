@@ -7,7 +7,8 @@ import pytest
 
 from mwlab import support
 from mwlab._parallel import scan_chunk
-from mwlab.mwgroup import EllipticGroup, MulPoint, MultiplicativeGroup, WeierstrassCurve
+from mwlab.elliptic import EllipticGroup, WeierstrassCurve
+from mwlab.mwgroup import MulPoint, MultiplicativeGroup
 from mwlab.numth import PrimeRange, factor, multiplicative_order, primes_in
 from mwlab.reports import Witness
 from mwlab.support import (
@@ -354,6 +355,24 @@ class TestScans:
     def test_scan_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             scan_erdos_union([1], [2], PrimeRange(3, 100))
+
+    # An empty side would hold vacuously and report a witness at the first
+    # good prime.
+    def test_erdos_union_rejects_an_empty_side(self):
+        for xs, ys in (([], [3]), ([3], []), ([], [])):
+            with pytest.raises(ValueError, match="at least one point on each side"):
+                scan_erdos_union(xs, ys, PrimeRange(3, 100))
+
+    def test_cor22_rejects_an_empty_side(self):
+        Q = E37.curve.point(0, 0)
+        for backend, Ps, Qs in ((E37, [], [Q]), (E37, [Q], []), (M, [], [MulPoint(2)])):
+            with pytest.raises(ValueError, match="at least one point on each side"):
+                scan_cor22(Ps, Qs, backend, PrimeRange(3, 100))
+
+    def test_thm2_rejects_no_q(self):
+        for backend, P in ((M, MulPoint(2)), (E37, E37.curve.point(0, 0))):
+            with pytest.raises(ValueError, match="at least one Q"):
+                scan_thm2(P, [], backend, PrimeRange(3, 100))
 
 
 class TestTwoSidedBackends:
