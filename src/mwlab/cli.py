@@ -16,6 +16,7 @@ report is rendered as csv.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -506,5 +507,14 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry() -> int:
+    """The process entry of `python -m mwlab`, `-m mwlab.cli` and the `mwlab`
+    script: main, then gc.freeze(), so the collections at exit skip the heap.
+    atexit, which reaps the pools, and the stream flushes still run."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

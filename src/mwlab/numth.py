@@ -274,6 +274,8 @@ def exact_valuation(l: int, k: int, n: int) -> bool:
         raise ValueError(f"valuation of non-positive {n}")
     if k == 0:
         return n % l != 0
+    if k >= n.bit_length():  # l**k >= 2**k > n, and l**k is never formed
+        return False
     lk = l**k
     return n % lk == 0 and n % (lk * l) != 0
 

@@ -69,11 +69,14 @@ def _pattern_test(points, pattern, backend, raws, v):
     n * l^(k-1) does not: at most two kill tests per point. Only a match
     computes its orders.
     """
-    l = pattern.l
+    l, e = pattern.l, 0
     n = backend.group_order_mod(v)
     while n % l == 0:
         n //= l
+        e += 1
     for raw, k in zip(raws, pattern.ks):
+        if k > e:
+            return None  # v_l(ord P) <= v_l(N) = e; l**k is never formed
         if not backend.raw_kills(n * l**k, raw, v):
             return None  # v_l(ord P) > k
         if k and backend.raw_kills(n * l ** (k - 1), raw, v):

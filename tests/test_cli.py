@@ -1,5 +1,7 @@
 import contextlib
+import gc
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -795,36 +797,64 @@ class TestDeterminism:
         assert a == b
 
 
+# One command line per exit code, each run cold and in-process below.
+EXITS = [
+    (OK, ["support-check", "--xs", "2,3", "--ys", "3,2", "--primes", "3..100"]),
+    (VIOLATED, ["support-check", "--xs", "2", "--ys", "8", "--primes", "3..100"]),
+    (INCONCLUSIVE, ["find-primes", "--points", "2", "--l", "2", "--ks", "30",
+                    "--primes", "3..100"]),
+    (USAGE_ERROR, ["support-check", "--xs", "2", "--ys", "1"]),
+    (INTERNAL_ERROR, ["support-check", "--xs", "2", "--ys", "8", "--verify", "11:1"]),
+]
+
+
 def test_module_entry_point(capsys):
-    argv = ["support-check", "--xs", "2", "--ys", "8", "--primes", "3..100"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "mwlab", *argv],
-        capture_output=True,
-        text=True,
-        cwd="src",
-    )
-    code = cli.main(argv)
-    captured = capsys.readouterr()
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
-    assert code == VIOLATED
-    assert json.loads(proc.stdout)["outcome"]["report"]["witness"]["v"] == 7
-
-
-def test_closed_stdout_is_an_io_error():
-    # The verdict holds, but the reader is gone before the report is
-    # written: exit 74, not 1, and no traceback.
-    r, w = os.pipe()
-    os.close(r)
-    try:
+    # The process entry freezes the heap before the interpreter exits; the
+    # code, the report bytes and stderr are what cli.main gives in-process,
+    # and cli.main itself freezes nothing.
+    for module, (code, argv) in itertools.product(("mwlab", "mwlab.cli"), EXITS):
         proc = subprocess.run(
-            [sys.executable, "-m", "mwlab", "support-check", "--xs", "2,3,5",
-             "--ys", "5,3,2", "--primes", "3..200"],
-            stdout=w,
-            stderr=subprocess.PIPE,
-            text=True,
-            cwd="src",
+            [sys.executable, "-m", module, *argv], capture_output=True, cwd="src"
         )
-    finally:
-        os.close(w)
-    assert proc.returncode == IO_ERROR
-    assert proc.stderr == "mwlab: support-check scanning primes 3..200\n"
+        frozen = gc.get_freeze_count()
+        assert cli.main(argv) == code
+        assert gc.get_freeze_count() == frozen
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, captured.out.encode(), captured.err.encode()), (module, argv)
+
+
+def test_the_entry_freezes_the_heap():
+    script = ("import gc, sys; from mwlab.cli import entry; "
+              "code = entry(); print(code, gc.get_freeze_count() > 0, file=sys.stderr)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *EXITS[0][1]], capture_output=True, text=True, cwd="src"
+    )
+    assert proc.stderr.endswith("0 True\n")
+
+
+def test_closed_stdout_is_an_io_error(capsys, monkeypatch):
+    # The verdict holds, but the reader is gone before the report is
+    # written: exit 74, not 1, and no traceback, cold or in-process.
+    argv = ["support-check", "--xs", "2,3,5", "--ys", "5,3,2", "--primes", "3..200"]
+    for module in ("mwlab", "mwlab.cli"):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                stdout=w,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd="src",
+            )
+            # In-process the report goes to the same pipe, through a stream
+            # of its own, so 74 points that descriptor, not fd 1, at devnull.
+            with open(w, "w", closefd=False) as stream, monkeypatch.context() as m:
+                m.setattr(sys, "stdout", stream)
+                assert cli.main(argv) == IO_ERROR
+        finally:
+            os.close(w)
+        assert proc.returncode == IO_ERROR
+        assert proc.stderr == capsys.readouterr().err == (
+            "mwlab: support-check scanning primes 3..200\n")

@@ -82,6 +82,20 @@ print(json.dumps({{"code": code, "loaded": [m for m in {HEAVY + POOL!r} if m in 
 """
 
 
+# Runs one command line through the process entry, as `python -m mwlab` and
+# the mwlab script do, at two CPUs as above; then prints to stderr how many
+# workers the pools forked, before the interpreter exits and reaps them.
+ENTRY_AND_COUNT = """
+import os, sys
+os.cpu_count = lambda: 2
+from mwlab import _parallel
+from mwlab.cli import entry
+code = entry()
+print(sum(len(pool.pids) for pool in _parallel._POOLS.values()), file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def run_and_list(*argv: str) -> tuple[str, dict]:
     report, _, tail = cold(RUN_AND_LIST, *argv).stdout.rstrip("\n").rpartition("\n")
     return report, json.loads(tail)
@@ -124,6 +138,32 @@ class TestColdStart:
         assert status["code"] in (0, 1, 2)
         assert ("mwlab.elliptic" in status["loaded"]) is elliptic
 
+    @pytest.mark.parametrize("stdout", ["open", "closed"])
+    def test_a_frozen_exit_still_reaps_every_worker(self, stdout):
+        # A holding scan past the 64-prime head, at two workers, in a session
+        # of its own: once the command has exited, no process of its group
+        # is left, with the report written (0) or its reader gone (74).
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        r, w = os.pipe()
+        if stdout == "closed":
+            os.close(r)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", ENTRY_AND_COUNT, "support-check", "--xs", "2,3",
+                 "--ys", "3,2", "--workers", "2"],
+                stdout=w, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+            )
+        finally:
+            os.close(w)
+        if stdout == "open":
+            with open(r, "rb") as reader:
+                assert json.loads(reader.read())["outcome"]["report"]["witness"] is None
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == (0 if stdout == "open" else 74)
+        assert err.splitlines()[-1] == "2"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
     def test_a_command_builds_only_its_own_parser(self):
         # The full parser, all seven subcommands, is for lines that name no
         # command; a cold support-check builds one parser, its own.
@@ -153,6 +193,16 @@ class TestPackageSurface:
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             mwlab.no_such_name
+
+    def test_the_script_runs_the_process_entry(self):
+        # An installed `mwlab` exits the way `python -m mwlab` does.
+        from mwlab.cli import entry
+
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        scripts = pyproject.partition("[project.scripts]\n")[2].partition("\n[")[0]
+        assert scripts.strip() == 'mwlab = "mwlab.cli:entry"'
+        module, _, name = scripts.split('"')[1].partition(":")
+        assert getattr(importlib.import_module(module), name) is entry
 
     def test_version(self):
         assert mwlab.__version__ == "0.1.0"

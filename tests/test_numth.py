@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -438,6 +439,17 @@ class TestExactValuation:
     @settings(max_examples=300, deadline=None)
     def test_matches_factor_exponent(self, l, k, n):
         assert exact_valuation(l, k, n) == (factor(n).exponent_of(l) == k)
+
+    def test_exponent_past_the_bit_length(self):
+        # l**k is never formed: 2**(10**20) would not fit in memory.
+        assert exact_valuation(2, 10**20, 24) is False
+        assert exact_valuation(3, 10**20, 3**40) is False
+        # Against the formula without the guard, at every k up to past it.
+        for l, n in itertools.product((2, 3, 7), (1, 2, 8, 24, 81, 3**5 * 7, 2**20)):
+            for k in range(n.bit_length() + 3):
+                lk = l**k
+                expected = n % l != 0 if k == 0 else n % lk == 0 and n % (lk * l) != 0
+                assert exact_valuation(l, k, n) is expected, (l, k, n)
 
 
 class TestCrt:

@@ -1,9 +1,15 @@
+import itertools
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+from mwlab import primesearch
+from mwlab.elliptic import EllipticGroup, WeierstrassCurve
 from mwlab.mwgroup import MulPoint, MultiplicativeGroup, multiplicative_independence
-from mwlab.numth import PrimeRange, exact_valuation, factor
+from mwlab.numth import PrimeRange, exact_valuation, factor, primes_in
 from mwlab.primesearch import (
     ValuationPattern,
     find_pattern_primes,
@@ -13,6 +19,8 @@ from mwlab.primesearch import (
 )
 
 M = MultiplicativeGroup()
+E37 = EllipticGroup(WeierstrassCurve.parse("ec:0,0,1,-1,0"))
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def direct_order_check(backend, P, v, claimed):
@@ -106,6 +114,47 @@ class TestPattern:
                 points, ValuationPattern(l, ks), M, PrimeRange(3, 100_000), max_hits=1
             )
             assert hits, (l, ks, [p.encode() for p in points])
+
+    @pytest.mark.parametrize("backend, points, l", [
+        ("mul", "2", "3"), ("ec:0,0,1,-1,0", "(0,0)", "2"),
+    ], ids=["qstar", "37a"])
+    def test_exponent_past_every_group_order_ends_at_once(self, backend, points, l):
+        # l**k for k = 10**20 has about 10**20 digits; no |G| in the window
+        # has that valuation, so no prime is a hit and no power is formed.
+        proc = subprocess.run(
+            [sys.executable, "-m", "mwlab", "find-primes", "--backend", backend,
+             "--points", points, "--l", l, "--ks", "99999999999999999999", "--primes", "3..50"],
+            capture_output=True, text=True, cwd=SRC, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert '"hits": []' in proc.stdout
+
+    @pytest.mark.parametrize("backend, points", [
+        (M, [MulPoint(2), MulPoint(-3)]),
+        (E37, [E37.parse_point("(0,0)"), E37.parse_point("(1,0)")]),
+    ], ids=["qstar", "37a"])
+    def test_pattern_test_matches_the_unguarded_test(self, backend, points):
+        # The test before the k > v_l(|G|) guard, kept as the oracle: both
+        # kill tests at every k, whatever |G| is.
+        def unguarded(pattern, raws, v):
+            l, n = pattern.l, backend.group_order_mod(v)
+            while n % l == 0:
+                n //= l
+            for raw, k in zip(raws, pattern.ks):
+                if not backend.raw_kills(n * l**k, raw, v):
+                    return None
+                if k and backend.raw_kills(n * l ** (k - 1), raw, v):
+                    return None
+            return v, tuple(backend.order_mod(P, v) for P in points)
+
+        reductions = {v: backend.reduce(points, v) for v in primes_in(PrimeRange(3, 400))}
+        for l, ks in itertools.product((2, 3, 5), itertools.product(range(8), repeat=2)):
+            pattern = ValuationPattern(l, ks)
+            for v, raws in reductions.items():
+                if raws is None:
+                    continue  # a bad prime
+                assert (primesearch._pattern_test(points, pattern, backend, raws, v)
+                        == unguarded(pattern, raws, v)), (l, ks, v)
 
 
 class TestReplayStep1:
