@@ -21,8 +21,8 @@ into one chunk per process of the pool. Worker pools are persistent (one
 per pool size) and run no thread: each worker is an `os.fork`ed process
 with its own task and result pipes, and the dispatching thread writes one
 task per worker per round and reads that round's replies in task order.
-Only `pickle` loads at the first dispatch, so a serial scan never imports
-it.
+The pool itself is in `mwlab._pool`, which loads, with `pickle`, at the
+first dispatch, so a serial scan never imports either.
 An exception raised by a test propagates once, as it would serially; only
 a pool that cannot start, or one whose worker process died, makes the
 dispatched chunks run in-process, with identical output.
@@ -34,87 +34,13 @@ import atexit
 import os
 from functools import cache
 
-_POOLS: dict[int, _Pool] = {}
+_POOLS: dict[int, _pool.Pool] = {}
 _BROKEN = False
 
 # Primes a scan tests in-process before it dispatches the rest of its
 # window: a false hypothesis is usually refuted within the first few good
 # primes, so most scans never pay a pool round trip.
 HEAD = 64
-
-
-class _Pool:
-    """`size` forked workers; worker i answers each pickled (fn, args) on
-    tasks[i] with a pickled (True, fn(*args)) or (False, exc) on results[i]."""
-
-    def __init__(self, size: int):
-        self.pids, self.tasks, self.results = [], [], []
-        try:
-            for _ in range(size):
-                self._fork()
-        except BaseException:
-            self.close()
-            raise
-
-    def _fork(self):
-        import pickle
-
-        task_r, task_w = os.pipe()
-        result_r, result_w = os.pipe()
-        self.tasks.append(open(task_w, "wb"))
-        self.results.append(open(result_r, "rb"))
-        try:
-            pid = os.fork()
-            if pid == 0:  # the worker, until its task pipe closes; it never returns
-                try:
-                    for pool in (*_POOLS.values(), self):  # its own parent ends too
-                        for f in (*pool.tasks, *pool.results):
-                            f.close()
-                    tasks, results = open(task_r, "rb"), open(result_w, "wb")
-                    while True:
-                        fn, args = pickle.load(tasks)
-                        try:
-                            reply = pickle.dumps((True, fn(*args)))
-                        except Exception as exc:
-                            reply = pickle.dumps((False, exc))
-                        results.write(reply)
-                        results.flush()
-                finally:
-                    os._exit(0)
-        finally:  # only the parent gets here, whether or not the fork worked
-            os.close(task_r)
-            os.close(result_w)
-        self.pids.append(pid)
-
-    def run(self, fn, tasks: list[tuple]) -> list[tuple] | None:
-        """The (ok, value) reply to each task, in task order, or None when a
-        worker died (an end of file or a broken pipe)."""
-        import pickle
-
-        replies = []
-        try:
-            for start in range(0, len(tasks), len(self.pids)):
-                batch = tasks[start : start + len(self.pids)]
-                for f, task in zip(self.tasks, batch):
-                    f.write(pickle.dumps((fn, task)))
-                    f.flush()
-                replies += [pickle.load(f) for f in self.results[: len(batch)]]
-        except (EOFError, OSError, pickle.UnpicklingError):
-            return None
-        return replies
-
-    def close(self):
-        """Close the pipes, then kill and reap every worker."""
-        import signal
-
-        for f in (*self.tasks, *self.results):
-            try:
-                f.close()
-            except OSError:
-                pass  # the flush of a task that a dead worker never read
-        for pid in self.pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 @atexit.register
@@ -194,10 +120,12 @@ def map_chunks(fn, tasks: list[tuple], workers: int) -> list:
 
 def _pool_map(fn, tasks: list[tuple], workers: int) -> list:
     global _BROKEN
+    from ._pool import Pool
+
     size = pool_size(workers)  # one pool serves each capped size
     replies = None
     try:
-        pool = _POOLS.get(size) or _POOLS.setdefault(size, _Pool(size))
+        pool = _POOLS.get(size) or _POOLS.setdefault(size, Pool(size, _POOLS.values()))
     except (AttributeError, OSError):
         pass  # no os.fork, or no process to be had (a restricted sandbox)
     else:

@@ -9,8 +9,8 @@ Reports echo semantic inputs only (never worker counts), so identical
 configurations give byte-identical output at any parallelism.
 
 A command imports only the modules it runs: the checkers, searches and
-suites are imported in the branch that calls them, and csv only when a
-report is rendered as csv.
+suites are imported in the branch that calls them, the Q* backend only by
+a Q* command, and csv only when a report is rendered as csv.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from collections import namedtuple
 from functools import cache
 
-from . import mwgroup, numth
+from . import numth
 from .numth import PrimeRange
 
 OK, VIOLATED, INCONCLUSIVE, USAGE_ERROR, INTERNAL_ERROR, IO_ERROR = 0, 1, 2, 64, 70, 74
@@ -68,16 +68,18 @@ def _split_points(text: str) -> list[str]:
 def _parse_backend(text: str):
     t = text.strip()
     try:
-        if t in ("mul", "multiplicative", "qstar"):
-            return mwgroup.MultiplicativeGroup()
-        if t.startswith("S={") and t.endswith("}"):
-            inner = t[3:-1].strip()
-            primes = [int(p) for p in inner.split(",") if p.strip()] if inner else []
-            return mwgroup.MultiplicativeGroup(primes)
         if t.startswith("ec:"):
             from .elliptic import EllipticGroup, WeierstrassCurve
 
             return EllipticGroup(WeierstrassCurve.parse(t))
+        from .mwgroup import MultiplicativeGroup
+
+        if t in ("mul", "multiplicative", "qstar"):
+            return MultiplicativeGroup()
+        if t.startswith("S={") and t.endswith("}"):
+            inner = t[3:-1].strip()
+            primes = [int(p) for p in inner.split(",") if p.strip()] if inner else []
+            return MultiplicativeGroup(primes)
     except ValueError as exc:
         raise UsageError(f"bad --backend {text!r}: {exc}") from exc
     raise UsageError(f"bad --backend {text!r} (use mul, S={{p1,p2}}, or ec:a1,a2,a3,a4,a6)")
@@ -181,7 +183,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         ns.command = argv[0]
     else:
         ns = _build_parser().parse_args(argv)
-    backend = _parse_backend(ns.backend) if hasattr(ns, "backend") else mwgroup.MultiplicativeGroup()
+    backend = _parse_backend(getattr(ns, "backend", "mul"))
     scan = _parse_scan(ns.primes) if ns.primes else None
     if scan is None and ns.command != "experiment":
         scan = PrimeRange(*backend.default_scan)
@@ -292,7 +294,9 @@ def _run_verify(config: RunConfig) -> tuple[int, dict]:
     v, n = config.verify
     pl = config.payload
     if config.command == "support-check":
-        points = [mwgroup.MulPoint(x) for x in pl["xs"] + pl["ys"]]
+        from .mwgroup import MulPoint
+
+        points = [MulPoint(x) for x in pl["xs"] + pl["ys"]]
         condition, inputs = "erdos_union", {"xs": pl["xs"], "ys": pl["ys"]}
     elif config.command == "cs-check":
         points = [pl["x"], pl["y"]]

@@ -104,7 +104,9 @@ def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
     Violated: some good v has every P_i outside the reduced subgroup (the
     witness carries n = lcm of reduced generator orders). Holds: an exact
     certificate alpha * P_i in the subgroup is attempted, via the exponent
-    oracle (multiplicative) or bounded search (elliptic).
+    oracle (multiplicative) or bounded search (elliptic). An identity P_i,
+    which lies in every subgroup, is certified with alpha = 1 and every
+    lambda 0 before either is asked.
     """
     Ps = list(Ps)
     if not Ps:
@@ -124,7 +126,10 @@ def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
             return _bounded_membership_search(P, subgroup, coeff_bound)
         note = f"inconclusive (elliptic bounded search exhausted at |coefficients| <= {coeff_bound})"
     for i, P in enumerate(Ps):
-        cert = certify(P, subgroup)
+        if backend.is_identity(P):
+            cert = RelationCertificate("membership", (1,) + (0,) * len(subgroup.generators))
+        else:
+            cert = certify(P, subgroup)
         if cert is not None:
             return DetectionResult(report, cert._replace(index=i), i, None)
     return DetectionResult(report, None, None, note)

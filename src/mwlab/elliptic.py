@@ -8,7 +8,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import numth
-from .mwgroup import bounded_combinations
 
 
 class EcPoint:
@@ -480,9 +479,9 @@ class EllipticGroup:
     def reduce_raw(self, P: EcPoint, v: int):
         if P.is_identity:
             return None
-        x = P.x.numerator % v * pow(P.x.denominator % v, -1, v) % v
-        y = P.y.numerator % v * pow(P.y.denominator % v, -1, v) % v
-        return (x, y)
+        x, y = P.x, P.y  # an integral coordinate takes no inverse, as on Q*
+        return (x.numerator % v if x.denominator == 1 else x.numerator * pow(x.denominator, -1, v) % v,
+                y.numerator % v if y.denominator == 1 else y.numerator * pow(y.denominator, -1, v) % v)
 
     def group_order_mod(self, v: int) -> int:
         if self.curve.discriminant % v == 0:
@@ -546,8 +545,15 @@ class EllipticGroup:
             a, raws = c.short_model[1] % v, [_to_short(c, raw, v) for raw in raws]
             kills = lambda n, P: _ec_jacobian(a, n, P, v)[2] == 0
         for q, _ in numth.factor(m).factors:
-            while m % q == 0 and all(kills(m // q, raw) for raw in raws):
-                m //= q
+            while m % q == 0:
+                e = m // q
+                for raw in raws:  # a plain loop: faster than all() over a generator
+                    if not kills(e, raw):
+                        break
+                else:
+                    m = e
+                    continue
+                break
         return m
 
     def dlog_mod(self, P: EcPoint, Q: EcPoint, v: int) -> int | None:
@@ -674,6 +680,8 @@ def elliptic_independence_check(backend: EllipticGroup, points, bound: int = 10)
     arithmetic. True means no such relation exists; False means the points
     are dependent.
     """
+    from .mwgroup import bounded_combinations
+
     return not any(
         any(vec) and backend.is_identity(acc)
         for vec, acc in bounded_combinations(backend, points, bound)

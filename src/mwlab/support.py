@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from . import numth
 from ._parallel import map_chunks, pool_size, scan_chunk, split_chunks
-from .mwgroup import MulPoint, MultiplicativeGroup
 from .numth import PrimeRange
 from .reports import ConditionReport, RelationCertificate, Witness, merge_scan_results
 
@@ -126,6 +125,8 @@ def _scan(test, args, backend, points, scan: PrimeRange, workers: int) -> Condit
 
 def scan_erdos_union(xs, ys, scan: PrimeRange, workers: int = 1) -> ConditionReport:
     """Scan the support-union condition for natural numbers xs, ys >= 2."""
+    from .mwgroup import MulPoint, MultiplicativeGroup  # only Q* scans load the Q* backend
+
     xs, ys = tuple(int(x) for x in xs), tuple(int(y) for y in ys)
     if any(v < 2 for v in xs + ys):
         raise ValueError("support-union condition takes natural numbers >= 2")

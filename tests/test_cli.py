@@ -487,6 +487,24 @@ class TestRun:
         )
         assert code == VIOLATED
 
+    @pytest.mark.parametrize("argv, index, lambdas", [
+        (("--points", "1", "--lambda", "2"), 0, [0]),
+        (("--points", "O", "--lambda", "(0,0)", *EC37), 0, [0]),
+        (("--points", "2,1", "--lambda", "3,5"), 1, [0, 0]),
+        (("--points", "(0,0),O", "--lambda", "(1,0)", "--backend", "ec:0,1,1,-2,0"), 1, [0]),
+    ], ids=["qstar", "37a", "qstar-after-a-refusal", "rank2-after-an-exhausted-search"])
+    def test_detect_certifies_the_identity(self, capsys, argv, index, lambdas):
+        # The identity lies in every subgroup: alpha = 1 with every lambda 0,
+        # before the oracle (which refuses it) or the bounded search is asked.
+        code, out = run_cli(capsys, "detect", *argv, "--primes", "3..30")
+        assert code == OK
+        outcome = json.loads(out)["outcome"]
+        assert outcome["certificate"] == {
+            "kind": "membership", "index": index, "alpha": 1, "lambdas": lambdas,
+            "residual_torsion": None,
+        }
+        assert (outcome["certified_index"], outcome["note"]) == (index, None)
+
     def test_cs_check_scan(self, capsys):
         code, out = run_cli(capsys, "cs-check", "--x", "4", "--y", "2", "--primes", "3..500")
         assert code == VIOLATED

@@ -28,7 +28,10 @@ HEAVY = (
 
 # What the first dispatch to the fork pool imports, and `select`, which its
 # round-by-round reply loop does without.
-POOL = ("pickle", "select")
+POOL = ("mwlab._pool", "pickle", "select")
+
+# The Q* backend, which only a Q* command and an elliptic detect need.
+QSTAR = ("mwlab.mwgroup",)
 
 # The public names of the package, by the submodule that defines them.
 EXPORTS = {
@@ -59,6 +62,9 @@ EXPORTS = {
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
+EC37 = ("--backend", "ec:0,0,1,-1,0")
+
+
 def cold(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that sees only src/ and no worker
     count from the environment; argv becomes sys.argv[1:]."""
@@ -70,7 +76,7 @@ def cold(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 
 # Runs one command line through cli.main, then prints, as its last stdout
-# line, the HEAVY and POOL modules it loaded. The child counts two CPUs, so
+# line, the HEAVY, POOL and QSTAR modules it loaded. The child counts two CPUs, so
 # --workers 2 dispatches to the pool on any machine: pool_size caps the
 # workers at os.cpu_count(), and at one CPU every chunk runs in-process.
 RUN_AND_LIST = f"""
@@ -78,7 +84,7 @@ import json, os, sys
 os.cpu_count = lambda: 2
 from mwlab import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps({{"code": code, "loaded": [m for m in {HEAVY + POOL!r} if m in sys.modules]}}))
+print(json.dumps({{"code": code, "loaded": [m for m in {HEAVY + POOL + QSTAR!r} if m in sys.modules]}}))
 """
 
 
@@ -106,6 +112,11 @@ class TestColdStart:
         code = f"import sys, mwlab.cli; print([m for m in {HEAVY!r} if m in sys.modules])"
         assert cold(code).stdout.strip() == "[]"
 
+    def test_importing_the_cli_loads_only_numth(self):
+        # Neither backend nor the pool: each loads in the command that runs it.
+        code = "import sys, mwlab.cli; print(sorted(m for m in sys.modules if m.startswith('mwlab')))"
+        assert cold(code).stdout.strip() == "['mwlab', 'mwlab.cli', 'mwlab.numth']"
+
     def test_serial_scan_never_loads_the_pool(self):
         _, status = run_and_list(
             "cs-check", "--backend", "ec:0,0,1,-1,0", "--x", "(0,0)", "--y", "(1,0)",
@@ -121,7 +132,8 @@ class TestColdStart:
         pooled, pooled_status = run_and_list(*argv, "--workers", "2")
         assert serial_status["code"] == pooled_status["code"] == 0
         # The fork pool dispatches on pipes and needs no executor machinery.
-        assert "pickle" in pooled_status["loaded"] and "select" not in pooled_status["loaded"]
+        assert {"mwlab._pool", "pickle"} <= set(pooled_status["loaded"])
+        assert "select" not in pooled_status["loaded"]
         assert "concurrent.futures" not in pooled_status["loaded"]
         assert "multiprocessing" not in pooled_status["loaded"]
         assert pooled == serial
@@ -137,6 +149,23 @@ class TestColdStart:
         _, status = run_and_list(*argv, "--workers", "1")
         assert status["code"] in (0, 1, 2)
         assert ("mwlab.elliptic" in status["loaded"]) is elliptic
+
+    @pytest.mark.parametrize("argv, qstar", [
+        (("support-check", "--xs", "2,3", "--ys", "3,2"), True),
+        (("detect", "--points", "12", "--lambda", "2,3", "--primes", "3..300"), True),
+        (("find-primes", "--points", "2,3", "--l", "3", "--ks", "1,0", "--primes", "3..300"), True),
+        (("cs-check", "--x", "4", "--y", "2", "--backend", "S={5}", "--primes", "3..300"), True),
+        (("cs-check", *EC37, "--x", "(0,0)", "--y", "(1,0)", "--primes", "3..200"), False),
+        (("find-primes", *EC37, "--points", "(0,0)", "--l", "2", "--ks", "0", "--density",
+          "--primes", "3..300"), False),
+        (("find-primes", *EC37, "--points", "(0,0)", "--l", "2", "--ks", "1",
+          "--primes", "3..300"), False),
+    ], ids=["support-check", "detect", "find-primes", "S-cs-check", "ec-cs-check",
+            "ec-density", "ec-find-primes"])
+    def test_only_a_qstar_command_loads_the_qstar_backend(self, argv, qstar):
+        _, status = run_and_list(*argv, "--workers", "1")
+        assert status["code"] in (0, 1, 2)
+        assert ("mwlab.mwgroup" in status["loaded"]) is qstar
 
     @pytest.mark.parametrize("stdout", ["open", "closed"])
     def test_a_frozen_exit_still_reaps_every_worker(self, stdout):

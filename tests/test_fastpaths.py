@@ -391,12 +391,13 @@ class TestNoncyclicBound:
 
     def test_window_detect_closes_few_sylow_parts(self, monkeypatch, capsys):
         # The ec-window detect command: (-2,-1) = (0,0) + (1,0) on 389a.
-        # With the bound gcd(v-1, N) it ran 102 closures.
+        # It runs 38 closures; with the bound gcd(v-1, N) it ran 102, with
+        # no Legendre test in the bound 50, and with no l-part kill test 43.
         closures = _count_closures(monkeypatch)
         argv = ["detect", "--backend", "ec:0,1,1,-2,0", "--points", "(-2,-1)",
                 "--lambda", "(0,0),(1,0)", "--primes", "3..1400", "--workers", "1"]
         assert cli.main(argv) == 0
-        assert 0 < closures["n"] <= 50
+        assert 0 < closures["n"] <= 40
 
 
 class TestSylowMembership:
@@ -555,6 +556,41 @@ class TestSubgroupExponent:
                 assert strip_exponent(backend, raws, n, v) == want, (gens, v)
                 # A multiple of the exponent other than |G| strips to it too.
                 assert backend.raw_exponent(raws, 6 * want, v) == want, (gens, v)
+
+
+    @pytest.mark.parametrize("curve, gen_sets", [
+        (C389, [((0, 0),), ((1, 0),), ((0, 0), (1, 0)), ((-2, -1), (0, 0), (1, 0))]),
+        (CXX, [((0, 0),), ((0, 0), (1, 0)), ((1, 0), (-1, 0), (0, 0))]),
+    ], ids=["389a", "x3-x"])
+    def test_elliptic_strip_against_the_all_strip(self, curve, gen_sets):
+        # One raw and several, at v < 5 (affine) and v >= 5 (short model),
+        # from |E(F_v)| and from multiples of it with more primes to strip.
+        E, below_5 = EllipticGroup(curve), 0
+        for gens in gen_sets:
+            points = [curve.point(*g) for g in gens]
+            for v in primes_in(PrimeRange(2, 700)):
+                raws = E.reduce(points, v)
+                if raws is None:
+                    continue
+                below_5 += v < 5
+                n = E.group_order_mod(v)
+                for m in (n, 6 * n, 30 * n, n * n, 2 * 3 * 5 * 7 * 11 * n):
+                    assert E.raw_exponent(raws, m, v) == all_strip(curve, raws, m, v), (gens, v, m)
+        assert below_5 > 0
+
+
+def all_strip(curve, raws, m, v):
+    """Oracle: EllipticGroup.raw_exponent as it was before its plain loop,
+    all() over a generator of kill tests."""
+    if v < 5:
+        kills = lambda n, raw: elliptic._ec_mul_affine(curve, n, raw, v) is None
+    else:
+        a, raws = curve.short_model[1] % v, [elliptic._to_short(curve, raw, v) for raw in raws]
+        kills = lambda n, P: elliptic._ec_jacobian(a, n, P, v)[2] == 0
+    for q, _ in numth.factor(m).factors:
+        while m % q == 0 and all(kills(m // q, raw) for raw in raws):
+            m //= q
+    return m
 
 
 BAD = "bad prime"

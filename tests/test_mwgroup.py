@@ -316,6 +316,44 @@ class TestGoodPrimeAndReduce:
         assert seen == {True, False}
 
 
+    @staticmethod
+    def fraction_reduction(P, v):
+        """Oracle: P mod v by Fraction arithmetic alone, O as None and "bad"
+        where v divides a denominator: each coordinate c is the r in 0..v-1
+        with v dividing the numerator of c - r."""
+        if P.is_identity:
+            return None
+        if P.x.denominator % v == 0 or P.y.denominator % v == 0:
+            return "bad"
+        return tuple(next(r for r in range(v) if (c - r).numerator % v == 0) for c in (P.x, P.y))
+
+    @pytest.mark.parametrize("curve, multiples", [
+        # k*(0,0) on 37a: integral for k = 1..4 and 6, with denominators 4,
+        # 9, 25, 121 and more for the rest; 0*(0,0) is O.
+        (C37, range(-3, 13)),
+        (CXX, None),
+    ], ids=["37a", "x3-x"])
+    def test_elliptic_reduce_against_fraction_arithmetic(self, curve, multiples):
+        E = EllipticGroup(curve)
+        if multiples is None:
+            points = [curve.point(0, 0), curve.point(1, 0), curve.point(-1, 0), EC_IDENTITY]
+        else:
+            points = [curve.mul(k, curve.point(0, 0)) for k in multiples]
+        assert any(P.x.denominator > 1 for P in points if not P.is_identity) is (curve is C37)
+        for v in primes_in(PrimeRange(2, 600)):
+            want = [self.fraction_reduction(P, v) for P in points]
+            good = curve.discriminant % v != 0
+            for pts, raws in ((points, want), *(([P], [w]) for P, w in zip(points, want))):
+                expected = None if not good or "bad" in raws else raws
+                assert E.reduce(pts, v) == expected, (pts, v)
+            for P, w in zip(points, want):
+                if w == "bad":
+                    with pytest.raises(ValueError):
+                        E.reduce_raw(P, v)
+                else:
+                    assert E.reduce_raw(P, v) == w, (P, v)
+
+
 class TestCurveOrder:
     def test_known_values(self):
         assert EllipticGroup(C37).group_order_mod(2) == 5

@@ -12,7 +12,7 @@ from mwlab import (
     EllipticGroup, MulPoint, MultiplicativeGroup, PrimeRange, ValuationPattern, WeierstrassCurve,
     find_pattern_primes, pattern_density, primes_in, scan_erdos_union,
 )
-from mwlab import _parallel
+from mwlab import _parallel, _pool
 from mwlab._parallel import HEAD, map_chunks, scan_chunk, split_chunks
 from mwlab.reports import Witness, merge_scan_results
 
@@ -198,10 +198,10 @@ class TestMapChunksFailures:
         assert all(_reaped(pid) for pid in pool.pids)
 
     def test_pool_that_cannot_start_falls_back(self, pools, monkeypatch):
-        def no_pool(size):
+        def no_pool(size, others):
             raise OSError("no processes here")
 
-        monkeypatch.setattr(_parallel, "_Pool", no_pool)
+        monkeypatch.setattr(_pool, "Pool", no_pool)
         assert map_chunks(pow, [(2, 3), (3, 2)], 2) == [8, 9]
         assert _parallel._BROKEN is True
 
@@ -221,11 +221,11 @@ class TestMapChunksFailures:
         # refuses, so the chunks run in-process.
         sizes = []
 
-        def recorder(size):
+        def recorder(size, others):
             sizes.append(size)
             raise OSError("recorded, not started")
 
-        monkeypatch.setattr(_parallel, "_Pool", recorder)
+        monkeypatch.setattr(_pool, "Pool", recorder)
         tasks = [(2, 3), (3, 2), (5, 2)]
         assert map_chunks(pow, tasks, 10**5) == [pow(*t) for t in tasks]
         assert sizes and sizes[0] <= (os.cpu_count() or 1)
@@ -236,7 +236,7 @@ class TestMapChunksFailures:
         built = []
 
         class InlinePool:
-            def __init__(self, size):
+            def __init__(self, size, others):
                 built.append(size)
 
             def run(self, fn, tasks):
@@ -245,7 +245,7 @@ class TestMapChunksFailures:
             def close(self):
                 pass
 
-        monkeypatch.setattr(_parallel, "_Pool", InlinePool)
+        monkeypatch.setattr(_pool, "Pool", InlinePool)
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
         tasks = [(2, 3), (3, 2), (5, 2), (7, 2)]
         assert map_chunks(pow, tasks, 3) == [pow(*t) for t in tasks]
@@ -259,7 +259,7 @@ class TestMapChunksFailures:
         rounds = []
 
         class InlinePool:
-            def __init__(self, size):
+            def __init__(self, size, others):
                 self.size = size
 
             def run(self, fn, tasks):
@@ -269,7 +269,7 @@ class TestMapChunksFailures:
             def close(self):
                 pass
 
-        monkeypatch.setattr(_parallel, "_Pool", InlinePool)
+        monkeypatch.setattr(_pool, "Pool", InlinePool)
         monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
         scan = PrimeRange(3, 2000)
         serial = scan_erdos_union([2, 3], [3, 2], scan, workers=1)
@@ -284,7 +284,7 @@ class TestRounds:
     def test_replies_come_in_task_order(self):
         # The earlier task of each round sleeps longer, so a reply read in
         # the order the workers finish would come out of task order.
-        pool = _parallel._Pool(2)
+        pool = _pool.Pool(2)
         try:
             tasks = [(0.05 * (5 - i), i) for i in range(5)]
             assert pool.run(_sleep_then_echo, tasks) == [(True, i) for i in range(5)]
@@ -346,7 +346,7 @@ class TestForkPool:
         first.close()
 
     def test_close_reaps_every_worker(self):
-        pool = _parallel._Pool(2)
+        pool = _pool.Pool(2)
         assert pool.run(pow, [(2, 5), (3, 3)]) == [(True, 32), (True, 27)]
         pool.close()
         assert len(pool.pids) == 2
@@ -366,13 +366,13 @@ class TestForkPool:
 class NoPool:
     """Stands in for the fork pool where no pool may be built."""
 
-    def __init__(self, size):
+    def __init__(self, size, others):
         pytest.fail("a process pool was built")
 
 
 @pytest.fixture
 def no_pool(pools, monkeypatch):
-    monkeypatch.setattr(_parallel, "_Pool", NoPool)
+    monkeypatch.setattr(_pool, "Pool", NoPool)
 
 
 class TestSerialHead:
