@@ -37,8 +37,8 @@ subgroup = SubgroupSpec((MulPoint(6), MulPoint(10)), backend)
 
 print("local looks at 360 against the subgroup generated by 6 and 10:")
 for v in (7, 11, 13, 101):
-    raw_gens = [backend.reduce_raw(L, v) for L in subgroup.generators]
-    member = member_mod(backend, backend.reduce_raw(MulPoint(360), v), raw_gens, v)
+    raw, *raw_gens = backend.reduce([MulPoint(360), *subgroup.generators], v)
+    member = member_mod(backend, raw, raw_gens, v)
     print(f"  mod {v}: member = {member}")
 
 print()

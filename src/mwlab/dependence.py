@@ -136,21 +136,17 @@ def detect_dependence(Ps, subgroup: SubgroupSpec, scan: PrimeRange,
 
 
 def verify_detect_witness(Ps, subgroup: SubgroupSpec, v: int, n: int) -> bool:
-    """Independent recomputation of a detect witness at (v, n)."""
-    backend = subgroup.backend
+    """Independent recomputation of a detect witness at (v, n); a bad prime raises ValueError."""
+    backend, k = subgroup.backend, len(subgroup.generators)
     if backend.kind == "multiplicative":
-        return verify_witness(
-            "detect",
-            {"Ps": list(Ps), "Ls": list(subgroup.generators)},
-            v,
-            n,
-            backend=backend,
-        )
-    raws = [backend.reduce_raw(L, v) for L in subgroup.generators]
-    if not all(backend.raw_is_identity(backend.raw_scale(n, g, v), v) for g in raws):
+        return verify_witness("detect", {"Ps": Ps, "Ls": subgroup.generators}, v, n, backend=backend)
+    raws = backend.reduce([*subgroup.generators, *Ps], v)
+    if raws is None:
+        raise ValueError(f"{v} is a bad prime for these points")
+    if any(backend.raw_scale(n, g, v) != backend.raw_identity(v) for g in raws[:k]):
         return False
-    closure = subgroup_closure_mod(backend, raws, v)
-    return all(backend.reduce_raw(P, v) not in closure for P in Ps)
+    closure = subgroup_closure_mod(backend, raws[:k], v)
+    return all(raw not in closure for raw in raws[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +297,11 @@ def recover_exponent(P, Q, backend, scan: PrimeRange) -> RecoveryResult:
     for v in numth.primes_in(scan):
         if not backend.good_prime([P, Q], v):
             continue
-        e = backend.dlog_mod(P, Q, v)
+        e, t = backend.dlog_mod(P, Q, v)
         if e is None:
             return RecoveryResult(
                 None, f"Q is outside the cyclic group generated by P mod {v}", "refuted"
             )
-        t = backend.order_mod(P, v)
         combined = numth.crt([(residue, modulus), (e, t)])
         if combined is None:
             culprit = next(

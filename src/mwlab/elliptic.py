@@ -465,23 +465,26 @@ class EllipticGroup:
         return self.curve.mul(n, P)
 
     def reduce(self, points, v: int) -> list | None:
-        """The points mod v, O as None; None where v divides the discriminant or a denominator."""
+        """The points mod v, O as None; None where v divides the discriminant or
+        a denominator (x and y of a point on E have denominators d^2 and d^3)."""
         if self.curve.discriminant % v == 0:
             return None
-        try:
-            return [self.reduce_raw(P, v) for P in points]
-        except ValueError:  # a denominator has no inverse mod v
-            return None
+        raws = []
+        for P in points:
+            x, y = P.x, P.y
+            if x is None:
+                raws.append(None)
+            elif x.denominator == 1:  # integral: no inverse, as on Q*
+                raws.append((x.numerator % v, y.numerator % v))
+            elif x.denominator % v:
+                raws.append((x.numerator * pow(x.denominator, -1, v) % v,
+                             y.numerator * pow(y.denominator, -1, v) % v))
+            else:
+                return None
+        return raws
 
     def good_prime(self, points, v: int) -> bool:
         return self.reduce(points, v) is not None
-
-    def reduce_raw(self, P: EcPoint, v: int):
-        if P.is_identity:
-            return None
-        x, y = P.x, P.y  # an integral coordinate takes no inverse, as on Q*
-        return (x.numerator % v if x.denominator == 1 else x.numerator * pow(x.denominator, -1, v) % v,
-                y.numerator % v if y.denominator == 1 else y.numerator * pow(y.denominator, -1, v) % v)
 
     def group_order_mod(self, v: int) -> int:
         if self.curve.discriminant % v == 0:
@@ -503,7 +506,7 @@ class EllipticGroup:
     def order_mod(self, P: EcPoint, v: int) -> int:
         if not self.good_prime([P], v):
             raise ValueError(f"{v} is a bad prime for {P!r}")
-        return self.raw_order(self.reduce_raw(P, v), v)
+        return self.raw_order(self.reduce([P], v)[0], v)
 
     def raw_orders(self, raws, v: int) -> list[int]:
         """The orders of reduced points."""
@@ -517,9 +520,6 @@ class EllipticGroup:
 
     def raw_identity(self, v: int):
         return None
-
-    def raw_is_identity(self, raw, v: int) -> bool:
-        return raw is None
 
     def raw_combine(self, a, b, v: int):
         return _ec_add_mod(self.curve, a, b, v)
@@ -556,14 +556,16 @@ class EllipticGroup:
                 break
         return m
 
-    def dlog_mod(self, P: EcPoint, Q: EcPoint, v: int) -> int | None:
-        """Least e >= 0 with e*P = Q (mod v), or None when Q is outside <P>."""
-        c, t = self.curve, self.order_mod(P, v)
-        p, q = self.reduce_raw(P, v), self.reduce_raw(Q, v)
+    def dlog_mod(self, P: EcPoint, Q: EcPoint, v: int) -> tuple[int | None, int]:
+        """(e, t) as on Q*, e by one walk of the baby-step giant-step."""
+        c, t, raws = self.curve, self.order_mod(P, v), self.reduce([P, Q], v)
+        if raws is None:
+            raise ValueError(f"{v} is a bad prime for {Q!r}")
+        p, q = raws
         if v < 5:  # no short model; E(F_v) has at most 9 points
-            return next((e for e in range(t) if _ec_mul_affine(c, e, p, v) == q), None)
+            return next((e for e in range(t) if _ec_mul_affine(c, e, p, v) == q), None), t
         hits = _ec_walk(c.short_model[1] % v, _to_short(c, p, v), _to_short(c, q, v), 0, t - 1, 1, v)
-        return hits[0] if hits else None
+        return (hits[0] if hits else None), t
 
     # -- torsion ------------------------------------------------------------
 

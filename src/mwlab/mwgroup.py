@@ -132,12 +132,6 @@ class MultiplicativeGroup:
     def good_prime(self, points, v: int) -> bool:
         return self.reduce(points, v) is not None
 
-    def reduce_raw(self, P: MulPoint, v: int) -> int:
-        num, den = P.signed % v, P.denominator % v
-        if num == 0 or den == 0:
-            raise ValueError(f"{v} is a bad prime for {P!r}")
-        return num if den == 1 else num * pow(den, -1, v) % v
-
     def group_order_mod(self, v: int) -> int:
         return v - 1
 
@@ -148,7 +142,7 @@ class MultiplicativeGroup:
     def order_mod(self, P: MulPoint, v: int) -> int:
         if not self.good_prime([P], v):
             raise ValueError(f"{v} is a bad prime for {P!r}")
-        return self.raw_order(self.reduce_raw(P, v), v)
+        return self.raw_order(self.reduce([P], v)[0], v)
 
     def raw_orders(self, raws, v: int) -> list[int]:
         """The orders of reduced residues, over one factorization of v-1."""
@@ -160,9 +154,6 @@ class MultiplicativeGroup:
 
     def raw_identity(self, v: int):
         return 1
-
-    def raw_is_identity(self, raw, v: int) -> bool:
-        return raw == 1
 
     def raw_combine(self, a, b, v: int):
         return a * b % v
@@ -189,10 +180,13 @@ class MultiplicativeGroup:
                 break
         return m
 
-    def dlog_mod(self, P: MulPoint, Q: MulPoint, v: int) -> int | None:
-        """Least e >= 0 with e*P = Q (mod v), or None when Q is outside <P>."""
-        t = self.order_mod(P, v)
-        return numth.bsgs_dlog(self.reduce_raw(P, v), self.reduce_raw(Q, v), v, t)
+    def dlog_mod(self, P: MulPoint, Q: MulPoint, v: int) -> tuple[int | None, int]:
+        """(e, t): t = ord_v P, and e the least e >= 0 with e*P = Q (mod v),
+        or None when Q is outside <P>."""
+        t, raws = self.order_mod(P, v), self.reduce([P, Q], v)
+        if raws is None:
+            raise ValueError(f"{v} is a bad prime for {Q!r}")
+        return numth.bsgs_dlog(*raws, v, t), t
 
     def encode(self) -> str:
         if not self.excluded:

@@ -51,13 +51,13 @@ class DensityReport(
 def _verified_order(backend, P, v: int, order: int) -> bool:
     """Certify an order by direct exponentiation, independently of how it
     was computed: order kills the reduction, order/q does not for q | order."""
-    raw = backend.reduce_raw(P, v)
-    if not backend.raw_is_identity(backend.raw_scale(order, raw, v), v):
+    raws = backend.reduce([P], v)
+    if raws is None:
+        raise ValueError(f"{v} is a bad prime for {P!r}")
+    raw, one = raws[0], backend.raw_identity(v)
+    if backend.raw_scale(order, raw, v) != one:
         return False
-    for q, _ in numth.factor(order).factors:
-        if backend.raw_is_identity(backend.raw_scale(order // q, raw, v), v):
-            return False
-    return True
+    return all(backend.raw_scale(order // q, raw, v) != one for q, _ in numth.factor(order).factors)
 
 
 def _pattern_test(points, pattern, backend, raws, v):

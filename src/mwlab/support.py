@@ -153,33 +153,32 @@ def scan_cor22(Ps, Qs, backend, scan: PrimeRange, workers: int = 1) -> Condition
 def verify_witness(condition_id: str, inputs: dict, v: int, n: int, backend=None) -> bool:
     """Recompute a reported violation at (v, n) literally, without order
     machinery: raise points to the n-th power (or n-th multiple) mod v and
-    check the condition fails exactly as claimed.
+    check the condition fails exactly as claimed. A bad prime raises ValueError.
     """
-    if condition_id == "erdos_union":
-        xs, ys = inputs["xs"], inputs["ys"]
-        in_x = any(x % v != 0 and pow(x, n, v) == 1 for x in xs)
-        in_y = any(y % v != 0 and pow(y, n, v) == 1 for y in ys)
-        return in_x != in_y
+    if condition_id == "erdos_union":  # cor22 on Q*, for naturals
+        from .mwgroup import MulPoint, MultiplicativeGroup
+
+        condition_id, backend = "cor22", MultiplicativeGroup()
+        inputs = {"Ps": [MulPoint(x) for x in inputs["xs"]], "Qs": [MulPoint(y) for y in inputs["ys"]]}
     if backend is None:
         raise ValueError("point conditions need a backend to re-verify")
-
-    def killed(P) -> bool:
-        raw = backend.reduce_raw(P, v)
-        return backend.raw_is_identity(backend.raw_scale(n, raw, v), v)
-
     if condition_id == "corrales_schoof":
         condition_id, inputs = "thm2", {"P": inputs["x"], "Qs": (inputs["y"],)}
     if condition_id == "thm2":
-        return killed(inputs["P"]) and not any(killed(Q) for Q in inputs["Qs"])
-    if condition_id == "cor22":
-        ps = any(killed(P) for P in inputs["Ps"])
-        qs = any(killed(Q) for Q in inputs["Qs"])
-        return ps != qs
-    if condition_id == "detect":
-        return all(killed(L) for L in inputs["Ls"]) and not any(
-            killed(P) for P in inputs["Ps"]
-        )
-    raise ValueError(f"unknown condition {condition_id!r}")
+        condition_id, inputs = "detect", {"Ls": (inputs["P"],), "Ps": inputs["Qs"]}
+    if condition_id not in ("cor22", "detect"):
+        raise ValueError(f"unknown condition {condition_id!r}")
+    # cor22: some P is killed or some Q, not both; detect: every L and no P
+    firsts, seconds = (inputs["Ps"], inputs["Qs"]) if condition_id == "cor22" else (inputs["Ls"], inputs["Ps"])
+    raws = backend.reduce([*firsts, *seconds], v)
+    if raws is None:
+        raise ValueError(f"{v} is a bad prime for these points")
+
+    def killed(raw) -> bool:
+        return backend.raw_scale(n, raw, v) == backend.raw_identity(v)
+
+    kf, ks = map(killed, raws[: len(firsts)]), map(killed, raws[len(firsts) :])
+    return any(kf) != any(ks) if condition_id == "cor22" else all(kf) and not any(ks)
 
 
 # ---------------------------------------------------------------------------

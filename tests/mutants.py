@@ -60,12 +60,19 @@ MUTANTS = [
      "a = c.short_model[1] % v",
      f"{FASTPATHS}::TestSubgroupExponent"),
     ("E-reduce-shortcut-for-every-denominator", "elliptic.py",
-     "x.numerator % v if x.denominator == 1 else", "x.numerator % v if True else",
+     "            elif x.denominator == 1:", "            elif True:",
+     "tests/test_mwgroup.py -k fraction_arithmetic"),
+    ("E-reduce-inverts-a-bad-denominator", "elliptic.py",
+     "            elif x.denominator % v:", "            elif True:",
      "tests/test_mwgroup.py -k fraction_arithmetic"),
     ("E-reduce-ignores-the-discriminant", "elliptic.py",
-     "        if self.curve.discriminant % v == 0:\n            return None\n        try:",
-     "        if False:\n            return None\n        try:",
+     "        if self.curve.discriminant % v == 0:\n            return None\n        raws = []",
+     "        if False:\n            return None\n        raws = []",
      "tests/test_mwgroup.py -k reduce_against_good_prime"),
+    ("E-dlog-returns-the-group-order", "elliptic.py",
+     "        return (hits[0] if hits else None), t\n",
+     "        return (hits[0] if hits else None), self.group_order_mod(v)\n",
+     f"{FASTPATHS}::TestEllipticDlog"),
     ("noncyclic-bound-without-legendre", "elliptic.py",
      "if l > 2 or pow(self.curve.discriminant, (v - 1) // 2, v) == 1",
      "if l > 2 or True",
@@ -84,6 +91,24 @@ MUTANTS = [
     ("Q-reduce-ignores-numerators", "mwgroup.py",
      "if not (num and den):", "if not den:",
      "tests/test_mwgroup.py -k reduce_against_good_prime"),
+    ("Q-dlog-returns-the-group-order", "mwgroup.py",
+     "return numth.bsgs_dlog(*raws, v, t), t", "return numth.bsgs_dlog(*raws, v, t), v - 1",
+     f"{FASTPATHS}::TestEllipticDlog"),
+    ("recover-strips-twice", "dependence.py",
+     "        e, t = backend.dlog_mod(P, Q, v)\n",
+     "        e, t = backend.dlog_mod(P, Q, v)[0], backend.order_mod(P, v)\n",
+     "tests/test_dependence.py -k strips_once"),
+    ("recheck-answers-at-a-bad-prime", "support.py",
+     "        raise ValueError(f\"{v} is a bad prime for these points\")\n\n    def killed",
+     "        return False\n\n    def killed",
+     "tests/test_support.py -k refuse_a_bad_prime"),
+    ("detect-recheck-answers-at-a-bad-prime", "dependence.py",
+     "        raise ValueError(f\"{v} is a bad prime for these points\")\n",
+     "        return False\n",
+     "tests/test_support.py -k refuse_a_bad_prime"),
+    ("recheck-detect-as-cor22", "support.py",
+     "else all(kf) and not any(ks)", "else any(kf) != any(ks)",
+     "tests/test_support.py -k per_point_form"),
     ("orders-strip-one-power-per-prime", "numth.py",
      "            while t % q == 0 and pow(x, t // q, p) == 1:",
      "            if t % q == 0 and pow(x, t // q, p) == 1:",

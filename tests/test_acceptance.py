@@ -181,7 +181,8 @@ def test_criterion_8_elliptic_sanity():
         if len(good) < 20:
             continue
         for v in good:
-            if E.reduce_raw(S, v) != _ec_add_mod(C37, E.reduce_raw(P, v), E.reduce_raw(Q, v), v):
+            rp, rq, rs = E.reduce([P, Q, S], v)
+            if rs != _ec_add_mod(C37, rp, rq, v):
                 hom_ok = False
         pairs += 1
     _report(

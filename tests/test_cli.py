@@ -200,8 +200,10 @@ class TestParsePaths:
         kind, value, out, err = _parse(argv)
         if argv and argv[0] in ("-h", "--help"):
             assert (kind, value, out) == ("exit", 0, cli._build_parser().format_help())
-        else:
-            assert kind == "usage" and "command" in value, value
+        else:  # argparse's own error for the line; it differs across versions
+            with pytest.raises(cli.UsageError) as full:
+                cli._build_parser().parse_args(list(argv))
+            assert (kind, value) == ("usage", str(full.value))
 
     def test_one_parser_per_command(self):
         for name in cli._COMMANDS:

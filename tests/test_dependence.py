@@ -61,9 +61,8 @@ class TestMemberMod:
         assert member_mod(M, 4, [3], 11) is True
 
     def test_rejects_bad_prime(self):
-        # The raw-level test takes reductions; a bad prime fails in reduce_raw.
-        with pytest.raises(ValueError):
-            member_mod(M, M.reduce_raw(MulPoint(22), 11), [3], 11)
+        # The raw-level test takes reductions; at a bad prime there are none.
+        assert M.reduce([MulPoint(22)], 11) is None
 
     def test_against_enumeration(self):
         rng = random.Random(29)
@@ -75,9 +74,9 @@ class TestMemberMod:
             x = rng.randint(2, 40)
             if any(g % p == 0 for g in gens) or x % p == 0:
                 continue
-            raws = [M.reduce_raw(MulPoint(g), p) for g in gens]
+            raw, *raws = M.reduce([MulPoint(x), *map(MulPoint, gens)], p)
             literal = x % p in enumerate_subgroup(gens, p)
-            assert member_mod(M, M.reduce_raw(MulPoint(x), p), raws, p) == literal
+            assert member_mod(M, raw, raws, p) == literal
             checked += 1
 
     def test_elliptic_closure_and_lagrange(self):
@@ -88,11 +87,10 @@ class TestMemberMod:
         for v in primes_in(PrimeRange(3, 100)):
             if 37 % v == 0:
                 continue
-            raw_gens = [E.reduce_raw(C37.mul(2, G), v)]
+            raw, *raw_gens = E.reduce([G, C37.mul(2, G)], v)
             closure = subgroup_closure_mod(E, raw_gens, v)
             assert E.group_order_mod(v) % len(closure) == 0
-            member = member_mod(E, E.reduce_raw(G, v), raw_gens, v)
-            assert member == (E.reduce_raw(G, v) in closure)
+            assert member_mod(E, raw, raw_gens, v) == (raw in closure)
 
 
 class TestExactMembership:
@@ -348,6 +346,30 @@ class TestRecover:
         for d in (-9, -1, 1, 7, 12):
             Q = C37.mul(d, G)
             assert recover_exponent(G, Q, E, PrimeRange(3, 2000)).d == d
+
+    def test_each_good_prime_strips_once(self, monkeypatch):
+        # recover_exponent reads t off dlog_mod: one strip of |E(F_v)| per
+        # good prime, and four reductions there (its good_prime, order_mod's
+        # good_prime and reduce, dlog_mod's reduce); one at a bad prime.
+        E, G = EllipticGroup(C37), C37.point(0, 0)
+        reductions, strips = [], []
+
+        def counted_reduce(points, v):
+            raws = EllipticGroup.reduce(E, points, v)
+            reductions.append((v, raws is None))
+            return raws
+
+        def counted_raw_exponent(raws, m, v):
+            strips.append(v)
+            return EllipticGroup.raw_exponent(E, raws, m, v)
+
+        monkeypatch.setattr(E, "reduce", counted_reduce)
+        monkeypatch.setattr(E, "raw_exponent", counted_raw_exponent)
+        assert recover_exponent(G, C37.mul(7, G), E, PrimeRange(3, 400)).d == 7
+        bads = {v for v, bad in reductions if bad}
+        goods = sorted({v for v, _ in reductions} - bads)
+        assert bads and goods and strips == goods
+        assert len(reductions) == 4 * len(goods) + len(bads)
 
     def test_elliptic_non_member(self):
         # rank-2 curve y^2 + y = x^3 + x^2 - 2x; (0,0) and (1,0) are

@@ -242,28 +242,33 @@ class TestEllipticWalk:
 
 
 class TestEllipticDlog:
-    @pytest.mark.parametrize("curve", [C37, C389], ids=["37a", "389a"])
-    def test_against_enumeration(self, curve):
+    @pytest.mark.parametrize("G", [EllipticGroup(C37), EllipticGroup(C389), MultiplicativeGroup()],
+                             ids=["37a", "389a", "qstar"])
+    def test_against_enumeration(self, G):
         # Pairs (P, Q) with Q in <P> (several multiples, the identity) and,
-        # at some primes, outside it: B is independent of A on 389a, and A
-        # lies in <2A mod v> only where ord_v A is odd.
-        E = EllipticGroup(curve)
-        A = curve.point(0, 0)
-        B = curve.point(1, 0) if curve == C389 else curve.neg(A)
-        pairs = [(A, EC_IDENTITY), (A, curve.mul(7, A)), (A, curve.neg(A)),
-                 (A, B), (curve.mul(2, A), A), (B, curve.add(curve.mul(3, B), A))]
+        # at some primes, outside it: B is independent of A on 389a and on
+        # Q*, and A lies in <2A mod v> only where ord_v A is odd. dlog_mod
+        # also returns the order t it stripped, which must be ord_v P.
+        if G.kind == "multiplicative":
+            A, B = MulPoint(2), MulPoint(3)
+        else:
+            A = G.curve.point(0, 0)
+            B = G.curve.point(1, 0) if G.curve == C389 else G.invert(A)
+        pairs = [(A, G.identity()), (A, G.scale(7, A)), (A, G.invert(A)),
+                 (A, B), (G.scale(2, A), A), (B, G.combine(G.scale(3, B), A))]
         answers = set()
-        for v in good_primes(curve, 3, 300):
+        for v in primes_in(PrimeRange(3, 300)):
             for P, Q in pairs:
-                if not E.good_prime([P, Q], v):
+                raws = G.reduce([P, Q], v)
+                if raws is None:
                     continue
-                rawP = E.reduce_raw(P, v)
-                index, R = {None: 0}, _ec_add_mod(curve, None, rawP, v)
-                while R is not None:
+                (rawP, rawQ), one = raws, G.raw_identity(v)
+                index, R = {one: 0}, rawP
+                while R != one:
                     index[R] = len(index)
-                    R = _ec_add_mod(curve, R, rawP, v)
-                expected = index.get(E.reduce_raw(Q, v))
-                assert E.dlog_mod(P, Q, v) == expected, (v, P, Q)
+                    R = G.raw_combine(R, rawP, v)
+                expected, t = index.get(rawQ), G.order_mod(P, v)
+                assert t == len(index) and G.dlog_mod(P, Q, v) == (expected, t), (v, P, Q)
                 answers.add(None if expected is None else min(expected, 1))
         assert answers == {None, 0, 1}
 
@@ -322,7 +327,7 @@ class TestJacobianLadder:
                 raw = rng.randrange(1, v)
                 for n in (0, v - 1, (v - 1) // 2, rng.randint(-3 * v, 3 * v), M.raw_order(raw, v)):
                     got = M.raw_kills(n, raw, v)
-                    assert got == M.raw_is_identity(M.raw_scale(n, raw, v), v), (v, raw, n)
+                    assert got == (M.raw_scale(n, raw, v) == 1), (v, raw, n)
                     # -|n| * raw is the |n|-th power of the Fermat inverse.
                     inverse = pow(raw, v - 2, v)
                     assert M.raw_scale(-abs(n), raw, v) == pow(inverse, abs(n), v), (v, raw, n)
@@ -416,13 +421,13 @@ class TestSylowMembership:
                 continue
             n = E.group_order_mod(v)
             # A, B and two more points of E(F_v) often generate all of it.
-            full = [E.reduce_raw(A, v), E.reduce_raw(B, v), *affine_points(C389, v, 2)]
-            for raw_gens in [*([E.reduce_raw(L, v) for L in gens] for gens in subsets), full]:
+            full = [*E.reduce([A, B], v), *affine_points(C389, v, 2)]
+            for raw_gens in [*(E.reduce(gens, v) for gens in subsets), full]:
                 closure = subgroup_closure_mod(E, raw_gens, v)
                 whole += len(closure) == n
-                for P in Ps:
-                    got = member_mod(E, E.reduce_raw(P, v), raw_gens, v)
-                    assert got == (E.reduce_raw(P, v) in closure), (v, raw_gens, P)
+                for P, raw in zip(Ps, E.reduce(Ps, v)):
+                    got = member_mod(E, raw, raw_gens, v)
+                    assert got == (raw in closure), (v, raw_gens, P)
                     assert _shortcut_ok(watch, n, got), (v, raw_gens, P)
                     answers.add(got)
         assert answers == {True, False}
@@ -438,7 +443,7 @@ class TestSylowMembership:
         watch = _watch_shortcut(monkeypatch, E)
         answers, whole = set(), 0
         for v in good_primes(CXX, 3, 1500):
-            t1, t2 = E.reduce_raw(T1, v), E.reduce_raw(T2, v)
+            t1, t2 = E.reduce([T1, T2], v)
             extra = [p for p in affine_points(CXX, v, 6) if p[1]]
             if len(extra) < 2:
                 continue  # at v = 3 every affine point is 2-torsion
@@ -491,11 +496,10 @@ class TestCyclicMembership:
                 if not M.good_prime(points + targets, v):
                     continue
                 # No generators stands for a primitive root mod v: H = G.
-                raws = [M.reduce_raw(L, v) for L in points] or [_primitive_root(v)]
+                raws = M.reduce(points, v) or [_primitive_root(v)]
                 closure = subgroup_closure_mod(M, raws, v)
                 whole += len(closure) == v - 1
-                for P in targets:
-                    raw = M.reduce_raw(P, v)
+                for P, raw in zip(targets, M.reduce(targets, v)):
                     orders.clear()
                     got = member_mod(M, raw, raws, v)
                     assert got == (raw in closure), (gens, P, v)
@@ -515,7 +519,7 @@ def _primitive_root(v):
 def literal_order(backend, raw, v):
     """Oracle: the least t >= 1 with t * raw = 0, by repeated addition."""
     t, R = 1, raw
-    while not backend.raw_is_identity(R, v):
+    while R != backend.raw_identity(v):
         t, R = t + 1, backend.raw_combine(R, raw, v)
     return t
 

@@ -146,7 +146,7 @@ class TestScanChunk:
                        "bads": bads, "goods": len(goods)}
         assert [v for v, _ in seen] == goods  # never called at a bad prime
         for v, raws in seen:
-            assert raws == [backend.reduce_raw(P, v) for P in points], v
+            assert raws == backend.reduce(points, v), v
         seen.clear()
         res = scan_chunk(record, (), backend, points, primes, 3)
         assert res["witness"] == res["hits"][-1] == [v for v in goods if v % 4 == 1][2]

@@ -25,13 +25,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 def direct_order_check(backend, P, v, claimed):
     """Oracle: certify an order by raw exponentiation."""
-    raw = backend.reduce_raw(P, v)
-    if not backend.raw_is_identity(backend.raw_scale(claimed, raw, v), v):
+    raw, one = backend.reduce([P], v)[0], backend.raw_identity(v)
+    if backend.raw_scale(claimed, raw, v) != one:
         return False
-    return all(
-        not backend.raw_is_identity(backend.raw_scale(claimed // q, raw, v), v)
-        for q, _ in factor(claimed).factors
-    )
+    return all(backend.raw_scale(claimed // q, raw, v) != one for q, _ in factor(claimed).factors)
 
 
 class TestPattern:

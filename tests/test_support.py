@@ -7,6 +7,7 @@ import pytest
 
 from mwlab import support
 from mwlab._parallel import scan_chunk
+from mwlab.dependence import SubgroupSpec, verify_detect_witness
 from mwlab.elliptic import EllipticGroup, WeierstrassCurve
 from mwlab.mwgroup import MulPoint, MultiplicativeGroup
 from mwlab.numth import PrimeRange, factor, multiplicative_order, primes_in
@@ -373,6 +374,61 @@ class TestScans:
         for backend, P in ((M, MulPoint(2)), (E37, E37.curve.point(0, 0))):
             with pytest.raises(ValueError, match="at least one Q"):
                 scan_thm2(P, [], backend, PrimeRange(3, 100))
+
+    @pytest.mark.parametrize("backend", [M, E37], ids=["qstar", "37a"])
+    def test_rechecks_against_the_per_point_form(self, backend):
+        # Oracle: each condition's old form, one reduction and one literal
+        # multiple per point, and the Erdos condition by pow on naturals.
+        if backend is M:
+            points = [MulPoint(x) for x in (2, 3, 6, 5, Fraction(4, 9), -1)]
+        else:
+            G = E37.curve.point(0, 0)
+            points = [E37.curve.mul(k, G) for k in (1, 2, 3, -1, 5, 0)]
+
+        def killed(P, v, n):
+            return backend.raw_scale(n, backend.reduce([P], v)[0], v) == backend.raw_identity(v)
+
+        rng = random.Random(61)
+        answers = set()
+        for v in primes_in(PrimeRange(3, 300)):
+            if backend.reduce(points, v) is None:
+                continue
+            for _ in range(4):
+                ps, qs = rng.sample(points, rng.randint(1, 3)), rng.sample(points, rng.randint(1, 3))
+                n = backend.order_mod(rng.choice(points), v) * rng.choice((1, 2, 3))
+                kp, kq = [killed(P, v, n) for P in ps], [killed(Q, v, n) for Q in qs]
+                want = {"thm2": kp[0] and not any(kq), "cor22": any(kp) != any(kq),
+                        "detect": all(kp) and not any(kq)}
+                got = {"thm2": verify_witness("thm2", {"P": ps[0], "Qs": qs}, v, n, backend=backend),
+                       "cor22": verify_witness("cor22", {"Ps": ps, "Qs": qs}, v, n, backend=backend),
+                       "detect": verify_witness("detect", {"Ls": ps, "Ps": qs}, v, n, backend=backend)}
+                assert got == want, (v, n, ps, qs)
+                answers.update(want.values())
+                if backend is M and all(P.value > 1 and P.denominator == 1 for P in ps + qs):
+                    xs, ys = [P.numerator for P in ps], [Q.numerator for Q in qs]
+                    literal = any(pow(x, n, v) == 1 for x in xs) != any(pow(y, n, v) == 1 for y in ys)
+                    assert verify_witness("erdos_union", {"xs": xs, "ys": ys}, v, n) == literal
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("backend, P, Q, v, n", [
+        (MultiplicativeGroup([7]), MulPoint(2), MulPoint(3), 7, 3),  # 7 is in S
+        (E37, E37.curve.point(1, 0), E37.curve.point(0, 0), 37, 19),  # 37 divides the discriminant
+    ], ids=["S={7}", "37a"])
+    def test_rechecks_refuse_a_bad_prime(self, backend, P, Q, v, n):
+        # Every scan skips v. n kills P and not Q there, so each re-check
+        # would reproduce a witness if it reduced the points anyway.
+        checks = [
+            lambda: verify_witness("corrales_schoof", {"x": P, "y": Q}, v, n, backend=backend),
+            lambda: verify_witness("thm2", {"P": P, "Qs": (Q,)}, v, n, backend=backend),
+            lambda: verify_witness("cor22", {"Ps": (P,), "Qs": (Q,)}, v, n, backend=backend),
+            lambda: verify_detect_witness([Q], SubgroupSpec((P,), backend), v, n),
+        ]
+        if backend.kind == "multiplicative":  # 7 divides an x: bad for the Erdos condition
+            checks.append(lambda: verify_witness("erdos_union", {"xs": [2, 7], "ys": [3]}, v, n))
+        assert backend.reduce([P, Q], v) is None
+        for check in checks:
+            with pytest.raises(ValueError, match="bad prime"):
+                check()
 
 
 class TestTwoSidedBackends:
