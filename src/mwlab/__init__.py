@@ -21,7 +21,8 @@ _EXPORTS = {
     "elliptic": ("EC_IDENTITY", "EcPoint", "EllipticGroup", "WeierstrassCurve",
                  "elliptic_independence_check"),
     "mwgroup": (
-        "MulPoint", "MultiplicativeGroup", "multiplicative_independence", "torsion_order_stability",
+        "MulPoint", "MultiplicativeGroup", "multiplicative_independence", "torsion_order",
+        "torsion_order_stability",
     ),
     "numth": (
         "Factorization", "PrimeRange", "bsgs_dlog", "crt", "exact_valuation", "factor",

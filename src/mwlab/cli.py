@@ -242,7 +242,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         elif ns.command == "recover":
             payload["P"] = backend.parse_point(ns.p)
             payload["Q"] = backend.parse_point(ns.q)
-            if not backend.is_identity(payload["Q"]) and backend.is_torsion(payload["P"]):
+            if not backend.is_identity(payload["Q"]) and payload["P"] in backend.torsion_elements():
                 raise UsageError(f"recover needs a nontorsion base point, got --p {ns.p}")
         elif ns.command == "experiment":
             if ns.suite == "cs" and scan is not None:
@@ -293,30 +293,24 @@ def _encode_inputs(config: RunConfig) -> dict:
 def _run_verify(config: RunConfig) -> tuple[int, dict]:
     v, n = config.verify
     pl = config.payload
-    if config.command == "support-check":
-        from .mwgroup import MulPoint
-
-        points = [MulPoint(x) for x in pl["xs"] + pl["ys"]]
-        condition, inputs = "erdos_union", {"xs": pl["xs"], "ys": pl["ys"]}
-    elif config.command == "cs-check":
-        points = [pl["x"], pl["y"]]
-        condition, inputs = "corrales_schoof", {"x": pl["x"], "y": pl["y"]}
-    elif config.command == "replay":
-        points = [pl["P"], *pl["Qs"]]
-        condition, inputs = "thm2", {"P": pl["P"], "Qs": pl["Qs"]}
-    else:  # detect
-        points = [*pl["Ps"], *pl["generators"]]
-    if not config.backend.good_prime(points, v):
-        raise UsageError(f"--verify prime {v} is a bad prime for these points")
     if config.command == "detect":
-        from . import dependence
+        from .dependence import SubgroupSpec, verify_detect_witness as recheck
 
-        subgroup = dependence.SubgroupSpec(tuple(pl["generators"]), config.backend)
-        ok = dependence.verify_detect_witness(pl["Ps"], subgroup, v, n)
+        args = pl["Ps"], SubgroupSpec(tuple(pl["generators"]), config.backend), v, n
     else:
-        from . import support
+        from .support import verify_witness as recheck
 
-        ok = support.verify_witness(condition, inputs, v, n, backend=config.backend)
+        if config.command == "support-check":
+            condition = "erdos_union", {"xs": pl["xs"], "ys": pl["ys"]}
+        elif config.command == "cs-check":
+            condition = "corrales_schoof", {"x": pl["x"], "y": pl["y"]}
+        else:  # replay
+            condition = "thm2", {"P": pl["P"], "Qs": pl["Qs"]}
+        args = *condition, v, n, config.backend
+    try:
+        ok = recheck(*args)
+    except ValueError as exc:  # each re-check raises it at a bad prime, and only there
+        raise UsageError(f"--verify prime {v} is a bad prime for these points") from exc
     outcome = {"verify": {"v": v, "n": n, "reproduced": bool(ok)}}
     return (OK if ok else INTERNAL_ERROR), outcome
 

@@ -213,8 +213,8 @@ class _AtPrime:
     def combine(self, a, b):
         return self.backend.raw_combine(a, b, self.v)
 
-    def invert(self, a):
-        return self.backend.raw_scale(-1, a, self.v)
+    def scale(self, n, a):
+        return self.backend.raw_scale(n, a, self.v)
 
 
 def _bounded_membership_search(P, subgroup: SubgroupSpec, bound: int) -> RelationCertificate | None:
@@ -288,14 +288,14 @@ def recover_exponent(P, Q, backend, scan: PrimeRange) -> RecoveryResult:
     """
     if backend.is_identity(Q):
         return RecoveryResult(0, "Q is the identity, d = 0", "found")
-    if backend.is_torsion(P):
+    if P in backend.torsion_elements():
         raise ValueError("exponent recovery needs a nontorsion base point")
     height_bound = backend.height_bound(P, Q)
     residue, modulus = 0, 1
     logs: list[tuple[int, int, int]] = []
     failed_lifts = 0
     for v in numth.primes_in(scan):
-        if not backend.good_prime([P, Q], v):
+        if backend.reduce([P, Q], v) is None:
             continue
         e, t = backend.dlog_mod(P, Q, v)
         if e is None:

@@ -148,8 +148,9 @@ class WeierstrassCurve:
         while n:
             if n & 1:
                 acc = self.add(acc, addend)
-            addend = self.add(addend, addend)
             n >>= 1
+            if n:  # no doubling past the top bit
+                addend = self.add(addend, addend)
         return acc
 
     def encode(self) -> str:
@@ -222,8 +223,9 @@ def _ec_mul_affine(curve: WeierstrassCurve, n: int, P, v: int):
     while n:
         if n & 1:
             acc = _ec_add_mod(curve, acc, addend, v)
-        addend = _ec_add_mod(curve, addend, addend, v)
         n >>= 1
+        if n:  # no doubling past the top bit
+            addend = _ec_add_mod(curve, addend, addend, v)
     return acc
 
 
@@ -458,9 +460,6 @@ class EllipticGroup:
     def combine(self, P: EcPoint, Q: EcPoint) -> EcPoint:
         return self.curve.add(P, Q)
 
-    def invert(self, P: EcPoint) -> EcPoint:
-        return self.curve.neg(P)
-
     def scale(self, n: int, P: EcPoint) -> EcPoint:
         return self.curve.mul(n, P)
 
@@ -506,17 +505,12 @@ class EllipticGroup:
     def order_mod(self, P: EcPoint, v: int) -> int:
         if not self.good_prime([P], v):
             raise ValueError(f"{v} is a bad prime for {P!r}")
-        return self.raw_order(self.reduce([P], v)[0], v)
+        return self.raw_orders(self.reduce([P], v), v)[0]
 
     def raw_orders(self, raws, v: int) -> list[int]:
-        """The orders of reduced points."""
-        return [self.raw_order(raw, v) for raw in raws]
-
-    def raw_order(self, raw, v: int) -> int:
-        """Exact order of a reduced point, stripped from |E(F_v)|."""
-        if raw is None:
-            return 1
-        return self.raw_exponent((raw,), self.group_order_mod(v), v)
+        """The orders of reduced points, each stripped from |E(F_v)|."""
+        n = self.group_order_mod(v)
+        return [1 if raw is None else self.raw_exponent((raw,), n, v) for raw in raws]
 
     def raw_identity(self, v: int):
         return None
@@ -582,23 +576,12 @@ class EllipticGroup:
         """
         return self._torsion
 
-    def is_torsion(self, P: EcPoint) -> bool:
-        return P in self._torsion
-
     def height_bound(self, P: EcPoint, Q: EcPoint) -> int:
         """Heuristic bound on |d| for Q = d*P from the naive heights of the
         x-coordinates; exponent recovery grows it when a lift fails."""
         hq = max(abs(Q.x.numerator).bit_length(), Q.x.denominator.bit_length())
         hp = max(abs(P.x.numerator).bit_length(), P.x.denominator.bit_length(), 1)
         return 8 + 4 * math.isqrt((hq + 1) // hp + 1)
-
-    def torsion_order(self, T: EcPoint) -> int:
-        acc = T
-        for k in range(1, 13):
-            if acc.is_identity:
-                return k
-            acc = self.curve.add(acc, T)
-        raise ValueError(f"{T!r} is not torsion (no order up to 12)")
 
     @cached_property
     def _torsion(self) -> tuple[EcPoint, ...]:

@@ -4,7 +4,7 @@ Two backends share one surface: the multiplicative group Q* (optionally with
 an excluded prime set S, the S-unit view) here, elliptic curves over Q in
 long Weierstrass form in `mwlab.elliptic`. Both expose reduction at a prime,
 exact orders mod v, torsion, and group arithmetic written additively
-(combine / invert / scale); what serves both is here too."""
+(combine / scale); what serves both is here too, `torsion_order` among it."""
 
 from __future__ import annotations
 
@@ -91,17 +91,11 @@ class MultiplicativeGroup:
     def combine(self, P: MulPoint, Q: MulPoint) -> MulPoint:
         return MulPoint(P.value * Q.value)
 
-    def invert(self, P: MulPoint) -> MulPoint:
-        return MulPoint(1 / P.value)
-
     def scale(self, n: int, P: MulPoint) -> MulPoint:
         return MulPoint(P.value**n)
 
     def torsion_elements(self) -> tuple[MulPoint, ...]:
         return (MulPoint(1), MulPoint(-1))
-
-    def is_torsion(self, P: MulPoint) -> bool:
-        return abs(P.value) == 1
 
     def height_bound(self, P: MulPoint, Q: MulPoint) -> int:
         """Bound on |d| for Q = d*P with P nontorsion, from the sizes of the
@@ -109,13 +103,6 @@ class MultiplicativeGroup:
         top = max(Q.numerator, Q.denominator)
         base = min(x for x in (P.numerator, P.denominator) if x > 1)
         return math.ceil(math.log(top) / math.log(base)) + 1 if top > 1 else 1
-
-    def torsion_order(self, T: MulPoint) -> int:
-        if T.value == 1:
-            return 1
-        if T.value == -1:
-            return 2
-        raise ValueError(f"{T!r} is not torsion in Q*")
 
     def reduce(self, points, v: int) -> list[int] | None:
         """The residues mod v, or None where v is in S or divides a numerator or a denominator."""
@@ -142,15 +129,11 @@ class MultiplicativeGroup:
     def order_mod(self, P: MulPoint, v: int) -> int:
         if not self.good_prime([P], v):
             raise ValueError(f"{v} is a bad prime for {P!r}")
-        return self.raw_order(self.reduce([P], v)[0], v)
+        return numth.multiplicative_order(self.reduce([P], v)[0], v)
 
     def raw_orders(self, raws, v: int) -> list[int]:
         """The orders of reduced residues, over one factorization of v-1."""
         return numth.multiplicative_orders(raws, v)
-
-    def raw_order(self, raw, v: int) -> int:
-        """Exact order of a reduced residue in F_v*."""
-        return numth.multiplicative_order(raw, v)
 
     def raw_identity(self, v: int):
         return 1
@@ -211,10 +194,21 @@ class MultiplicativeGroup:
 
 
 def _torsion_stability_test(expected: int, backend, raws, v: int):
-    got = backend.raw_order(raws[0], v)
+    got = backend.raw_orders(raws, v)[0]
     if got == expected:
         return None
     return Witness(v=v, n=got, detail=f"ord_v T = {got} but ord T = {expected}")
+
+
+def torsion_order(backend, T) -> int:
+    """The order of a torsion point: the least k with k*T = 0, which is at
+    most |torsion_elements()| (Lagrange). ValueError for a nontorsion point."""
+    acc = T
+    for k in range(1, len(backend.torsion_elements()) + 1):
+        if backend.is_identity(acc):
+            return k
+        acc = backend.combine(acc, T)
+    raise ValueError(f"{T!r} is not torsion")
 
 
 def torsion_order_stability(backend, T, scan: PrimeRange, workers: int = 1) -> ConditionReport:
@@ -223,7 +217,7 @@ def torsion_order_stability(backend, T, scan: PrimeRange, workers: int = 1) -> C
     Violations are expected only at finitely many small primes; any hit is
     reported as a witness with n = the divergent local order.
     """
-    expected = backend.torsion_order(T)
+    expected = torsion_order(backend, T)
     chunks = split_chunks(numth.primes_in(scan), pool_size(workers))
     tasks = [(_torsion_stability_test, (expected,), backend, (T,), c) for c in chunks]
     return merge_scan_results("torsion_stability", scan, map_chunks(scan_chunk, tasks, workers))
@@ -281,7 +275,7 @@ def bounded_combinations(backend, points, bound: int):
         multiples = [backend.identity()]
         for _ in range(bound):
             multiples.append(backend.combine(multiples[-1], P))
-        negatives = [backend.invert(M) for M in reversed(multiples[1:])]
+        negatives = [backend.scale(-1, M) for M in reversed(multiples[1:])]
         tables.append(list(zip(range(-bound, bound + 1), negatives + multiples)))
 
     def extend(vec, acc):

@@ -131,7 +131,7 @@ def _replay1_test(l, backend, raws, v):
         m //= l
     if any(backend.raw_kills(m, raw, v) for raw in rqs):
         return None
-    n = backend.raw_order(raws[0], v)
+    n = backend.raw_orders(raws[:1], v)[0]
     if any(backend.raw_kills(n, raw, v) for raw in rqs):
         return None
     q_orders = backend.raw_orders(rqs, v)

@@ -25,8 +25,11 @@ def support_of(m: int) -> set[int]:
 def support_union_at_n(xs, n: int, bound: int) -> frozenset[int]:
     """{p <= bound : p | x^n - 1 for some x}, without forming x^n - 1.
 
-    p | x^n - 1 iff p does not divide x and ord_p(x) | n.
+    For n >= 1, p | x^n - 1 iff p does not divide x and ord_p(x) | n; at
+    n = 0, x^n - 1 = 0 has no finite support, so n < 1 is refused.
     """
+    if n < 1:
+        raise ValueError(f"support unions need n >= 1, got {n}")
     if any(x < 2 for x in xs):
         raise ValueError("support unions take natural numbers >= 2")
     hits = set()
@@ -105,7 +108,7 @@ def _cover_test(condition_id, backend, raws, v):
     ord_v(Q_i) divides n exactly when n * Q_i = 0, so the orders of the Q_i
     are computed only for a witness.
     """
-    tp = backend.raw_order(raws[0], v)
+    tp = backend.raw_orders(raws[:1], v)[0]
     if any(backend.raw_kills(tp, raw, v) for raw in raws[1:]):
         return None
     tq = backend.raw_orders(raws[1:], v)

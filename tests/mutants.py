@@ -80,6 +80,10 @@ MUTANTS = [
     ("torsion-without-order-12", "elliptic.py",
      "(2, 3, 4, 5, 6, 7, 8, 9, 10, 12)", "(2, 3, 4, 5, 6, 7, 8, 9, 10)",
      "tests/test_mwgroup.py::TestTorsion"),
+    ("torsion-order-one-step-short", "mwgroup.py",
+     "    for k in range(1, len(backend.torsion_elements()) + 1):",
+     "    for k in range(1, len(backend.torsion_elements())):",
+     "tests/test_mwgroup.py::TestTorsion"),
     # -- Q* and the shared per-prime tests -------------------------------------
     ("Q-strip-reads-one-raw", "mwgroup.py",
      "for raw in raws:  # a plain loop", "for raw in raws[:1]:  # a plain loop",
@@ -201,11 +205,18 @@ MUTANTS = [
     ("refusal-oracle-takes-the-identity", "dependence.py",
      "    if p_val == 1:\n        return None", "    if False:\n        return None",
      "tests/test_dependence.py -k identity_input_refused"),
+    ("refusal-verify-bad-prime-as-internal-error", "cli.py",
+     "        raise UsageError(f\"--verify prime {v} is a bad prime for these points\") from exc\n",
+     "        raise\n",
+     "tests/test_cli.py -k invalid_witness_input"),
+    ("refusal-support-union-at-n-zero", "support.py",
+     "    if n < 1:\n        raise ValueError(f\"support unions", "    if False:\n        raise ValueError(f\"support unions",
+     "tests/test_support.py -k n_below_one"),
     ("refusal-psi13-from-one-past", "numth.py",
      "    if n >= PSI_13 and not _pocklington(n):", "    if n > PSI_13 and not _pocklington(n):",
      "tests/test_numth.py -k psi_13"),
     ("refusal-recover-torsion-base", "cli.py",
-     "            if not backend.is_identity(payload[\"Q\"]) and backend.is_torsion(payload[\"P\"]):",
+     "            if not backend.is_identity(payload[\"Q\"]) and payload[\"P\"] in backend.torsion_elements():",
      "            if False:",
      "tests/test_cli.py -k recover_torsion_base"),
 ]

@@ -554,27 +554,53 @@ class TestVerifyMode:
         assert json.loads(out)["outcome"]["verify"]["reproduced"] is False
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, err",
         [
-            ("support-check", "--xs", "2", "--ys", "8", "--verify", "9:2"),  # composite v
-            ("support-check", "--xs", "2", "--ys", "8", "--verify", "0:1"),  # v = 0
-            ("cs-check", "--x", "2", "--y", "4", "--verify", "2:1"),  # bad prime
-            ("support-check", "--xs", "2", "--ys", "8", "--verify", "7:0"),  # n < 1
-            ("detect", "--backend", "ec:0,0,1,-1,0", "--points", "(0,0)",
-             "--lambda", "(1,-1)", "--primes", "3..300", "--verify", "5:-4"),  # n < 1
+            pytest.param(("support-check", "--xs", "2", "--ys", "8", "--verify", "9:2"),
+                         "--verify prime 9 is not prime", id="composite"),
+            pytest.param(("support-check", "--xs", "2", "--ys", "8", "--verify", "0:1"),
+                         "--verify prime 0 is not prime", id="zero"),
+            pytest.param(("cs-check", "--x", "2", "--y", "4", "--verify", "2:1"),
+                         "--verify prime 2 is a bad prime for these points", id="bad-prime"),
+            pytest.param(("support-check", "--xs", "2", "--ys", "8", "--verify", "7:0"),
+                         "--verify n must be >= 1, got 0", id="n-zero"),
+            pytest.param(("detect", "--backend", "ec:0,0,1,-1,0", "--points", "(0,0)", "--lambda",
+                          "(1,-1)", "--primes", "3..300", "--verify", "5:-4"),
+                         "--verify n must be >= 1, got -4", id="n-negative"),
             # psi_12, a strong pseudoprime to the prime bases up to 37.
-            ("support-check", "--xs", "2", "--ys", "3", "--verify",
-             "318665857834031151167461:1"),
+            pytest.param(("support-check", "--xs", "2", "--ys", "3", "--verify",
+                          "318665857834031151167461:1"),
+                         "--verify prime 318665857834031151167461 is not prime", id="psi-12"),
             # psi_13, from which on is_prime is not proven exact.
-            ("support-check", "--xs", "2", "--ys", "3", "--verify",
-             "3317044064679887385961981:1"),
+            pytest.param(("support-check", "--xs", "2", "--ys", "3", "--verify",
+                          "3317044064679887385961981:1"),
+                         "--verify prime 3317044064679887385961981 is not below "
+                         "3317044064679887385961981, the proven bound", id="psi-13"),
+            # A bad prime: each re-check refuses it, and the CLI says so.
+            pytest.param(("support-check", "--xs", "2", "--ys", "9", "--verify", "3:1"),
+                         "--verify prime 3 is a bad prime for these points", id="bad-prime-support"),
+            pytest.param(("cs-check", "--backend", "ec:0,0,1,-1,0", "--x", "(0,0)", "--y", "(1,0)",
+                          "--verify", "37:1"),
+                         "--verify prime 37 is a bad prime for these points", id="bad-prime-cs-37a"),
+            pytest.param(("detect", "--points", "6", "--lambda", "2", "--verify", "3:1"),
+                         "--verify prime 3 is a bad prime for these points", id="bad-prime-detect"),
+            # A denominator 4 on 37a: 2 is a bad prime for this point only.
+            pytest.param(("detect", "--backend", "ec:0,0,1,-1,0", "--points", "(1/4,-5/8)",
+                          "--lambda", "(0,0)", "--verify", "2:1"),
+                         "--verify prime 2 is a bad prime for these points", id="bad-prime-detect-37a"),
+            pytest.param(("replay", "--p", "2", "--qs", "3", "--l", "5", "--verify", "3:1"),
+                         "--verify prime 3 is a bad prime for these points", id="bad-prime-replay"),
+            pytest.param(("replay", "--backend", "ec:0,0,1,-1,0", "--p", "(0,0)", "--qs", "(1,0)",
+                          "--l", "5", "--verify", "37:1"),
+                         "--verify prime 37 is a bad prime for these points", id="bad-prime-replay-37a"),
         ],
-        ids=["composite", "zero", "bad-prime", "n-zero", "n-negative", "psi-12", "psi-13"],
     )
-    def test_rejects_invalid_witness_input(self, capsys, argv):
-        code, out = run_cli(capsys, *argv)
+    def test_rejects_invalid_witness_input(self, capsys, argv, err):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
         assert code == USAGE_ERROR
-        assert out == ""
+        assert captured.out == ""
+        assert captured.err == f"usage error: {err}\n"
 
     def test_replay_witness_reverifies(self, capsys):
         # replay witnesses are rechecked as thm2 violations.

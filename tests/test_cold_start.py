@@ -43,7 +43,8 @@ EXPORTS = {
         "EC_IDENTITY", "EcPoint", "EllipticGroup", "WeierstrassCurve", "elliptic_independence_check",
     ),
     "mwgroup": (
-        "MulPoint", "MultiplicativeGroup", "multiplicative_independence", "torsion_order_stability",
+        "MulPoint", "MultiplicativeGroup", "multiplicative_independence", "torsion_order",
+        "torsion_order_stability",
     ),
     "numth": (
         "Factorization", "PrimeRange", "bsgs_dlog", "crt", "exact_valuation", "factor",
@@ -219,7 +220,7 @@ class TestPackageSurface:
         assert getattr(mwlab, name) is getattr(importlib.import_module(f"mwlab.{module}"), name)
 
     def test_all_lists_exactly_the_public_names(self):
-        assert len(NAMES) == 43
+        assert len(NAMES) == 44
         assert sorted(mwlab.__all__) == sorted(name for _, name in NAMES)
 
     def test_unknown_name_raises(self):

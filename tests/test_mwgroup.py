@@ -1,6 +1,8 @@
 import itertools
 import math
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from mwlab.mwgroup import (
     MulPoint,
     MultiplicativeGroup,
     multiplicative_independence,
+    torsion_order,
     torsion_order_stability,
     unit_relations,
 )
@@ -514,12 +517,17 @@ class TestTorsion:
     def test_multiplicative(self):
         M = MultiplicativeGroup()
         assert {t.value for t in M.torsion_elements()} == {1, -1}
-        assert M.torsion_order(MulPoint(-1)) == 2
+        assert torsion_order(M, MulPoint(1)) == 1
+        assert torsion_order(M, MulPoint(-1)) == 2
         with pytest.raises(ValueError):
-            M.torsion_order(MulPoint(2))
+            torsion_order(M, MulPoint(2))
 
     def test_trivial_torsion_37a1(self):
-        assert EllipticGroup(C37).torsion_elements() == (EC_IDENTITY,)
+        E = EllipticGroup(C37)
+        assert E.torsion_elements() == (EC_IDENTITY,)
+        assert torsion_order(E, EC_IDENTITY) == 1
+        with pytest.raises(ValueError):
+            torsion_order(E, C37.point(0, 0))
 
     def test_full_two_torsion(self):
         got = EllipticGroup(CXX).torsion_elements()
@@ -539,7 +547,7 @@ class TestTorsion:
         torsion = E.torsion_elements()
         assert len(torsion) == 5
         assert c.point(0, 0) in torsion
-        assert E.torsion_order(c.point(0, 0)) == 5
+        assert torsion_order(E, c.point(0, 0)) == 5
 
     def test_six_torsion_curve(self):
         # y^2 = x^3 + 1: the six torsion points are hand-checkable
@@ -613,9 +621,9 @@ class TestTorsion:
         c = WeierstrassCurve(1, 1, 1, 35, -28)
         assert c.discriminant % 2 == 1 and brute_curve_order(c, 2) == 4
         E = EllipticGroup(c)
-        assert sorted(E.torsion_order(T) for T in E.torsion_elements()) == [1, 2, 4, 4, 8, 8, 8, 8]
+        assert sorted(torsion_order(E, T) for T in E.torsion_elements()) == [1, 2, 4, 4, 8, 8, 8, 8]
         for xy in ((2, 6), (2, -9), (32, -204), (32, 171)):
-            assert E.torsion_order(c.point(*xy)) == 8 and E.is_torsion(c.point(*xy))
+            assert torsion_order(E, c.point(*xy)) == 8 and c.point(*xy) in E.torsion_elements()
 
     def test_torsion_closed_under_addition(self):
         for coeffs in ((0, -1, 1, 0, 0), (0, 0, 0, 0, 1), (1, 0, 1, -1, 0)):
@@ -768,3 +776,14 @@ class TestEncodings:
         assert MultiplicativeGroup().encode() == "mul"
         assert MultiplicativeGroup([5, 2]).encode() == "S={2,5}"
         assert EllipticGroup(C37).encode() == "ec:0,0,1,-1,0"
+
+
+class TestBackendContract:
+    def test_both_backends_define_the_members_readme_lists(self):
+        # What a backend module writes. Negation, single orders, the torsion
+        # test and torsion orders are derived from these, not members.
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        listed = re.findall(r"`(\w+)`", readme.partition("same 22 public members")[2].split("\n\n")[1])
+        assert len(listed) == len(set(listed)) == 22
+        for cls in (MultiplicativeGroup, EllipticGroup):
+            assert sorted(n for n in vars(cls) if not n.startswith("_")) == sorted(listed), cls

@@ -128,6 +128,12 @@ class TestSupportUnion:
         assert support_union_at_n([2], 1, 100) == frozenset()
         assert support_union_at_n([2, 3], 2, 100) == frozenset({2, 3})
 
+    def test_rejects_n_below_one(self):
+        # 2^0 - 1 = 0, which every prime divides: no finite answer to give.
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                support_union_at_n([2], n, 10)
+
     def test_against_literal_factorization(self):
         for xs in ([2], [3], [2, 5], [6, 10]):
             for n in (1, 2, 3, 4, 6, 12):
